@@ -72,7 +72,7 @@ def critical_rays(F: PolyExpFunction) -> list[float]:
 
 def _tail_estimate(F: PolyExpFunction, z: complex) -> float:
     """|p(z)/q'(z)| exp(Re q(z)), the size of f(z) - a_k on a decay ray."""
-    qp = F.q.derivative()(z)
+    qp = F.q_prime(z)
     if qp == 0:
         return math.inf
     re_q = F.q(z).real
@@ -119,7 +119,7 @@ def sector_remainder(F: PolyExpFunction, z: complex,
     sector form degenerates.
     """
     z = complex(z)
-    qp = F.q.derivative()(z)
+    qp = F.q_prime(z)
     if abs(qp) < 1e-12 * (1.0 + abs(z)) ** max(data.d - 1, 0):
         raise NearCriticalZero(f"q'({z}) ~ 0; sector form undefined here")
     k = data.nearest_ray(cmath.phase(z) % TWO_PI)

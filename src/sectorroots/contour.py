@@ -1,9 +1,11 @@
 """Path integrals and winding numbers on axis-aligned boxes.
 
-integrate_segment is a global adaptive Gauss-Kronrod (7, 15) scheme on a
-straight segment; winding numbers are computed by tracking the continuous
-argument of f - a along the box boundary, never by numerical integration of
-f'/(f - a), so the count is an exact integer with a measurable phase defect.
+integrate_segments is an adaptive Gauss-Kronrod (7, 15) scheme that
+integrates many straight segments at once, one array pass per refinement
+round; integrate_segment_err is its one-segment form. Winding numbers are
+computed by tracking the continuous argument of f - a along the box
+boundary, never by numerical integration of f'/(f - a), so the count is an
+exact integer with a measurable phase defect.
 """
 
 from __future__ import annotations
@@ -43,21 +45,143 @@ _WG = np.array([
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
-def _panel(g: Callable, z0: complex, delta: complex, a: float, b: float):
-    """Kronrod estimate, error estimate and L1 magnitude of the panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ts = mid + half * _XK
-    vals = np.asarray(g(z0 + ts * delta), dtype=complex)
-    k = half * complex(np.dot(_WK, vals))
-    gg = half * complex(np.dot(_WG, vals[_GAUSS_IDX]))
-    l1 = abs(half) * float(np.dot(_WK, np.abs(vals)))
-    return k, abs(k - gg), l1
-
+# Kronrod and embedded Gauss weights as the two columns of one matrix, so
+# one product gives both estimates for every panel of a pass
+_W2 = np.zeros((15, 2), dtype=complex)
+_W2[:, 0] = _WK
+_W2[_GAUSS_IDX, 1] = _WG
 
 # one ulp of a 15-point weighted sum, with headroom for the heap bookkeeping
 _ROUNDOFF = 5e-15
 _MAX_PANELS = 4096
+# panels evaluated per array pass; bounds the memory of long batches
+_PASS_ROWS = 512
+
+
+def _panels(g: Callable, z0: np.ndarray, delta: np.ndarray, seg, ts, half):
+    """Kronrod estimates, error estimates and L1 magnitudes of panels.
+
+    Row j is the panel of segment seg[j] (an index array, or a slice of the
+    segments) at the parameters ts[j] (the 15 nodes in s) with half-width
+    half[j]; ts and half may also be one row shared by all.
+    """
+    vals = g(z0[seg, None] + ts * delta[seg, None], seg)
+    sums = vals @ _W2
+    k = half * sums[:, 0]
+    return k, np.abs(k - half * sums[:, 1]), half * (np.abs(vals) @ _WK)
+
+
+def _child_panels(g: Callable, z0: np.ndarray, delta: np.ndarray,
+                  seg: list, mids: list, halves: list):
+    """_panels as lists, for panels of segments seg with centres mids and
+    half-widths halves, in passes of at most _PASS_ROWS panels."""
+    out = ([], [], [])
+    for lo in range(0, len(seg), _PASS_ROWS):
+        rows = slice(lo, lo + _PASS_ROWS)
+        half = np.array(halves[rows])
+        ts = np.array(mids[rows])[:, None] + half[:, None] * _XK
+        for acc, x in zip(out, _panels(g, z0, delta, np.array(seg[rows]),
+                                       ts, half)):
+            acc += x.tolist()
+    return out
+
+
+# the 15 nodes of the first panel, s in [0, 1]
+_TS0 = 0.5 + 0.5 * _XK
+
+
+def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
+                       tol: float, noise: np.ndarray, max_depth: int = 50):
+    """Adaptive GK(7, 15) integrals along k straight segments at once.
+
+    Segment i runs from z0[i] to z0[i] + delta[i]. g(z, seg) receives an
+    array of points, one row of 15 per panel, with seg selecting the
+    segment of each row (an index array or a slice), and returns the
+    integrand there. All first panels are evaluated in one pass; after that
+    only segments whose summed error estimate exceeds
+    tol * (1 + |I|) + noise[i] * L1 are refined, each round splitting the
+    worst panel of every such segment and evaluating all the children in
+    one pass. Per segment this is the same worst-first refinement, with the
+    same panel budget and depth limit, as a segment integrated alone.
+
+    Returns (values, bounds, failures): the integrals, their absolute error
+    bounds, and a dict mapping the index of every segment that ran out of
+    panels or depth to its ToleranceNotMet (its value and bound are then
+    meaningless).
+    """
+    k = len(z0)
+    noise = np.maximum(noise, _ROUNDOFF)
+    if k <= _PASS_ROWS:
+        total, total_err, total_l1 = _panels(g, z0, delta, slice(None),
+                                             _TS0, 0.5)
+    else:
+        total, total_err, total_l1 = (np.concatenate(x) for x in zip(*(
+            _panels(g, z0, delta, slice(lo, lo + _PASS_ROWS), _TS0, 0.5)
+            for lo in range(0, k, _PASS_ROWS))))
+    floor = noise * total_l1
+    todo = (total_err > tol * (1.0 + np.abs(total)) + floor).nonzero()[0]
+    failures: dict[int, ToleranceNotMet] = {}
+    if len(todo):
+        _refine_segments(g, z0, delta, tol, noise, max_depth, todo.tolist(),
+                         total, total_err, total_l1, failures)
+        floor = noise * total_l1
+    return total * delta, (total_err + floor) * np.abs(delta), failures
+
+
+def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
+                     total, total_err, total_l1, failures):
+    """Worst-first refinement of the segments in todo, updating the total
+    arrays in place and recording failures. Heap entries and the checks
+    between rounds are those of a one-segment adaptive scheme."""
+    val = {i: complex(total[i]) for i in todo}
+    err = {i: float(total_err[i]) for i in todo}
+    l1 = {i: float(total_l1[i]) for i in todo}
+    heaps = {i: [(-err[i], 0, 0.0, 1.0, 0, val[i], l1[i])] for i in todo}
+    counter = dict.fromkeys(todo, 1)
+    while todo:
+        popped = []
+        seg = []
+        mids = []
+        halves = []
+        for i in todo:
+            if counter[i] >= _MAX_PANELS:
+                failures[i] = ToleranceNotMet(
+                    f"segment quadrature: {_MAX_PANELS} panels exhausted, "
+                    f"error {err[i]:.3e}")
+                continue
+            item = heapq.heappop(heaps[i])
+            if item[4] >= max_depth:
+                failures[i] = ToleranceNotMet(
+                    f"segment quadrature: depth {max_depth} reached, error "
+                    f"{err[i]:.3e} vs target {tol * (1 + abs(val[i])):.3e}")
+                continue
+            a, b = item[2], item[3]
+            mid = 0.5 * (a + b)
+            popped.append((i, mid, item))
+            seg += (i, i)
+            mids += (0.5 * (a + mid), 0.5 * (mid + b))
+            halves += (0.5 * (mid - a), 0.5 * (b - mid))
+        if not popped:
+            break
+        kv, ke, kl = _child_panels(g, z0, delta, seg, mids, halves)
+        todo = []
+        for j, (i, mid, (neg_err, _, a, b, depth, v, vl1)) in enumerate(popped):
+            v1, v2 = kv[2 * j], kv[2 * j + 1]
+            e1, e2 = ke[2 * j], ke[2 * j + 1]
+            l11, l12 = kl[2 * j], kl[2 * j + 1]
+            val[i] += (v1 + v2) - v
+            err[i] += (e1 + e2) - (-neg_err)
+            l1[i] += (l11 + l12) - vl1
+            c = counter[i]
+            heapq.heappush(heaps[i], (-e1, c, a, mid, depth + 1, v1, l11))
+            heapq.heappush(heaps[i], (-e2, c + 1, mid, b, depth + 1, v2, l12))
+            counter[i] = c + 2
+            if err[i] > tol * (1.0 + abs(val[i])) + noise[i] * l1[i]:
+                todo.append(i)
+    for i in val:
+        total[i] = val[i]
+        total_err[i] = err[i]
+        total_l1[i] = l1[i]
 
 
 def integrate_segment_err(g: Callable, z0: complex, z1: complex,
@@ -73,47 +197,22 @@ def integrate_segment_err(g: Callable, z0: complex, z1: complex,
     failure). Callers whose g has relative noise above one ulp, e.g. from a
     large complex exponential phase, must raise noise accordingly. Raises
     ToleranceNotMet when a panel needs more than max_depth splits or the
-    panel budget runs out.
+    panel budget runs out. This is integrate_segments with k = 1.
     """
     z0 = complex(z0)
-    z1 = complex(z1)
-    delta = z1 - z0
+    delta = complex(z1) - z0
     if delta == 0:
         return 0j, 0.0
-    noise = max(noise, _ROUNDOFF)
-    val, err, l1 = _panel(g, z0, delta, 0.0, 1.0)
-    heap = [(-err, 0, 0.0, 1.0, 0, val, l1)]
-    counter = 1
-    total = val
-    total_err = err
-    total_l1 = l1
-    while total_err > tol * (1.0 + abs(total)) + noise * total_l1:
-        if counter >= _MAX_PANELS:
-            raise ToleranceNotMet(
-                f"segment quadrature: {_MAX_PANELS} panels exhausted, "
-                f"error {total_err:.3e}")
-        neg_err, _, a, b, depth, v, vl1 = heapq.heappop(heap)
-        if depth >= max_depth:
-            raise ToleranceNotMet(
-                f"segment quadrature: depth {max_depth} reached, "
-                f"error {total_err:.3e} vs target {tol * (1 + abs(total)):.3e}")
-        mid = 0.5 * (a + b)
-        v1, e1, l11 = _panel(g, z0, delta, a, mid)
-        v2, e2, l12 = _panel(g, z0, delta, mid, b)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - (-neg_err)
-        total_l1 += (l11 + l12) - vl1
-        heapq.heappush(heap, (-e1, counter, a, mid, depth + 1, v1, l11))
-        heapq.heappush(heap, (-e2, counter + 1, mid, b, depth + 1, v2, l12))
-        counter += 2
-    bound = (total_err + noise * total_l1) * abs(delta)
-    return total * delta, bound
 
+    def rows(z, seg):
+        return np.asarray(g(z.ravel()), dtype=complex).reshape(z.shape)
 
-def integrate_segment(g: Callable, z0: complex, z1: complex,
-                      tol: float = 1e-12, max_depth: int = 50) -> complex:
-    """Adaptive integral of g along the straight segment [z0, z1]."""
-    return integrate_segment_err(g, z0, z1, tol, max_depth)[0]
+    vals, bounds, failures = integrate_segments(
+        rows, np.array([z0]), np.array([delta]), tol, np.array([noise]),
+        max_depth)
+    if failures:
+        raise failures[0]
+    return complex(vals[0]), float(bounds[0])
 
 
 @dataclass(frozen=True)
@@ -195,11 +294,22 @@ def _refine(pathval, s0, s1, depth: int) -> float:
     return _refine(pathval, s0, sm, depth + 1) + _refine(pathval, sm, s1, depth + 1)
 
 
+def edge_points(z0: complex, z1: complex, n: int) -> list[complex]:
+    """The samples of a walk along the edge z0 -> z1 after z0: max(2, n)
+    evenly spaced points, the last of them exactly z1."""
+    n = max(2, n)
+    step = z1 - z0
+    return [z0 + step * (j / n) for j in range(1, n)] + [z1]
+
+
 def winding_count(pathval, box: Box) -> WindingResult:
     """Winding number of f - a around 0 along the box boundary (ccw).
 
     pathval provides start/extend evaluation of w = f - a in scaled form and
     raises BoundaryTooClose itself when |w| drops below its safe floor.
+    Each edge is announced by min_samples(z_from, z_to) just before it is
+    walked; the walk then extends through edge_points(z_from, z_to, n), so
+    an evaluator may plan the increments of the whole edge at that call.
     """
     corners = box.corners()
     first = pathval.start(corners[0])
@@ -208,21 +318,14 @@ def winding_count(pathval, box: Box) -> WindingResult:
     for i in range(4):
         z_from = corners[i]
         z_to = corners[(i + 1) % 4]
-        n0 = max(2, pathval.min_samples(z_from, z_to))
-        targets = [z_from + (z_to - z_from) * (j / n0) for j in range(1, n0 + 1)]
-        if i == 3:
-            # close the loop on the exact starting sample
-            targets[-1] = corners[0]
+        targets = edge_points(z_from, z_to, pathval.min_samples(z_from, z_to))
         for z in targets[:-1]:
             s = pathval.extend(prev, z)
             total += _refine(pathval, prev, s, 0)
             prev = s
-        if i == 3:
-            s = first
-            total += _refine(pathval, prev, s, 0)
-        else:
-            s = pathval.extend(prev, targets[-1])
-            total += _refine(pathval, prev, s, 0)
+        # the last edge closes the loop on the exact starting sample
+        s = first if i == 3 else pathval.extend(prev, z_to)
+        total += _refine(pathval, prev, s, 0)
         prev = s
     raw = total / (2.0 * math.pi)
     count = int(round(raw))

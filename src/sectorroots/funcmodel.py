@@ -32,9 +32,10 @@ import numpy as np
 
 from .asymptotics import (AsymptoticData, asymptotic_values, in_decay_interior,
                           sector_remainder, tail_remainder)
-from .errors import BoundaryTooClose, NearCriticalZero
+from .contour import edge_points
+from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, eval_f_prime,
-                      integral_scaled_parts)
+                      integral_scaled_batch, integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
 _HEADROOM_LOG = math.log(1e4)
@@ -51,6 +52,10 @@ _RESCUE_REL_LOG = math.log(1e-11)
 
 # representation noise of one scaled add, a shade above double eps
 _LOG_EPS = math.log(1e-15)
+
+# walk increments integrated per batch; bounds the memory a long edge
+# takes, and the work left unused when a walk stops partway
+_PLAN_BLOCK = 256
 
 
 @dataclass
@@ -134,7 +139,7 @@ class PolyExpRootModel:
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Initial sample count for an edge, from a bound on the phase
         variation of exp(q) plus slack for the polynomial factor."""
-        qd = self.F.q.derivative()
+        qd = self.F.q_prime
         pts = [z0 + (z1 - z0) * t for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
         qmax = max(abs(qd(w)) for w in pts)
         swing = abs(z1 - z0) * 1.5 * qmax
@@ -143,7 +148,15 @@ class PolyExpRootModel:
 
 
 class _PolyExpPath:
-    """Incremental scaled evaluator of w = f - a along a polygonal walk."""
+    """Incremental scaled evaluator of w = f - a along a polygonal walk.
+
+    min_samples(z0, z1) also plans the edge about to be walked, whose
+    samples are contour.edge_points(z0, z1, n): the increments between them
+    are integrated as one batch per block of _PLAN_BLOCK, when the walk
+    takes the first step of the block. extend uses the planned increment
+    when it steps to the next planned sample, and integrates any other step
+    (a bisection midpoint) alone.
+    """
 
     def __init__(self, model: PolyExpRootModel, a: complex):
         self.model = model
@@ -152,6 +165,9 @@ class _PolyExpPath:
         self.F = model.F
         self.tol = model.tol
         self.floor_log = _LOG_PROX + math.log(max(1.0, abs(a)))
+        self._edge: list[complex] = []
+        self._next = 0
+        self._block: dict = {}
 
     def _try(self, z: complex, w: ScaledComplex,
              err_log: float) -> PathSample | None:
@@ -179,7 +195,7 @@ class _PolyExpPath:
         if prev is not None:
             # w obeys the same increments as f, so extending w directly
             # avoids ever reconstructing the difference f - a
-            inc, inc_err_log = integral_scaled_parts(self.F, prev.z, z, self.tol)
+            inc, inc_err_log = self._increment(prev.z, z)
             err_log = float(np.logaddexp(prev.err_log, inc_err_log))
             w = prev.w.add(inc)
             if not w.is_zero:
@@ -202,6 +218,25 @@ class _PolyExpPath:
             f"cannot separate f - a from its error bound at {z} "
             f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
 
+    def _increment(self, z0: complex, z1: complex) -> tuple[ScaledComplex, float]:
+        """integral_scaled_parts over [z0, z1], taken from the edge plan when
+        the step is the plan's next increment. A planned increment whose
+        quadrature failed raises here, when the walk reaches it."""
+        part = self._block.pop((z0, z1), None)
+        if part is None:
+            i = self._next
+            edge = self._edge
+            if not (i + 1 < len(edge) and edge[i] == z0 and edge[i + 1] == z1):
+                return integral_scaled_parts(self.F, z0, z1, self.tol)
+            pts = edge[i:i + _PLAN_BLOCK + 1]
+            self._next = i + len(pts) - 1
+            parts = integral_scaled_batch(self.F, pts[:-1], pts[1:], self.tol)
+            self._block = dict(zip(zip(pts[:-1], pts[1:]), parts))
+            part = self._block.pop((z0, z1))
+        if isinstance(part, ToleranceNotMet):
+            raise part
+        return part
+
     def start(self, z: complex) -> PathSample:
         return self._build(complex(z), None)
 
@@ -209,4 +244,8 @@ class _PolyExpPath:
         return self._build(complex(z), prev)
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        return self.model.min_samples(z0, z1)
+        n = self.model.min_samples(z0, z1)
+        self._edge = [complex(z0)] + edge_points(complex(z0), complex(z1), n)
+        self._next = 0
+        self._block = {}
+        return n

@@ -10,6 +10,7 @@ of the integral that never overflow.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -17,11 +18,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OverflowRegion
+from .errors import OverflowRegion, ToleranceNotMet
 
 # Largest exponent allowed in plain double-precision evaluation. exp(690)
 # is near 1e299, which leaves headroom for the polynomial factor.
 OVERFLOW_LOG = 690.0
+
+
+def _horner(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of ascending coefficients at an array of points."""
+    if len(coeffs) < 2:
+        return np.full(z.shape, coeffs[0] if coeffs else 0j, dtype=complex)
+    acc = coeffs[-1] * z
+    for c in coeffs[-2:0:-1]:
+        if c:
+            acc += c
+        acc *= z
+    if coeffs[0]:
+        acc += coeffs[0]
+    return acc
 
 
 def _wrap_phase(t: float) -> float:
@@ -70,10 +85,7 @@ class Polynomial:
     def __call__(self, z):
         """Horner evaluation; z may be a scalar or a numpy array."""
         if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z, dtype=complex)
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
+            return _horner(self.coeffs, z)
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -198,10 +210,10 @@ class PolyExpFunction:
             raise ValueError("q is constant; no leading coefficient of interest")
         return self.q.leading
 
-
-def eval_poly(poly: Polynomial, z):
-    """Horner evaluation of a polynomial (scalar or numpy array argument)."""
-    return poly(z)
+    @functools.cached_property
+    def q_prime(self) -> Polynomial:
+        """q', built once per function."""
+        return self.q.derivative()
 
 
 def eval_scaled_exp(q: Polynomial, z: complex) -> ScaledComplex:
@@ -219,92 +231,223 @@ def eval_f_prime(F: PolyExpFunction, z: complex) -> ScaledComplex:
     return ScaledComplex.from_complex(pz).mul(e)
 
 
-def _segment_poly(poly: Polynomial, z0: complex, z1: complex) -> np.ndarray:
-    """Ascending coefficients (in s) of poly(z0 + s*(z1 - z0)), s in [0, 1]."""
-    delta = z1 - z0
-    res = np.zeros(1, dtype=complex)
-    for c in reversed(poly.coeffs or (0j,)):
-        res = np.convolve(res, np.array([z0, delta], dtype=complex))
-        res[0] += c
-    return res
+@functools.lru_cache(maxsize=64)
+def _segment_tables(coeffs: tuple) -> tuple[np.ndarray, ...]:
+    """Constant matrices for a polynomial with these coefficients.
+
+    With B[i, j] = coeffs[i + j] * binom(i + j, j) and exponents e = 0 ..
+    n - 1, (z0**e @ B) * delta**e are the coefficients of s**j in
+    poly(z0 + s*delta); S takes those to the values at s = 0, 1/2, 1 and
+    then the s-derivatives there.
+    """
+    n = max(len(coeffs), 1)
+    B = np.zeros((n, n), dtype=complex)
+    for i in range(len(coeffs)):
+        for j in range(len(coeffs) - i):
+            B[i, j] = coeffs[i + j] * math.comb(i + j, j)
+    j = np.arange(n)[:, None]
+    s = np.array([0.0, 0.5, 1.0])
+    S = np.hstack([s ** j, j * s ** np.maximum(j - 1, 0)]).astype(complex)
+    tables = (B, np.arange(n).astype(complex), S)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _horner_real(coeffs, s: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
+def _horner_real(R: np.ndarray, s: np.ndarray) -> np.ndarray:
+    acc = R[:, -1]
+    for j in range(R.shape[1] - 2, -1, -1):
+        acc = acc * s + R[:, j]
     return acc
 
 
-def segment_re_q_max(q: Polynomial, z0: complex, z1: complex) -> float:
-    """Exact max of Re q on the straight segment [z0, z1].
-
-    Re q restricted to the segment is a real polynomial in the parameter, so
-    the maximum sits at an endpoint or at a real critical point inside.
-    """
-    coeffs = [float(c) for c in _segment_poly(q, z0, z1).real]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    best = max(coeffs[0], _horner_real(coeffs, 1.0))
-    n = len(coeffs) - 1
-    crits: list[float] = []
-    if n == 2:
-        if coeffs[2] != 0.0:
-            crits.append(-0.5 * coeffs[1] / coeffs[2])
-    elif n == 3:
-        # critical points of a real cubic: quadratic formula
-        a, b, c = 3.0 * coeffs[3], 2.0 * coeffs[2], coeffs[1]
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            rt = math.sqrt(disc)
-            crits.extend(((-b - rt) / (2.0 * a), (-b + rt) / (2.0 * a)))
-    elif n > 3:
-        dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
-        for r in np.roots(dcoeffs[::-1]):
-            if abs(r.imag) < 1e-9:
-                crits.append(float(r.real))
-    for s in crits:
-        if 0.0 < s < 1.0:
-            best = max(best, _horner_real(coeffs, s))
+def _re_poly_max(R: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Max over s in [0, 1] of each row's real polynomial (ascending
+    coefficients), given the larger endpoint value of each row: the max is
+    there or at an interior local maximum, found in closed form up to
+    degree 3 and from the roots of the derivative above."""
+    k, n = R.shape
+    if n < 3:
+        return best
+    # r' moves at most sum_j j |r_j| (j >= 2) from r'(0) = r_1 over
+    # [0, 1]; rows where that cannot change its sign peak at an end
+    turns = np.abs(R[:, 2:]) @ np.arange(2.0, n) >= np.abs(R[:, 1])
+    if not turns.any():
+        return best
+    if n > 4:
+        for i in turns.nonzero()[0].tolist():
+            c = np.trim_zeros(R[i], "b")
+            if len(c) < 3:
+                continue
+            for r in np.roots((np.arange(1, len(c)) * c[1:])[::-1]):
+                if abs(r.imag) < 1e-9 and 0.0 < r.real < 1.0:
+                    best[i] = max(best[i], np.polyval(c[::-1], r.real))
+        return best
+    r1, r2 = R[:, 1], R[:, 2]
+    peaks = []
+    quad = r2 < 0.0
+    if n == 4:
+        r3 = R[:, 3]
+        # r' = 3 r3 s^2 + 2 r2 s + r1 has its + to - crossing, the local
+        # max of a cubic, at (-r2 - sqrt(disc)) / (3 r3)
+        disc = r2 * r2 - 3.0 * r3 * r1
+        cubic = r3 != 0.0
+        quad &= ~cubic
+        real = cubic & (disc >= 0.0)
+        if real.any():
+            peaks.append(((-r2 - np.sqrt(np.where(real, disc, 0.0)))
+                          / (3.0 * np.where(real, r3, 1.0)), real))
+    # a concave quadratic peaks at -r1 / (2 r2), inside when 0 < r1 < -2 r2
+    quad &= (r1 > 0.0) & (r1 < -2.0 * r2)
+    if quad.any():
+        peaks.append((-0.5 * r1 / np.where(quad, r2, -1.0), quad))
+    for s, ok in peaks:
+        inside = ok & (s > 0.0) & (s < 1.0)
+        if inside.any():
+            best = np.where(inside, np.maximum(best, _horner_real(R, s)), best)
     return best
 
 
-def _segment_chunks(F: PolyExpFunction, z0: complex, z1: complex) -> int:
+def _segment_data(q: Polynomial, z0: np.ndarray, delta: np.ndarray):
+    """Per segment [z0, z0 + delta]: the exact max of Re q, the largest |q|
+    at s = 0, 1/2, 1 (the phase noise of exp(q) scales with it) and 1.5
+    times the largest |dq/ds| there (a bound on the phase swing of exp(q)),
+    all from the Taylor coefficients of q in the segment parameter s."""
+    B, e, S = _segment_tables(q.coeffs)
+    T = ((z0[:, None] ** e) @ B) * (delta[:, None] ** e)
+    Q = T @ S
+    A = np.abs(Q).reshape(-1, 2, 3).max(axis=2)
+    m = _re_poly_max(T.real, np.maximum(Q[:, 0].real, Q[:, 2].real))
+    return m, A[:, 0], 1.5 * A[:, 1]
+
+
+def segments_re_q_max(q: Polynomial, z0, z1) -> np.ndarray:
+    """Exact max of Re q on each straight segment [z0[i], z1[i]].
+
+    Re q restricted to a segment is a real polynomial in the parameter, so
+    the maximum sits at an endpoint or at a real critical point inside.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    return _segment_data(q, z0, np.asarray(z1) - z0)[0]
+
+
+def segment_re_q_max(q: Polynomial, z0: complex, z1: complex) -> float:
+    """Exact max of Re q on the straight segment [z0, z1]."""
+    return float(segments_re_q_max(q, (z0,), (z1,))[0])
+
+
+def _chunk_counts(swing: np.ndarray) -> np.ndarray:
     """Split count keeping the phase swing of exp(q) moderate per chunk.
 
     Long radial paths through growth sectors turn over thousands of
     radians; one adaptive pass stalls there, while chunks of a few dozen
     radians converge immediately. Short steps stay a single segment.
     """
-    qd = F.q.derivative()
-    length = abs(z1 - z0)
-    mid = 0.5 * (z0 + z1)
-    swing = length * 1.5 * max(abs(qd(z0)), abs(qd(mid)), abs(qd(z1)))
-    if swing <= 60.0:
-        return 1
-    return min(256, 1 + int(swing / 80.0))
+    many = np.minimum(256.0, 1.0 + np.floor(swing / 80.0))
+    return np.where(swing <= 60.0, 1, many).astype(int)
+
+
+def _scaled_integrand(F: PolyExpFunction, z: np.ndarray, m) -> np.ndarray:
+    """p exp(q - m) at the points z; m broadcasts against z."""
+    return _horner(F.p.coeffs, z) * np.exp(_horner(F.q.coeffs, z) - m)
+
+
+def _phase_noise(mag):
+    """Relative noise of exp(q) samples where |q| reaches mag: exp(q)
+    carries phase noise of |q| ulps, below which the samples are
+    indistinguishable from the truth and refinement cannot help."""
+    return 1e-15 * (1.0 + mag)
+
+
+def _chunk_parts(F: PolyExpFunction, z0: np.ndarray, delta: np.ndarray,
+                 m: np.ndarray, mag: np.ndarray, tol: float) -> list:
+    """Scaled integrals of p exp(q) over the segments [z0, z0 + delta], one
+    GK batch, each with exp(q) factored at its segment's max m of Re q."""
+    from .contour import integrate_segments
+
+    vals, bounds, failures = integrate_segments(
+        lambda z, seg: _scaled_integrand(F, z, m[seg, None]), z0, delta, tol,
+        _phase_noise(mag))
+    return [failures[i] if i in failures else _scaled_part(v, e, mi)
+            for i, (v, e, mi) in enumerate(zip(vals.tolist(), bounds.tolist(),
+                                               m.tolist()))]
+
+
+def _scaled_part(val: complex, err: float, m: float) -> tuple[ScaledComplex, float]:
+    """(value, err_log) of an integral computed with exp(q) scaled by
+    exp(-m): val and its absolute error bound err, shifted back by m."""
+    if err == 0.0:
+        # zero length (or a zero integrand): nothing to add, no error
+        return ScaledComplex.zero(), -math.inf
+    if val == 0:
+        return ScaledComplex.zero(), m + math.log(err)
+    return (ScaledComplex(math.log(abs(val)) + m, math.atan2(val.imag, val.real)),
+            m + math.log(err))
+
+
+def integral_scaled_batch(F: PolyExpFunction, z0, z1,
+                          tol: float = 1e-12) -> list:
+    """integral_scaled_parts for the segments [z0[i], z1[i]] in one batch.
+
+    Returns one entry per segment: (value, err_log), or the ToleranceNotMet
+    its quadrature ended with, so that a caller walking the segments in
+    order raises it at that segment. Segments with a large phase swing are
+    cut into chunks, and the chunks of every segment go to the quadrature
+    together. A segment's result does not depend on the rest of the batch
+    beyond rounding: BLAS may sum one row of a larger matrix product in a
+    different order.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    z1 = np.asarray(z1, dtype=complex)
+    delta = z1 - z0
+    m, mag, swing = _segment_data(F.q, z0, delta)
+    if not (swing > 60.0).any():
+        return _chunk_parts(F, z0, delta, m, mag, tol)
+    n = _chunk_counts(swing)
+    seg = np.repeat(np.arange(len(z0)), n)
+    ends = np.cumsum(n)
+    j = np.arange(len(seg)) - np.repeat(ends - n, n)
+    step = (delta / n)[seg]
+    c0 = z0[seg] + j * step
+    c1 = z0[seg] + (j + 1) * step
+    c1[ends - 1] = z1
+    cd = c1 - c0
+    cm, cmag, _ = _segment_data(F.q, c0, cd)
+    chunks = iter(_chunk_parts(F, c0, cd, cm, cmag, tol))
+    return [_sum_parts([next(chunks) for _ in range(ni)]) for ni in n.tolist()]
+
+
+def _sum_parts(parts: list):
+    """Sum of chunk results in order; the first failed chunk fails all."""
+    total = ScaledComplex.zero()
+    err_acc = -math.inf
+    for part in parts:
+        if isinstance(part, ToleranceNotMet):
+            return part
+        total = total.add(part[0])
+        err_acc = float(np.logaddexp(err_acc, part[1]))
+    return total, err_acc
 
 
 def _one_segment_parts(F: PolyExpFunction, z0: complex, z1: complex,
                        tol: float) -> tuple[ScaledComplex, float]:
+    """integral_scaled_parts for one segment of nonzero length: a k = 1
+    quadrature (contour.integrate_segment_err), or one batch of its chunks
+    when its phase swing calls for them."""
     from .contour import integrate_segment_err
 
-    m = segment_re_q_max(F.q, z0, z1)
-    p, q = F.p, F.q
-
-    def g(zz):
-        qz = q(zz)
-        return p(zz) * np.exp(qz - m)
-
-    # exp(q) carries phase noise of |q| ulps; below that the samples are
-    # indistinguishable from the truth and refinement cannot help
-    mag = max(abs(q(z0)), abs(q(0.5 * (z0 + z1))), abs(q(z1)))
-    val, err = integrate_segment_err(g, z0, z1, tol,
-                                     noise=1e-15 * (1.0 + mag))
-    err_log = m + math.log(max(err, 1e-300))
-    if val == 0:
-        return ScaledComplex.zero(), err_log
-    return ScaledComplex.from_complex(val).shift(m), err_log
+    za = np.array([z0, z1])
+    m, mag, swing = _segment_data(F.q, za[:1], za[1:] - za[:1])
+    if swing[0] > 60.0:
+        part = integral_scaled_batch(F, za[:1], za[1:], tol)[0]
+        if isinstance(part, ToleranceNotMet):
+            raise part
+        return part
+    mq = float(m[0])
+    val, err = integrate_segment_err(
+        lambda z: _scaled_integrand(F, z, mq), z0, z1, tol,
+        noise=_phase_noise(float(mag[0])))
+    return _scaled_part(val, err, mq)
 
 
 def integral_scaled_parts(F: PolyExpFunction, z0: complex, z1: complex,
@@ -318,18 +461,7 @@ def integral_scaled_parts(F: PolyExpFunction, z0: complex, z1: complex,
     z1 = complex(z1)
     if z0 == z1:
         return ScaledComplex.zero(), -math.inf
-    n = _segment_chunks(F, z0, z1)
-    if n == 1:
-        return _one_segment_parts(F, z0, z1, tol)
-    total = ScaledComplex.zero()
-    err_acc = -math.inf
-    step = (z1 - z0) / n
-    for k in range(n):
-        part, err_log = _one_segment_parts(F, z0 + k * step,
-                                           z0 + (k + 1) * step, tol)
-        total = total.add(part)
-        err_acc = float(np.logaddexp(err_acc, err_log))
-    return total, err_acc
+    return _one_segment_parts(F, z0, z1, tol)
 
 
 def integral_scaled(F: PolyExpFunction, z0: complex, z1: complex,

@@ -26,7 +26,8 @@ from .contour import Box, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
 from .funcmodel import PolyExpRootModel
-from .polyexp import OVERFLOW_LOG, Polynomial, PolyExpFunction, segment_re_q_max
+from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction,
+                      segments_re_q_max)
 
 # stop subdividing an isolated root below this box diameter
 _DIAM_STOP = 1e-3
@@ -115,11 +116,7 @@ def _boundary_min_re_q(q: Polynomial, box: Box) -> float:
         return q(z).real
     neg = Polynomial(tuple(-c for c in q.coeffs))
     corners = box.corners()
-    worst = math.inf
-    for i in range(4):
-        m = segment_re_q_max(neg, corners[i], corners[(i + 1) % 4])
-        worst = min(worst, -m)
-    return worst
+    return -float(segments_re_q_max(neg, corners, corners[1:] + corners[:1]).max())
 
 
 def _wind_once(model, a: complex, box: Box) -> int:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from sectorroots import Box, ToleranceNotMet, winding_number
-from sectorroots.contour import integrate_segment_err, winding_count
+from sectorroots import funcmodel
+from sectorroots.contour import (edge_points, integrate_segment_err,
+                                 integrate_segments, winding_count)
 from sectorroots import exp_function, square_minus_one
 from sectorroots.funcmodel import PolyExpRootModel
 
@@ -69,6 +71,75 @@ def test_quadrature_noise_floor_stops():
 def test_zero_length_segment():
     val, err = integrate_segment_err(lambda z: z, 1.0 + 1.0j, 1.0 + 1.0j)
     assert val == 0j and err == 0.0
+
+
+def _cubic_exp(z):
+    return (z ** 3 + z) * np.exp(-z ** 3)
+
+
+# panels the one-segment scheme spends on each segment, at tol 1e-13 (the
+# counts of the scalar scheme this engine replaced)
+_PINNED_PANELS = [((0j, 3 + 2j), 47), ((0j, 2.5 + 0j), 15),
+                  ((1 + 1j, 1.05 + 1j), 1),
+                  ((0j, 2 * cmath.exp(0.35j)), 13), ((-1 - 1j, 1 + 1j), 17),
+                  ((0.5j, 2.5 - 1j), 21)]
+
+
+def _panels_spent(f, z0, z1) -> int:
+    spent = 0
+
+    def g(z):
+        nonlocal spent
+        spent += len(z) // 15
+        return f(z)
+
+    integrate_segment_err(g, z0, z1, tol=1e-13)
+    return spent
+
+
+def test_panel_counts_pinned_alone_and_batched():
+    for (z0, z1), panels in _PINNED_PANELS:
+        assert _panels_spent(_cubic_exp, z0, z1) == panels
+    assert _panels_spent(lambda z: np.exp(80j * z), 0j, 1.0 + 0j) == 63
+
+    # the same segments in one batch: each gets its own worst-first
+    # schedule, so its panel count and value are those it gets alone
+    z0 = np.array([a for (a, _), _ in _PINNED_PANELS], dtype=complex)
+    z1 = np.array([b for (_, b), _ in _PINNED_PANELS], dtype=complex)
+    rows = np.zeros(len(z0), dtype=int)
+
+    def g(z, seg):
+        np.add.at(rows, np.arange(len(z0))[seg], 1)
+        return _cubic_exp(z)
+
+    vals, bounds, failures = integrate_segments(
+        g, z0, z1 - z0, 1e-13, np.full(len(z0), 5e-15))
+    assert not failures
+    assert rows.tolist() == [panels for _, panels in _PINNED_PANELS]
+    for i in range(len(z0)):
+        alone, _ = integrate_segment_err(_cubic_exp, z0[i], z1[i], tol=1e-13)
+        assert abs(vals[i] - alone) <= bounds[i]
+
+
+def test_batched_failure_stays_with_its_segment():
+    # a noisy integrand that only the middle segment samples: it alone
+    # runs out of depth, and its neighbours still converge
+    rng = np.random.default_rng(5)
+
+    def g(z, seg):
+        out = np.exp(1j * z)
+        noisy = z.real > 10.0
+        out[noisy] *= 1.0 + 1e-6 * rng.standard_normal(noisy.sum())
+        return out
+
+    z0 = np.array([0j, 11.0 + 0j, 2.0 + 0j])
+    vals, bounds, failures = integrate_segments(
+        g, z0, np.ones(3, dtype=complex), 1e-13, np.full(3, 5e-15))
+    assert list(failures) == [1]
+    assert isinstance(failures[1], ToleranceNotMet)
+    for i in (0, 2):
+        want = (cmath.exp(1j * (z0[i] + 1.0)) - cmath.exp(1j * z0[i])) / 1j
+        assert abs(vals[i] - want) <= bounds[i] + 1e-15
 
 
 # -- Box ----------------------------------------------------------------------
@@ -138,3 +209,71 @@ def test_winding_count_roundoff_field():
     res = winding_count(model.path_evaluator(0j), box)
     assert res.count == 1
     assert abs(res.raw - res.count) <= res.roundoff + 0.2
+
+
+class _Recorder:
+    """Path evaluator proxy that records every extend target per edge."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.edges = []
+
+    def start(self, z):
+        return self.inner.start(z)
+
+    def extend(self, prev, z):
+        self.edges[-1][1].append(z)
+        return self.inner.extend(prev, z)
+
+    def min_samples(self, z0, z1):
+        n = self.inner.min_samples(z0, z1)
+        self.edges.append(((z0, z1, n), []))
+        return n
+
+
+def test_edges_end_on_their_corners_bit_for_bit():
+    box = Box(-0.3, 0.1, 0.9, 0.8)
+    corners = box.corners()
+    # z_from + (z_to - z_from) * 1.0 misses the corner here on edges 0, 2
+    assert [i for i in range(3) if corners[i] + (corners[i + 1] - corners[i])
+            * 1.0 != corners[i + 1]] == [0, 2]
+    rec = _Recorder(PolyExpRootModel(square_minus_one()).path_evaluator(0j))
+    assert winding_count(rec, box).count == 0
+    assert len(rec.edges) == 4
+    for i, ((z0, z1, n), targets) in enumerate(rec.edges):
+        assert (z0, z1) == (corners[i], corners[(i + 1) % 4])
+        pts = edge_points(z0, z1, n)
+        assert pts[-1] == z1
+        # no phase bisection on this box: the walk is exactly the plan; the
+        # last edge closes on the starting sample instead of extending
+        assert targets == (pts if i < 3 else pts[:-1])
+    for i in range(3):
+        last = rec.edges[i][1][-1]
+        assert (last.real, last.imag) == (corners[i + 1].real,
+                                          corners[i + 1].imag)
+
+
+def test_planned_increment_failure_raises_at_its_position(monkeypatch):
+    real = funcmodel.integral_scaled_batch
+
+    def failing_fourth(F, z0, z1, tol):
+        parts = real(F, z0, z1, tol)
+        parts[3] = ToleranceNotMet("planted failure")
+        return parts
+
+    monkeypatch.setattr(funcmodel, "integral_scaled_batch", failing_fourth)
+    model = PolyExpRootModel(exp_function())
+    path = model.path_evaluator(1.0 + 0j)
+    z0, z1 = -1.0 - 1.0j, 1.0 - 1.0j
+    prev = path.start(z0)
+    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    assert len(pts) > 4
+    # the whole edge is planned by the first step; the failure waits
+    unplanned = model.path_evaluator(1.0 + 0j)
+    alone = unplanned.start(z0)
+    for z in pts[:3]:
+        prev = path.extend(prev, z)
+        alone = unplanned.extend(alone, z)
+        assert abs(prev.w.to_complex() - alone.w.to_complex()) <= 1e-14
+    with pytest.raises(ToleranceNotMet, match="planted failure"):
+        path.extend(prev, pts[3])

@@ -18,7 +18,8 @@ from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
                          exp_function, function_from_json, function_to_json,
                          square_minus_one)
 from sectorroots.polyexp import (eval_f_prime, eval_scaled_exp,
-                                 integral_scaled_parts, segment_re_q_max)
+                                 integral_scaled_batch, integral_scaled_parts,
+                                 segment_re_q_max, segments_re_q_max)
 
 mp.mp.dps = 30
 
@@ -163,6 +164,28 @@ def test_segment_re_q_max_dense_oracle():
         assert exact >= dense - 1e-9
         assert exact <= dense + 1e-6
 
+    # the batched max, deg q = 0 .. 4 (4 takes the per-segment root
+    # fallback): long segments (interior maxima), short ones (the endpoint
+    # shortcut) and real-axis segments of a q whose leading coefficient is
+    # imaginary, so that the top real coefficient vanishes
+    for deg in range(5):
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        q = Polynomial(tuple(coeffs))
+        z0 = rng.normal(size=40) + 1j * rng.normal(size=40)
+        z1 = z0 + np.where(np.arange(40) < 20, 1.0, 1e-2) * (
+            rng.normal(size=40) + 1j * rng.normal(size=40))
+        flat = Polynomial(tuple(coeffs[:-1]) + (1j * abs(coeffs[-1]),))
+        x0 = rng.normal(size=10)
+        x1 = x0 + rng.normal(size=10)
+        for poly, a, b in ((q, z0, z1), (flat, x0 + 0j, x1 + 0j)):
+            got = segments_re_q_max(poly, a, b)
+            for i in range(len(a)):
+                dense = np.max(poly(a[i] + ts * (b[i] - a[i])).real)
+                assert dense - 1e-9 <= got[i] <= dense + 1e-6, (deg, i)
+                # a row of a larger matrix product may round differently
+                alone = segment_re_q_max(poly, a[i], b[i])
+                assert abs(got[i] - alone) <= 1e-14 * (1.0 + abs(alone))
+
 
 def test_integral_parts_error_bound_honest(ex2):
     a = 1.0 / mp.gamma(mp.mpf(4) / 3)
@@ -178,6 +201,22 @@ def test_integral_parts_error_bound_honest(ex2):
                                              1e-13)
         want = oracle(z0, z1)
         assert abs(got.to_complex() - want) <= max(math.exp(err_log), 1e-14)
+
+    # one batch mixing long chunked paths, multi-panel and single-panel
+    # steps and a zero-length segment: each entry within its bound of
+    # mpmath and of the same segment integrated alone
+    segs = [(0, 3 + 1j), (0, 7.5), (1 + 1j, 5 + 2j),
+            (0, 11 * cmath.exp(0.35j)), (2 - 1j, 2.05 - 0.98j),
+            (-1.5 + 0.5j, -1.45 + 0.5j), (4j, 4j), (0.3, 2.9 - 2.2j)]
+    parts = integral_scaled_batch(ex2, [complex(z0) for z0, _ in segs],
+                                  [complex(z1) for _, z1 in segs], 1e-13)
+    assert len(parts) == len(segs)
+    for (z0, z1), (got, err_log) in zip(segs, parts):
+        bound = max(math.exp(err_log), 1e-14)
+        assert abs(got.to_complex() - oracle(z0, z1)) <= bound
+        alone, _ = integral_scaled_parts(ex2, complex(z0), complex(z1), 1e-13)
+        assert abs(got.to_complex() - alone.to_complex()) <= bound
+    assert parts[6] == (ScaledComplex.zero(), -math.inf)
 
 
 def test_json_roundtrip(ex1):
