@@ -2,7 +2,9 @@
 
 P(z) = prod (1 - z / n^(1/rho)) has order rho. For rho = 1/2 the zeros
 are the squares and P(-x) = sinh(pi sqrt(x)) / (pi sqrt(x)) in closed
-form, which checks the truncated evaluator end to end. For rho = 1/3 the
+form, which checks the evaluator end to end: a core of 64 factors, and
+the zeta series log prod_{n > 64} (1 - z/a_n) = -sum_j zeta(2j, 65) z^j/j
+for the rest. For rho = 1/3 the
 1-points of P are located by the same winding search used for the
 integral family. The indicator h(theta) = pi cos(rho(theta - pi)) /
 sin(pi rho) is positive off the zero ray when rho < 1/2, so the 1-points
@@ -23,13 +25,15 @@ import math
 from sectorroots import (Box, CanonicalProduct, angle_distance,
                          canonical_one_point_rays, canonical_product_eval,
                          enumerate_configs, find_product_a_points)
+from sectorroots.valuedist import core_terms
 
 x = 0.04
-P = CanonicalProduct(0.5, 10_000_000)
+P = CanonicalProduct(0.5, core_terms(0.5, x))
 got = canonical_product_eval(P, -x)
 want = math.sinh(math.pi * math.sqrt(x)) / (math.pi * math.sqrt(x))
 print(f"rho = 1/2: P({-x}) = {got.real:.12f}, closed form {want:.12f}, "
-      f"diff {abs(got - want):.2e}")
+      f"diff {abs(got - want):.2e}, from {P.n_terms} factors and the "
+      f"zeta tail of the rest")
 print()
 
 P3 = CanonicalProduct(1.0 / 3.0, 64)

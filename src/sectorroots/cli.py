@@ -29,8 +29,8 @@ from .rayconfig import enumerate_configs
 from .rootfinder import find_a_points
 from .sectorgeom import RaySet, Sector, minimal_cone, sector_report
 from .valuedist import (CanonicalProduct, canonical_one_point_rays,
-                        canonical_product_eval, counting_functions,
-                        log_max_modulus, order_estimate)
+                        canonical_product_eval, core_terms,
+                        counting_functions, log_max_modulus, order_estimate)
 
 
 @dataclass(frozen=True)
@@ -308,15 +308,8 @@ def cmd_counting(args) -> int:
 
 
 def _auto_terms(rho: float, radius: float) -> int:
-    """Smallest factor count whose dropped tail passes the 1e-8 gate."""
-    from scipy.special import zeta
-
-    s = 1.0 / rho
-    n = max(64, int(math.ceil((radius * (s - 1.0) / 1e-8)
-                              ** (1.0 / (s - 1.0)))))
-    while radius * zeta(s, n + 1) >= 1e-8 and n < (1 << 31):
-        n = int(1.05 * n) + 1
-    return n
+    """Factor count the product evaluator keeps for |z| <= radius."""
+    return core_terms(rho, radius)
 
 
 def cmd_product(args) -> int:
@@ -411,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="evaluate a canonical product")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--nterms", type=int, default=None,
-                   help="factor count; sized from the tail bound if omitted")
+                   help="factor count; sized from |z| if omitted")
     p.add_argument("--eval", required=True, help="evaluation point RE[,IM]")
     _add_common(p)
     p.set_defaults(func=cmd_product)

@@ -36,6 +36,8 @@ _DEPTH_MAX = 40
 # box side; first entry is the unperturbed attempt
 _JITTER = ((0.0, 0.0), (0.0071, -0.0043), (-0.0062, 0.0087),
            (0.0094, 0.0052), (-0.0049, -0.0091), (0.0036, 0.0098))
+# relative gap under which two moduli count as equal in the listed order
+_MODULUS_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,29 @@ class RootRecord:
     box_certificate: Box
     cluster: bool = False
 
-    def sort_key(self) -> tuple[float, float]:
-        z = self.location
-        return (abs(z), math.atan2(z.imag, z.real))
+
+def sort_records(records) -> list[RootRecord]:
+    """Records by ascending |z|, and by arg in [0, 2 pi) among moduli tied
+    to a relative 1e-12.
+
+    The moduli of a conjugate pair differ by rounding only, so ordering
+    them by |z| alone would list the pair in an order set by the last bit.
+    """
+    out: list[RootRecord] = []
+    tied: list[RootRecord] = []
+    for rec in sorted(records, key=lambda r: abs(r.location)):
+        r = abs(rec.location)
+        if tied and r - abs(tied[-1].location) > _MODULUS_TIE * r:
+            out.extend(sorted(tied, key=_arg_key))
+            tied = []
+        tied.append(rec)
+    out.extend(sorted(tied, key=_arg_key))
+    return out
+
+
+def _arg_key(rec: RootRecord) -> float:
+    z = rec.location
+    return math.atan2(z.imag, z.real) % (2.0 * math.pi)
 
 
 @dataclass
@@ -308,8 +330,8 @@ def find_a_points(F: PolyExpFunction, a: complex, region: Box,
                   threads: int | None = None) -> SearchResult:
     """Locate every a-point of f inside region.
 
-    Returns a SearchResult (iterable of RootRecord, sorted by modulus then
-    argument) whose total multiplicity equals the winding number over the
+    Returns a SearchResult (iterable of RootRecord in sort_records order)
+    whose total multiplicity equals the winding number over the
     searched boundary. If the region boundary passes near an a-point it is
     grown by steps of 0.3 percent (up to five) until the walk succeeds; the
     searched box is recorded in the result.
@@ -341,8 +363,7 @@ def find_a_points(F: PolyExpFunction, a: complex, region: Box,
         records = search.descend(searched, top_count, 0)
     finally:
         search.close()
-    records = _dedup(records, searched.diameter)
-    records.sort(key=RootRecord.sort_key)
+    records = sort_records(_dedup(records, searched.diameter))
     result = SearchResult(records, a, region, searched, top_count,
                           search.clipped)
     if not search.clipped and result.total_multiplicity != top_count:
@@ -357,7 +378,7 @@ def _dedup(records: list[RootRecord], diameter: float) -> list[RootRecord]:
     if not records:
         return []
     eps = 1e-8 * diameter
-    records = sorted(records, key=RootRecord.sort_key)
+    records = sorted(records, key=lambda r: abs(r.location))
     out: list[RootRecord] = []
     for rec in records:
         merged = False

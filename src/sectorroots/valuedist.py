@@ -25,16 +25,20 @@ from .errors import (BoundaryTooClose, DegreeZero, NonPositiveLogM,
                      TailTooLarge, ToleranceNotMet)
 from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
 from .polyexp import PolyExpFunction, ScaledComplex
-from .rootfinder import (RootRecord, SearchResult, _JITTER, _Search, _dedup,
-                         _wind_once)
+from .rootfinder import (SearchResult, _JITTER, _Search, _dedup, _wind_once,
+                         sort_records)
 from .sectorgeom import RaySet
 
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
-# tail bound the truncated-product contract demands
-_TAIL_BOUND = 1e-8
-
 _CHUNK = 1 << 19
+# core factor counts above this are refused before anything is allocated
+_MAX_CORE = 1 << 24
+# a canonical-product tail term is kept while it can move log P this much
+_TAIL_EPS = 1e-18
+# Euler-Maclaurin weights B_2m/(2m)! = (-1)^(m+1) 2 zeta(2m)/(2 pi)^(2m)
+_EM_COEFFS = tuple((-1) ** (m + 1) * 2.0 * float(zeta(2.0 * m))
+                   / (2.0 * math.pi) ** (2 * m) for m in range(1, 13))
 
 
 def _model_for(F: PolyExpFunction, data=None) -> PolyExpRootModel:
@@ -277,9 +281,107 @@ def counting_functions(roots, logM, rgrid) -> CountingTable:
 # canonical products with zeros a_n = n^(1/rho)
 
 
+def core_terms(rho: float, radius: float) -> int:
+    """Core size for |z| <= radius: N = max(64, ceil((4 radius)^rho) + 8).
+
+    Then a_{N+1} >= 4 radius, so the zeta tail converges at least like
+    4^-j there. Raises TailTooLarge when N would pass 2^24 factors.
+    """
+    x = (4.0 * float(radius)) ** rho
+    if not x <= _MAX_CORE - 8:
+        raise TailTooLarge(
+            f"|z| = {radius:.6g} needs about {x:.3g} core factors at "
+            f"rho = {rho:g}, over the cap of {_MAX_CORE}")
+    return max(64, math.ceil(x) + 8)
+
+
+def _scaled_hurwitz(x: np.ndarray, q: int) -> np.ndarray:
+    """q^x zeta(x, q) = sum over k >= 0 of (1 + k/q)^-x, for x > 1, q >= 1.
+
+    zeta(x, q) itself underflows once x log q passes about 708; the scaled
+    sum stays near q/(x - 1) + 1/2. The first K terms are summed directly
+    and the rest by Euler-Maclaurin from M = q + K. K is chosen so that
+    M >= x + 30, where each of the twelve Bernoulli terms is at least 39
+    times smaller than the one before; a row whose direct terms fall below
+    e^-46 before K reaches that drops its remainder instead.
+    """
+    need = np.maximum(0.0, np.ceil(x) + 30.0 - q)
+    negligible = np.ceil(q * np.expm1(46.0 / x))
+    K = int(np.max(np.minimum(need, negligible)))
+    k = np.arange(K, dtype=np.float64)
+    direct = np.exp(-np.outer(x, np.log1p(k / q))).sum(axis=1)
+    M = float(q + K)
+    em = M / (x - 1.0) + 0.5
+    t = x / M
+    for m, b in enumerate(_EM_COEFFS, start=1):
+        em = em + b * t
+        t = t * (x + 2 * m - 1) * (x + 2 * m) / (M * M)
+    rest = np.exp(-x * math.log1p(K / q)) * em
+    return direct + np.where(need <= K, rest, 0.0)
+
+
+class _ZetaTail:
+    """log of prod over n > N of (1 - z/a_n), for |z| < a_{N+1}/2.
+
+    Expanding each logarithm gives -sum_j c_j z^j with
+    c_j = zeta(j/rho, N+1)/j. The series is kept in u = z/a_{N+1} as
+    T(u) = sum_j d_j u^j, d_j = c_j a_{N+1}^j, so log prod = -T. Terms are
+    kept while 2^-j d_j >= 1e-18: on the whole admitted disk |u| < 1/2 the
+    dropped terms move log P by less than 2e-18.
+    """
+
+    def __init__(self, rho: float, n: int):
+        s = 1.0 / rho
+        q = n + 1
+        try:
+            self.scale = float(q) ** s
+        except OverflowError:
+            raise TailTooLarge(
+                f"a_{q} = {q}^(1/{rho:g}) overflows double range") from None
+        self.rho = rho
+        self.n = n
+        self.radius = 0.5 * self.scale
+        j = np.arange(1, math.ceil(math.log2((q + 1) / _TAIL_EPS)) + 2)
+        d = _scaled_hurwitz(j * s, q) / j
+        J = int(np.nonzero(d * 0.5 ** j >= _TAIL_EPS)[0][-1]) + 1
+        # highest power first, for Horner
+        self._d = [float(v) for v in d[J - 1::-1]]
+        self._jd = [float(v) for v in (j * d)[J - 1::-1]]
+
+    def _u(self, z: complex) -> complex:
+        u = z / self.scale
+        if abs(u) >= 0.5:
+            try:
+                hint = (f"n_terms = {core_terms(self.rho, abs(z))} "
+                        f"admits it")
+            except TailTooLarge as exc:
+                hint = str(exc)
+            raise TailTooLarge(
+                f"|z| = {abs(z):.6g} >= a_{self.n + 1}/2 = "
+                f"{self.radius:.6g} with n_terms = {self.n}; {hint}")
+        return u
+
+    def log(self, z: complex) -> complex:
+        """T(z/a_{N+1}), so that the tail factor is exp(-T)."""
+        u = self._u(z)
+        acc = 0j
+        for d in self._d:
+            acc = (acc + d) * u
+        return acc
+
+    def dlog(self, z: complex) -> complex:
+        """d/dz of T(z/a_{N+1})."""
+        u = self._u(z)
+        acc = 0j
+        for jd in self._jd:
+            acc = acc * u + jd
+        return acc / self.scale
+
+
 @dataclass(frozen=True)
 class CanonicalProduct:
-    """Truncation of prod (1 - z/a_n) with a_n = n^(1/rho), 0 < rho < 1."""
+    """prod (1 - z/a_n), a_n = n^(1/rho), 0 < rho < 1: n_terms factors
+    kept as a product, the rest as a zeta-series tail."""
 
     rho: float
     n_terms: int
@@ -296,33 +398,33 @@ class CanonicalProduct:
         n = np.arange(1, self.n_terms + 1, dtype=np.float64)
         return n ** (1.0 / self.rho)
 
+    @cached_property
+    def tail(self) -> _ZetaTail:
+        """The factors beyond n_terms, as a zeta series."""
+        return _ZetaTail(self.rho, self.n_terms)
+
     @property
     def max_radius(self) -> float:
-        """Largest |z| the tail precondition admits at this truncation."""
-        return _TAIL_BOUND / float(zeta(1.0 / self.rho, self.n_terms + 1))
+        """The tail admits |z| < a_{N+1}/2, N = n_terms."""
+        return self.tail.radius
 
 
 def canonical_product_eval(P: CanonicalProduct, z: complex) -> complex:
-    """Truncated product times the first-order tail factor exp(-z * S1).
+    """P(z): the first P.n_terms factors times the tail factor exp(-T).
 
-    S1 is the exact Hurwitz-zeta tail sum of 1/a_n. Requires the tail bound
-    |z| * S1 < 1e-8, which keeps the dropped quadratic tail terms below
-    5e-17; otherwise TailTooLarge names the truncation needed.
+    T is the zeta series of the remaining factors (see _ZetaTail), exact to
+    rounding for |z| < P.max_radius; beyond it TailTooLarge names the
+    n_terms that admits z.
     """
     z = complex(z)
+    tail = P.tail.log(z)
     s = 1.0 / P.rho
-    s1 = float(zeta(s, P.n_terms + 1))
-    if abs(z) * s1 >= _TAIL_BOUND:
-        need = (abs(z) / (_TAIL_BOUND * (s - 1.0))) ** (1.0 / (s - 1.0))
-        raise TailTooLarge(
-            f"tail bound |z|*S1 = {abs(z) * s1:.3e} >= {_TAIL_BOUND:g}; "
-            f"needs n_terms around {int(need) + 1}")
     core = 1.0 + 0.0j
     for lo in range(1, P.n_terms + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, P.n_terms)
         n = np.arange(lo, hi + 1, dtype=np.float64)
         core *= complex(np.prod(1.0 - z / n ** s))
-    return core * cmath.exp(-z * s1)
+    return core * cmath.exp(-tail)
 
 
 def canonical_one_point_rays(rho: float) -> RaySet:
@@ -348,10 +450,10 @@ def canonical_one_point_rays(rho: float) -> RaySet:
 class CanonicalProductModel:
     """Sample-protocol evaluator for a canonical product on |z| <= r_max.
 
-    Factors with a_n up to well past r_max are kept exactly; the rest are
-    folded into exp(-z*S1 - z^2*S2/2) with Hurwitz-zeta tail sums, leaving
-    a cubic tail error below 1e-13. Works with the winding subdivision
-    search (path_evaluator/diff_scaled/derivative_scaled/min_samples).
+    The core keeps the core_terms(rho, r_max) factors, which hold every
+    zero up to 4 r_max; the rest is the zeta tail of that core, admitted
+    out to at least 2 r_max. Works with the winding subdivision search
+    (path_evaluator/diff_scaled/derivative_scaled/min_samples).
     """
 
     def __init__(self, P: CanonicalProduct, r_max: float):
@@ -359,42 +461,33 @@ class CanonicalProductModel:
             raise ValueError("r_max must be positive")
         self.P = P
         self.r_max = float(r_max)
-        s = 1.0 / P.rho
-        n = max(64, int(math.ceil((4.0 * r_max) ** P.rho)) + 8)
-        while (r_max ** 3 / 3.0) * float(zeta(3.0 * s, n + 1)) >= 1e-13:
-            n *= 2
-            if n > 50_000_000:
-                raise TailTooLarge(
-                    f"no workable core truncation for r_max = {r_max:g}")
-        self.n_core = n
-        idx = np.arange(1, n + 1, dtype=np.float64)
-        self.a = idx ** s
-        self.s1 = float(zeta(s, n + 1))
-        self.s2 = float(zeta(2.0 * s, n + 1))
-        # evaluation noise is linear in the factor count
-        self.rel_err = (n + 16) * 1e-16
+        core = CanonicalProduct(P.rho, core_terms(P.rho, r_max))
+        self.n_core = core.n_terms
+        self.a = core.zeros
+        self.tail = core.tail
+        # rounding grows with the factor count and the size of log(tail)
+        self.rel_err = (self.n_core + 16 + abs(self.tail.log(r_max))) * 1e-16
         self._near = self.a[self.a <= 4.0 * r_max]
 
     def value(self, z: complex) -> complex:
         z = complex(z)
-        w = 1.0 - z / self.a
-        tail = cmath.exp(-z * self.s1 - 0.5 * z * z * self.s2)
-        return complex(np.prod(w)) * tail
+        tail = self.tail.log(z)
+        return complex(np.prod(1.0 - z / self.a)) * cmath.exp(-tail)
 
     def log_abs(self, z: complex) -> float:
         z = complex(z)
+        tail = self.tail.log(z)
         w = np.abs(1.0 - z / self.a)
         with np.errstate(divide="ignore"):
             s = float(np.sum(np.log(w)))
-        return s + (-z * self.s1 - 0.5 * z * z * self.s2).real
+        return s - tail.real
 
     def value_and_logderiv(self, z: complex):
         z = complex(z)
-        diffs = z - self.a
         val = self.value(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dlog = complex(np.sum(1.0 / diffs)) - self.s1 - z * self.s2
-        return val, dlog
+            dlog = complex(np.sum(1.0 / (z - self.a)))
+        return val, dlog - self.tail.dlog(z)
 
     # --- sample protocol -------------------------------------------------
 
@@ -408,7 +501,7 @@ class CanonicalProductModel:
         if diffs[k] == 0:
             # on a zero: product rule leaves the deleted-factor product
             rest = np.delete(1.0 - z / self.a, k)
-            tail = cmath.exp(-z * self.s1 - 0.5 * z * z * self.s2)
+            tail = cmath.exp(-self.tail.log(z))
             return ScaledComplex.from_complex(
                 complex(np.prod(rest)) * tail * (-1.0 / self.a[k]))
         val, dlog = self.value_and_logderiv(z)
@@ -521,8 +614,7 @@ def find_product_a_points(P: CanonicalProduct, a: complex, region: Box,
         records = search.descend(searched, top_count, 0)
     finally:
         search.close()
-    records = _dedup(records, searched.diameter)
-    records.sort(key=RootRecord.sort_key)
+    records = sort_records(_dedup(records, searched.diameter))
     result = SearchResult(records, a, region, searched, top_count,
                           search.clipped)
     if result.total_multiplicity != top_count:

@@ -7,7 +7,8 @@ import pytest
 from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f,
                          exp_function, find_a_points, newton_refine,
                          square_minus_one)
-from sectorroots.rootfinder import _default_threads, roots_to_csv
+from sectorroots.rootfinder import (RootRecord, _default_threads,
+                                    roots_to_csv, sort_records)
 
 # smallest zero pair of example 1, root of (2/sqrt(pi)) int t^2 e^{-t^2} = -1/2
 # refined with 50-digit mpmath Newton; frozen here as an independent oracle
@@ -126,3 +127,21 @@ def test_sorted_by_modulus(ex1_zeros):
     result, _ = ex1_zeros
     mods = [abs(r.location) for r in result]
     assert mods == sorted(mods)
+
+
+def test_sort_records_conjugate_pair_order_is_stable():
+    # |3 + 4i| = 5 exactly; raising either imaginary part by one ulp moves
+    # that member's modulus up by one ulp
+    box = Box(-6, -6, 6, 6)
+    bumped = math.nextafter(4.0, 5.0)
+    for upper, lower in ((4.0, bumped), (bumped, 4.0)):
+        pair = [RootRecord(complex(3.0, -lower), 0j, 0.0, 1, box),
+                RootRecord(complex(3.0, upper), 0j, 0.0, 1, box)]
+        assert abs(pair[0].location) != abs(pair[1].location)
+        for records in (pair, pair[::-1]):
+            listed = [r.location.imag > 0 for r in sort_records(records)]
+            assert listed == [True, False]
+    # moduli 1e-9 apart are not tied
+    far = [RootRecord(complex(3.0, 4.0 + 1e-9), 0j, 0.0, 1, box),
+           RootRecord(complex(3.0, -4.0), 0j, 0.0, 1, box)]
+    assert [r.location.imag < 0 for r in sort_records(far)] == [True, False]

@@ -2,9 +2,12 @@
 products."""
 
 import cmath
+import json
 import math
+import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
@@ -12,7 +15,9 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
                          circle_log_mean, counting_functions, exp_function,
                          find_product_a_points, jensen_defect,
                          log_max_modulus, order_estimate, square_minus_one)
-from sectorroots.valuedist import CanonicalProductModel, CountingTable
+from sectorroots.cli import main
+from sectorroots.valuedist import (CanonicalProductModel, CountingTable,
+                                   _scaled_hurwitz)
 
 mp.mp.dps = 30
 
@@ -160,10 +165,28 @@ def test_product_eval_oracle_rho_half():
     assert abs(got - want) < 1e-8
 
 
+def _sinc_root(z: complex) -> complex:
+    # rho = 1/2: P(z) = prod (1 - z/n^2) = sin(pi sqrt z)/(pi sqrt z)
+    w = math.pi * cmath.sqrt(z)
+    return cmath.sin(w) / w
+
+
 def test_product_eval_tail_guard():
-    P = CanonicalProduct(0.5, 8000)
-    with pytest.raises(TailTooLarge):
-        canonical_product_eval(P, 2.5 + 0j)
+    # 8000 factors admit |z| < 8001^2/2; the tail series carries the rest
+    got = canonical_product_eval(CanonicalProduct(0.5, 8000), 2.5 + 0j)
+    assert abs(got - _sinc_root(2.5)) < 1e-12
+    # a_9 = 81: eight factors admit |z| < 40.5 and no further
+    P = CanonicalProduct(0.5, 8)
+    assert P.max_radius == 40.5
+    with pytest.raises(TailTooLarge, match="n_terms = 64"):
+        canonical_product_eval(P, 50.0 + 0j)
+    for direction in (1.0, -1.0, cmath.exp(2.0j)):
+        inside = direction * P.max_radius * (1.0 - 1e-9)
+        want = _sinc_root(inside)
+        got = canonical_product_eval(P, inside)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        with pytest.raises(TailTooLarge):
+            canonical_product_eval(P, inside * (1.0 + 2e-9))
 
 
 def test_product_eval_mpmath_oracle():
@@ -178,6 +201,84 @@ def test_product_eval_mpmath_oracle():
     want = complex(prod * mp.e ** (-z * s1 - z * z * s2 / 2))
     got = canonical_product_eval(P, complex(z))
     assert abs(got - want) / abs(want) < 1e-12
+
+
+def _mp_product(rho: float, z: complex, n_core: int = 1000):
+    """P(z) and P'(z) at 40 digits: the log-sum of the first n_core factors
+    plus mpmath's Hurwitz-zeta tail, for the double s = 1/rho the library
+    uses (near rho = 1, one ulp of s moves P by a few 1e-14)."""
+    with mp.workdps(40):
+        s = mp.mpf(1.0 / rho)
+        z = mp.mpc(z)
+        zeros = [mp.mpf(n) ** s for n in range(1, n_core + 1)]
+        log_p = mp.fsum(mp.log(1 - z / a) for a in zeros)
+        dlog = mp.fsum(1 / (z - a) for a in zeros)
+        j = 1
+        while True:
+            c = mp.zeta(j * s, n_core + 1) / j
+            log_p -= c * z ** j
+            dlog -= j * c * z ** (j - 1)
+            if abs(c * z ** j) < mp.mpf(10) ** -30:
+                break
+            j += 1
+        value = mp.exp(log_p)
+        return complex(value), complex(value * dlog)
+
+
+@pytest.mark.parametrize("rho", [0.75, 0.9])
+def test_product_mpmath_oracle_rho_above_half(rho):
+    # log P holds up to ~40 here (the tail sum of 1/a_n grows as rho -> 1):
+    # a few ulps of it, plus 64 factors of rounding, stay under 1e-13
+    P = CanonicalProduct(rho, 64)
+    model = CanonicalProductModel(P, r_max=8.0)
+    for z in (-1.0 + 0j, 3.0 + 2.0j, 5.0 - 4.0j):
+        value, deriv = _mp_product(rho, z)
+        for got in (canonical_product_eval(P, z), model.value(z)):
+            assert abs(got - value) < 1e-13 * abs(value)
+        got = model.derivative_scaled(z).to_complex()
+        assert abs(got - deriv) < 1e-13 * abs(deriv)
+
+
+@pytest.mark.parametrize("rho", [0.75, 0.9])
+def test_product_cli_rho_above_half_bounded(capsys, rho):
+    # bounded work: a first-order tail alone would need ~3.7e22 factors
+    start = time.perf_counter()
+    code = main(["product", "--rho", str(rho), "--eval=-1", "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_terms"] == 64
+    value, _ = _mp_product(rho, -1.0)
+    assert abs(complex(*payload["value"]) - value) < 1e-13 * abs(value)
+
+
+def test_product_model_derivative_on_a_zero():
+    # rho = 1/2 at z = n^2: P'(z) = (-1)^n / (2 n^2), taken by the
+    # deleted-factor branch (core product without factor n, times the tail)
+    model = CanonicalProductModel(CanonicalProduct(0.5, 64), r_max=8.0)
+    for n in (1, 2):
+        got = model.derivative_scaled(float(n * n)).to_complex()
+        want = (-1) ** n / (2.0 * n * n)
+        assert abs(got - want) < 1e-13 * abs(want)
+
+
+def test_product_model_factor_cap():
+    # (4e9)^0.9 is about 4e8 core factors, over the 2^24 cap
+    with pytest.raises(TailTooLarge, match="cap"):
+        CanonicalProductModel(CanonicalProduct(0.9, 64), r_max=1e9)
+
+
+def test_scaled_hurwitz_mpmath_oracle():
+    # q^x zeta(x, q), including x log q > 708 where zeta(x, q) underflows;
+    # mpmath's zeta(x, q) cancels about x log10(q) digits, so it gets them
+    cases = [(65, x) for x in (1.0001, 1.1111, 2.0, 13.3, 40.0, 200.0, 400.0)]
+    cases += [((1 << 24) + 1, x) for x in (1.001, 1.5, 9.0, 60.0)]
+    for q, x in cases:
+        got = _scaled_hurwitz(np.array([x]), q)[0]
+        with mp.workdps(30 + int(x * math.log10(q))):
+            want = mp.zeta(x, q) * mp.mpf(q) ** x
+        assert abs(got - want) < 1e-15 * want, (q, x)
 
 
 def test_one_point_rays_formula():
