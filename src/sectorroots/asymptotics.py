@@ -152,14 +152,13 @@ def in_decay_interior(F: PolyExpFunction, z: complex, margin: float = 0.05) -> b
     return math.cos(ang) < -margin
 
 
-def tail_remainder(F: PolyExpFunction, z: complex,
-                   tol: float = 1e-12) -> ScaledComplex:
-    """Exact f(z) - a_k as a scaled integral, for z inside a decay cone.
+def tail_end(F: PolyExpFunction, z: complex) -> complex:
+    """Truncation point of the tail integral from z, for z inside a decay
+    cone: the first point z * 1.25^j outward where Re q has dropped by 46
+    (relative truncation below 1e-20).
 
-    Integrates -p exp(q) from z radially outward until Re q has dropped by
-    46 (relative truncation below 1e-20), entirely in scaled arithmetic.
-    The result keeps full relative precision even when |f - a_k| is far
-    below the cancellation floor of direct double-precision evaluation.
+    Raises ValueError when z is not inside a decay cone or Re q rises on
+    the way out, and ToleranceNotMet when 60 steps do not reach the drop.
     """
     z = complex(z)
     if not in_decay_interior(F, z):
@@ -177,7 +176,20 @@ def tail_remainder(F: PolyExpFunction, z: complex,
             break
     else:
         raise ToleranceNotMet("could not find a truncation radius for the tail")
-    return integral_scaled(F, z, z * u, tol).neg()
+    return z * u
+
+
+def tail_remainder(F: PolyExpFunction, z: complex,
+                   tol: float = 1e-12) -> ScaledComplex:
+    """Exact f(z) - a_k as a scaled integral, for z inside a decay cone.
+
+    Integrates -p exp(q) from z radially outward to tail_end(F, z),
+    entirely in scaled arithmetic. The result keeps full relative precision
+    even when |f - a_k| is far below the cancellation floor of direct
+    double-precision evaluation.
+    """
+    z = complex(z)
+    return integral_scaled(F, z, tail_end(F, z), tol).neg()
 
 
 def accumulation_rays_analytic(data: AsymptoticData, target: complex,

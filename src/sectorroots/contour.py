@@ -99,10 +99,11 @@ def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
     segment of each row (an index array or a slice), and returns the
     integrand there. All first panels are evaluated in one pass; after that
     only segments whose summed error estimate exceeds
-    tol * (1 + |I|) + noise[i] * L1 are refined, each round splitting the
-    worst panel of every such segment and evaluating all the children in
-    one pass. Per segment this is the same worst-first refinement, with the
-    same panel budget and depth limit, as a segment integrated alone.
+    tol * (1 + |I|) + noise[i] * L1 are refined, at most _PASS_ROWS of them
+    at a time, each round splitting the worst panel of every such segment
+    and evaluating all the children in one pass. Per segment this is the
+    same worst-first refinement, with the same panel budget and depth
+    limit, as a segment integrated alone.
 
     Returns (values, bounds, failures): the integrals, their absolute error
     bounds, and a dict mapping the index of every segment that ran out of
@@ -118,14 +119,17 @@ def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
         total, total_err, total_l1 = (np.concatenate(x) for x in zip(*(
             _panels(g, z0, delta, slice(lo, lo + _PASS_ROWS), _TS0, 0.5)
             for lo in range(0, k, _PASS_ROWS))))
-    floor = noise * total_l1
-    todo = (total_err > tol * (1.0 + np.abs(total)) + floor).nonzero()[0]
+    todo = (total_err > tol * (1.0 + np.abs(total))
+            + noise * total_l1).nonzero()[0]
     failures: dict[int, ToleranceNotMet] = {}
-    if len(todo):
-        _refine_segments(g, z0, delta, tol, noise, max_depth, todo.tolist(),
+    # each segment's refinement is independent of the others, so taking
+    # the failing segments in groups only bounds the panels held at once
+    for lo in range(0, len(todo), _PASS_ROWS):
+        _refine_segments(g, z0, delta, tol, noise, max_depth,
+                         todo[lo:lo + _PASS_ROWS].tolist(),
                          total, total_err, total_l1, failures)
-        floor = noise * total_l1
-    return total * delta, (total_err + floor) * np.abs(delta), failures
+    return (total * delta, (total_err + noise * total_l1) * np.abs(delta),
+            failures)
 
 
 def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,

@@ -114,8 +114,14 @@ class PolyExpRootModel:
         decay cone and the machinery applies; None otherwise."""
         if not self.in_rescue_zone(z):
             return None
+        return self.rescued(z, a, tail_remainder(self.F, z, self.tol))
+
+    def rescued(self, z: complex, a: complex,
+                tail: ScaledComplex) -> ScaledComplex:
+        """f(z) - a from tail = f(z) - a_k, the tail integral at a z in the
+        rescue zone: a target within the certified tolerance of a_k is
+        taken as a_k itself, any other adds the gap a_k - a."""
         data = self.data
-        tail = tail_remainder(self.F, z, self.tol)
         k = data.nearest_ray(math.atan2(z.imag, z.real) % (2 * math.pi))
         gap = complex(a) - data.values[k]
         if abs(gap) <= 10.0 * data.value_tol * (1.0 + abs(a)):

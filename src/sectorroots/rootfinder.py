@@ -197,7 +197,9 @@ class _Search:
             # finer certificate exists; report the cell at the stop scale
             return [self._polish(box, count)]
         keep = [(ch, c) for ch, c in zip(children, counts) if c > 0]
-        if self.pool is not None and depth <= 1 and len(keep) > 1:
+        # only the caller's thread submits: a pool worker waiting on tasks
+        # queued behind its own could leave every worker blocked
+        if self.pool is not None and depth == 0 and len(keep) > 1:
             futures = [self.pool.submit(self.descend, ch, c, depth + 1)
                        for ch, c in keep]
             out: list[RootRecord] = []

@@ -20,11 +20,12 @@ from functools import cached_property
 import numpy as np
 from scipy.special import zeta
 
+from .asymptotics import tail_end
 from .contour import Box
 from .errors import (BoundaryTooClose, DegreeZero, NonPositiveLogM,
                      TailTooLarge, ToleranceNotMet)
 from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
-from .polyexp import PolyExpFunction, ScaledComplex
+from .polyexp import PolyExpFunction, ScaledComplex, integral_scaled_batch
 from .rootfinder import (SearchResult, _JITTER, _Search, _dedup, _wind_once,
                          sort_records)
 from .sectorgeom import RaySet
@@ -32,6 +33,9 @@ from .sectorgeom import RaySet
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 _CHUNK = 1 << 19
+# circle samples evaluated per quadrature batch; bounds the memory of the
+# chunks a batch holds on the long radial paths of growth sectors
+_CIRCLE_BLOCK = 64
 # core factor counts above this are refused before anything is allocated
 _MAX_CORE = 1 << 24
 # a canonical-product tail term is kept while it can move log P this much
@@ -51,17 +55,42 @@ def _model_for(F: PolyExpFunction, data=None) -> PolyExpRootModel:
     return model
 
 
-def _log_abs_f(model: PolyExpRootModel, z: complex) -> float:
-    """log|f(z)| via the scaled evaluator.
+def _log_abs_f(model: PolyExpRootModel, z):
+    """log|f(z)| via the scaled evaluator; z may also be a list of points,
+    which gives the list of their log|f|.
 
     Decay interiors go through the tail rescue (f = a_k + remainder), which
     keeps log|f| exact even where the anchored integral would return the
-    asymptotic value plus noise.
+    asymptotic value plus noise. Every point's integral, [0, z] or the tail
+    [z, tail_end(z)], goes into one quadrature batch. The error raised is
+    that of the first point that fails, in list order.
     """
-    if model.in_rescue_zone(z):
-        return model.diff_scaled(z, 0j).logmag
-    fs, _ = model.anchored_f(z)
-    return fs.logmag
+    pts = [complex(w) for w in z] if np.ndim(z) else [complex(z)]
+    F = model.F
+    rescue = [model.in_rescue_zone(w) for w in pts]
+    starts = [w if tail else 0j for w, tail in zip(pts, rescue)]
+    ends = []
+    errors = {}
+    for i, (w, tail) in enumerate(zip(pts, rescue)):
+        try:
+            ends.append(tail_end(F, w) if tail else w)
+        except (ValueError, ToleranceNotMet) as exc:
+            errors[i] = exc
+            # a zero-length stand-in; the error is raised in its place
+            ends.append(w)
+    parts = integral_scaled_batch(F, starts, ends, model.tol)
+    c = ScaledComplex.from_complex(complex(F.c))
+    out = []
+    for i, (w, tail, part) in enumerate(zip(pts, rescue, parts)):
+        if i in errors:
+            raise errors[i]
+        if isinstance(part, ToleranceNotMet):
+            raise part
+        if tail:
+            out.append(model.rescued(w, 0j, part[0].neg()).logmag)
+        else:
+            out.append(c.add(part[0]).logmag)
+    return out if np.ndim(z) else out[0]
 
 
 def _golden_max(g, lo: float, hi: float, iters: int = 48):
@@ -91,13 +120,16 @@ def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
     Scans `samples` equispaced directions, then polishes the best one with
     a golden-section pass over the bracketing arc.
     """
-    if not r > 0.0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     if samples < 64:
         raise ValueError("need at least 64 circle samples")
     model = _model_for(F, data)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    vals = [_log_abs_f(model, r * cmath.exp(1j * t)) for t in thetas]
+    pts = [r * cmath.exp(1j * t) for t in thetas]
+    vals = []
+    for lo in range(0, samples, _CIRCLE_BLOCK):
+        vals += _log_abs_f(model, pts[lo:lo + _CIRCLE_BLOCK])
     j = int(np.argmax(vals))
     step = 2.0 * math.pi / samples
 
@@ -115,15 +147,17 @@ def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
     On the periodic circle the rectangle rule is spectrally accurate as
     long as no zero of f sits on (or hugs) the circle.
     """
-    if not r > 0.0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     if samples < 64:
         raise ValueError("need at least 64 circle samples")
     model = _model_for(F, data)
+    pts = [r * cmath.exp(1j * (2.0 * math.pi * k / samples))
+           for k in range(samples)]
     total = 0.0
-    for k in range(samples):
-        t = 2.0 * math.pi * k / samples
-        total += _log_abs_f(model, r * cmath.exp(1j * t))
+    for lo in range(0, samples, _CIRCLE_BLOCK):
+        for v in _log_abs_f(model, pts[lo:lo + _CIRCLE_BLOCK]):
+            total += v
     return total / samples
 
 
@@ -169,6 +203,8 @@ def order_estimate(F_or_product, rgrid, *, samples: int = 128,
         raise ValueError("rgrid must be strictly ascending")
     if radii[0] <= 2.0:
         raise ValueError("all radii must exceed 2")
+    if not all(math.isfinite(r) for r in radii):
+        raise ValueError("all radii must be finite")
     if isinstance(F_or_product, CanonicalProduct):
         logm = [_product_log_max(F_or_product, r, samples) for r in radii]
     else:

@@ -8,8 +8,9 @@ import pytest
 
 from sectorroots import Box, ToleranceNotMet, winding_number
 from sectorroots import funcmodel
-from sectorroots.contour import (edge_points, integrate_segment_err,
-                                 integrate_segments, winding_count)
+from sectorroots.contour import (_PASS_ROWS, edge_points,
+                                 integrate_segment_err, integrate_segments,
+                                 winding_count)
 from sectorroots import exp_function, square_minus_one
 from sectorroots.funcmodel import PolyExpRootModel
 
@@ -119,6 +120,50 @@ def test_panel_counts_pinned_alone_and_batched():
     for i in range(len(z0)):
         alone, _ = integrate_segment_err(_cubic_exp, z0[i], z1[i], tol=1e-13)
         assert abs(vals[i] - alone) <= bounds[i]
+
+
+def test_refinement_in_groups_matches_segments_alone():
+    # 104 copies of the pinned segments: 520 of the 624 need refinement,
+    # more than the _PASS_ROWS refined at a time, and two of them fail
+    assert 520 > _PASS_ROWS
+    segs = [seg for seg, _ in _PINNED_PANELS] * 104
+    fail_at = (7, 600)
+    z0 = np.array([a for a, _ in segs], dtype=complex)
+    delta = np.array([b for _, b in segs], dtype=complex) - z0
+    rows = np.zeros(len(z0), dtype=int)
+
+    def noisy(z):
+        return _cubic_exp(z) * (1.0 + 1e-6 * np.sin(1e6 * z.real))
+
+    def g(z, seg):
+        idx = np.arange(len(z0))[seg]
+        np.add.at(rows, idx, 1)
+        out = _cubic_exp(z)
+        bad = np.isin(idx, fail_at)
+        out[bad] = noisy(z[bad])
+        return out
+
+    vals, bounds, failures = integrate_segments(
+        g, z0, delta, 1e-13, np.full(len(z0), 5e-15))
+    assert sorted(failures) == list(fail_at)
+    for i, ((a, b), panels) in enumerate(_PINNED_PANELS * 104):
+        if i in fail_at:
+            with pytest.raises(ToleranceNotMet) as info:
+                integrate_segment_err(noisy, a, b, tol=1e-13)
+            assert str(failures[i]) == str(info.value)
+            continue
+        spent = [0]
+
+        def alone_g(z):
+            spent[0] += len(z) // 15
+            return _cubic_exp(z)
+
+        val, bound = integrate_segment_err(alone_g, a, b, tol=1e-13)
+        assert rows[i] == spent[0] == panels
+        assert abs(vals[i] - val) <= 1e-15 * abs(val)
+        # a bound is |Kronrod - Gauss| summed, a difference of nearly equal
+        # sums that a one-row and a many-row matrix product round apart
+        assert abs(bounds[i] - bound) <= 0.01 * bound
 
 
 def test_batched_failure_stays_with_its_segment():

@@ -1,10 +1,14 @@
 """rootfinder: winding subdivision, isolation, refinement, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f,
+from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f, example,
                          exp_function, find_a_points, newton_refine,
                          square_minus_one)
 from sectorroots.rootfinder import (RootRecord, _default_threads,
@@ -96,6 +100,25 @@ def test_determinism_across_threads():
     runs = [find_a_points(exp_function(), 1.0 + 0j, region, tol=1e-10,
                           threads=t) for t in (1, 4)]
     assert runs[0].to_csv() == runs[1].to_csv()
+
+
+def test_threaded_search_returns():
+    # with a two-worker pool, workers that submitted their own children
+    # waited on tasks queued behind themselves and the search never
+    # returned; a subprocess under a hard timeout turns a hang into a fail
+    code = ("from sectorroots import Box, example, find_a_points\n"
+            "print(find_a_points(example(1), 0j, Box(-4, -4, 4, 4),"
+            " threads=2).to_csv(), end='')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    alone = find_a_points(example(1), 0j, Box(-4, -4, 4, 4), threads=1)
+    assert len(alone.records) == 10
+    assert proc.stdout == alone.to_csv()
 
 
 def test_default_threads_env(monkeypatch):

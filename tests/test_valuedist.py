@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
-                         canonical_one_point_rays, canonical_product_eval,
-                         circle_log_mean, counting_functions, exp_function,
+                         ToleranceNotMet, canonical_one_point_rays,
+                         canonical_product_eval, circle_log_mean,
+                         counting_functions, exp_function,
                          find_product_a_points, jensen_defect,
-                         log_max_modulus, order_estimate, square_minus_one)
+                         log_max_modulus, order_estimate, square_minus_one,
+                         valuedist)
 from sectorroots.cli import main
 from sectorroots.valuedist import (CanonicalProductModel, CountingTable,
                                    _scaled_hurwitz)
@@ -45,7 +47,25 @@ def test_log_max_modulus_validates():
         log_max_modulus(exp_function(), 1.0, samples=8)
 
 
+def test_log_max_modulus_rejects_non_finite_radius():
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            log_max_modulus(exp_function(), r)
+
+
 # -- circle mean and Jensen ---------------------------------------------------
+
+def test_circle_log_mean_rejects_non_finite_radius():
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            circle_log_mean(exp_function(), r)
+
+
+def test_jensen_defect_rejects_non_finite_radius():
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jensen_defect(square_minus_one(), [1.0 + 0j, -1.0 + 0j], r)
+
 
 def test_circle_log_mean_exp():
     # mean of log|e^{r e^{i t}}| = mean of r cos t = 0
@@ -92,12 +112,85 @@ def test_order_estimate_validates():
         order_estimate(exp_function(), (1.5, 4.0, 6.0, 9.0))  # inside r = 2
 
 
+def test_order_estimate_rejects_non_finite_radius():
+    for grid in ((4.0, 6.0, 9.0, math.inf), (4.0, 6.0, math.nan, 9.0),
+                 (math.nan, 4.0, 6.0, 9.0)):
+        with pytest.raises(ValueError):
+            order_estimate(exp_function(), grid)
+        with pytest.raises(ValueError):
+            order_estimate(CanonicalProduct(0.5, 64), grid)
+
+
 def test_order_estimate_small_function_guard():
     from sectorroots import PolyExpFunction, Polynomial
     # f = 0.1: logM <= 1 everywhere
     F = PolyExpFunction(Polynomial(()), Polynomial((0.0, 1.0)), 0.1)
     with pytest.raises(NonPositiveLogM):
         order_estimate(F, (2.1, 2.5, 3.0, 3.5))
+
+
+# -- batched circle samples ---------------------------------------------------
+
+def _log_abs_pointwise(model, z):
+    """log|f(z)| one point at a time through the model's own evaluators."""
+    if model.in_rescue_zone(z):
+        return model.diff_scaled(z, 0j).logmag
+    return model.anchored_f(z)[0].logmag
+
+
+def _circle(r, n):
+    return [r * cmath.exp(1j * (2.0 * math.pi * k / n)) for k in range(n)]
+
+
+@pytest.mark.parametrize("which, r, n", [(1, 6.0, 4096), (2, 11.0, 128)])
+def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
+    # ex1 at r = 6 mixes anchored and rescued samples; ex2 at r = 11 cuts
+    # its radial paths into up to 75 chunks
+    F = request.getfixturevalue(f"ex{which}")
+    model = valuedist._model_for(F, request.getfixturevalue(f"data{which}"))
+    pts = _circle(r, n)
+    if which == 1:
+        assert 0 < sum(model.in_rescue_zone(z) for z in pts) < n
+    batched = []
+    for lo in range(0, n, 64):
+        batched += valuedist._log_abs_f(model, pts[lo:lo + 64])
+    for z, got in zip(pts, batched):
+        want = _log_abs_pointwise(model, z)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+    for z, got in zip(pts[::n // 8], batched[::n // 8]):
+        assert valuedist._log_abs_f(model, z) == got
+
+
+def test_log_abs_f_batch_raises_first_failure(monkeypatch, ex1, data1):
+    model = valuedist._model_for(ex1, data1)
+    pts = _circle(6.0, 64)
+    rescue = [k for k, z in enumerate(pts) if model.in_rescue_zone(z)]
+    batch = valuedist.integral_scaled_batch
+    tail_end = valuedist.tail_end
+
+    def failing(quad_at, tail_at):
+        def quad(F, z0, z1, tol):
+            parts = batch(F, z0, z1, tol)
+            parts[quad_at] = ToleranceNotMet(f"quadrature at {quad_at}")
+            return parts
+
+        def end(F, z):
+            if z == pts[tail_at]:
+                raise ValueError(f"tail at {tail_at}")
+            return tail_end(F, z)
+
+        monkeypatch.setattr(valuedist, "integral_scaled_batch", quad)
+        monkeypatch.setattr(valuedist, "tail_end", end)
+        with pytest.raises((ToleranceNotMet, ValueError)) as info:
+            valuedist._log_abs_f(model, pts)
+        return str(info.value)
+
+    plain = [k for k in range(64) if k not in rescue]
+    assert rescue[0] < plain[-1] and plain[0] < rescue[-1]
+    assert failing(plain[0], rescue[-1]) == f"quadrature at {plain[0]}"
+    assert failing(plain[-1], rescue[0]) == f"tail at {rescue[0]}"
+    assert failing(rescue[1], rescue[2]) == f"quadrature at {rescue[1]}"
+    assert failing(rescue[2], rescue[1]) == f"tail at {rescue[1]}"
 
 
 # -- counting functions -------------------------------------------------------
