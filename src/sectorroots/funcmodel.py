@@ -10,9 +10,13 @@ the walk:
   * boundary samples extend incrementally by short-segment integrals, whose
     error scales with the local size of e^q rather than with the worst
     point ever visited;
-  * when the headroom between |w| and the accumulated error collapses, the
-    value is re-anchored by a fresh integral along the ray from 0, whose
-    error is relative to the value at the sample itself;
+  * a walk start, or a sample whose headroom between |w| and the
+    accumulated error has collapsed, is re-anchored: integrated from the
+    nearest point the model remembers (its last _ANCHOR_MEMORY anchored
+    points whose f clears the headroom rule, closer than |z|/2), or, when
+    none is near or its sum fails the headroom rule, by a fresh integral
+    along the ray from 0, whose error is relative to the value at the
+    sample itself;
   * inside a decay cone whose limit matches the target, w is replaced by
     the exact outward tail integral, which stays accurate when |f - a| is
     hundreds of orders below 1.
@@ -28,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .asymptotics import (AsymptoticData, asymptotic_values, in_decay_interior,
                           sector_remainder, tail_remainder)
 from .contour import edge_points
 from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
-from .polyexp import (PolyExpFunction, ScaledComplex, eval_f_prime,
-                      integral_scaled_batch, integral_scaled_parts)
+from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
+                      eval_f_prime, integral_scaled_batch,
+                      integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
 _HEADROOM_LOG = math.log(1e4)
@@ -53,6 +56,9 @@ _RESCUE_REL_LOG = math.log(1e-11)
 # representation noise of one scaled add, a shade above double eps
 _LOG_EPS = math.log(1e-15)
 
+# anchored points a model remembers as starts for later integrals
+_ANCHOR_MEMORY = 16
+
 # walk increments integrated per batch; bounds the memory a long edge
 # takes, and the work left unused when a walk stops partway
 _PLAN_BLOCK = 256
@@ -68,6 +74,34 @@ class PathSample:
     err_log: float
 
 
+def _add_increment(w: ScaledComplex, err_log: float, inc: ScaledComplex,
+                   inc_err_log: float) -> tuple[ScaledComplex, float]:
+    """w + inc, with the error logs summed and the representation noise of
+    the sum added."""
+    err_log = _logaddexp(err_log, inc_err_log)
+    w = w.add(inc)
+    if not w.is_zero:
+        err_log = _logaddexp(err_log, _LOG_EPS + w.logmag)
+    return w, err_log
+
+
+def _less_target(f: ScaledComplex, f_err: float,
+                 neg_a: ScaledComplex) -> tuple[ScaledComplex, float]:
+    """w = f - a from f and neg_a = -a, with f's error log plus the
+    representation noise of the subtraction."""
+    return f.add(neg_a), _logaddexp(
+        f_err, _LOG_EPS + max(f.logmag, neg_a.logmag))
+
+
+def _clears_headroom(w: ScaledComplex, err_log: float) -> bool:
+    return not w.is_zero and w.logmag - err_log >= _HEADROOM_LOG
+
+
+def _try(z: complex, w: ScaledComplex, err_log: float) -> PathSample | None:
+    """The sample, if w clears the headroom rule against its error."""
+    return PathSample(z, w, err_log) if _clears_headroom(w, err_log) else None
+
+
 class PolyExpRootModel:
     """Evaluation services for one (F, tolerance) pair.
 
@@ -81,6 +115,11 @@ class PolyExpRootModel:
         self.tol = tol
         self.log_tol = math.log(tol)
         self.data = data
+        # (z, f, err_log) of recent anchored points, newest last. Replaced
+        # whole on every insert, so a reader never sees it half updated;
+        # an insert lost to a concurrent one only costs a later integral
+        # from 0
+        self._anchors: tuple = ()
 
     def ensure_data(self) -> AsymptoticData | None:
         if self.data is None and self.F.q.degree >= 1 and not self.F.p.is_zero:
@@ -93,16 +132,44 @@ class PolyExpRootModel:
         return eval_f_prime(self.F, z)
 
     def anchored_f(self, z: complex) -> tuple[ScaledComplex, float]:
-        """f(z) by a fresh integral from 0, with the log error bound."""
+        """f(z) by a fresh integral from 0, with the log error bound. The
+        point is remembered as an anchor for near_f when f clears the
+        headroom rule."""
         z = complex(z)
         c_sc = ScaledComplex.from_complex(complex(self.F.c))
         if z == 0:
             return c_sc, self.log_tol + min(c_sc.logmag, 0.0)
         val, int_err_log = integral_scaled_parts(self.F, 0j, z, self.tol)
         fs = c_sc.add(val)
-        err_log = np.logaddexp(int_err_log,
-                               _LOG_EPS + max(fs.logmag, c_sc.logmag))
-        return fs, float(err_log)
+        err_log = _logaddexp(int_err_log,
+                             _LOG_EPS + max(fs.logmag, c_sc.logmag))
+        if _clears_headroom(fs, err_log):
+            self._anchors = (self._anchors
+                             + ((z, fs, err_log),))[-_ANCHOR_MEMORY:]
+        return fs, err_log
+
+    def near_f(self, z: complex) -> tuple[ScaledComplex, float] | None:
+        """f(z) integrated from the nearest remembered anchor closer than
+        |z|/2, with the log error bound; None when there is no such anchor
+        or its integral fails. The caller judges the headroom."""
+        best = None
+        reach = 0.5 * abs(z)
+        for anchor in self._anchors:
+            d = abs(z - anchor[0])
+            if d < reach:
+                best, reach = anchor, d
+        return None if best is None else self._carry(*best, z)
+
+    def _carry(self, z0: complex, v0: ScaledComplex, err0: float,
+               z: complex) -> tuple[ScaledComplex, float] | None:
+        """v0, a value of f or of f - a at z0 with log error bound err0,
+        carried to z by the integral over [z0, z]; None when the
+        quadrature fails."""
+        try:
+            inc, inc_err_log = integral_scaled_parts(self.F, z0, z, self.tol)
+        except ToleranceNotMet:
+            return None
+        return _add_increment(v0, err0, inc, inc_err_log)
 
     def in_rescue_zone(self, z: complex) -> bool:
         return (self.data is not None
@@ -128,14 +195,28 @@ class PolyExpRootModel:
             return tail
         return ScaledComplex.from_complex(-gap).add(tail)
 
-    def diff_scaled(self, z: complex, a: complex) -> ScaledComplex:
-        """f(z) - a with the best available relative accuracy."""
+    def diff_sample(self, z: complex, a: complex) -> PathSample:
+        """f(z) - a with the best available relative accuracy, from the
+        decay-cone tail or from 0, and the log of its error bound."""
         z = complex(z)
         rescued = self._rescue(z, a)
         if rescued is not None:
-            return rescued
-        fs, _ = self.anchored_f(z)
-        return fs.add(ScaledComplex.from_complex(-complex(a)))
+            return PathSample(z, rescued, rescued.logmag + _RESCUE_REL_LOG)
+        fs, f_err = self.anchored_f(z)
+        return PathSample(z, *_less_target(
+            fs, f_err, ScaledComplex.from_complex(-complex(a))))
+
+    def diff_scaled(self, z: complex, a: complex) -> ScaledComplex:
+        """f(z) - a with the best available relative accuracy."""
+        return self.diff_sample(z, a).w
+
+    def diff_near(self, held: PathSample, z: complex) -> PathSample | None:
+        """f(z) - a as held.w plus the integral over [held.z, z], or None
+        when the quadrature fails or the sum does not clear the headroom
+        rule."""
+        z = complex(z)
+        carried = self._carry(held.z, held.w, held.err_log, z)
+        return None if carried is None else _try(z, *carried)
 
     # -- boundary-walk evaluation -------------------------------------------
 
@@ -175,12 +256,6 @@ class _PolyExpPath:
         self._next = 0
         self._block: dict = {}
 
-    def _try(self, z: complex, w: ScaledComplex,
-             err_log: float) -> PathSample | None:
-        if w.is_zero or w.logmag - err_log < _HEADROOM_LOG:
-            return None
-        return PathSample(z, w, err_log)
-
     def _check_floor(self, s: PathSample) -> PathSample:
         if s.w.logmag >= self.floor_log:
             return s
@@ -202,18 +277,17 @@ class _PolyExpPath:
             # w obeys the same increments as f, so extending w directly
             # avoids ever reconstructing the difference f - a
             inc, inc_err_log = self._increment(prev.z, z)
-            err_log = float(np.logaddexp(prev.err_log, inc_err_log))
-            w = prev.w.add(inc)
-            if not w.is_zero:
-                err_log = float(np.logaddexp(err_log, _LOG_EPS + w.logmag))
-            s = self._try(z, w, err_log)
+            s = _try(z, *_add_increment(prev.w, prev.err_log, inc,
+                                        inc_err_log))
             if s is not None:
                 return self._check_floor(s)
-        f, f_err = self.model.anchored_f(z)
-        w = f.add(self.neg_a)
-        err_log = float(np.logaddexp(
-            f_err, _LOG_EPS + max(f.logmag, self.neg_a.logmag)))
-        s = self._try(z, w, err_log)
+        near = self.model.near_f(z)
+        if near is not None:
+            s = _try(z, *_less_target(*near, self.neg_a))
+            if s is not None:
+                return self._check_floor(s)
+        w, err_log = _less_target(*self.model.anchored_f(z), self.neg_a)
+        s = _try(z, w, err_log)
         if s is not None:
             return self._check_floor(s)
         rescued = self.model._rescue(z, self.a)

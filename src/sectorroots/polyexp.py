@@ -39,6 +39,23 @@ def _horner(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) for two floats, bit for bit np.logaddexp
+    (the same branches, on the same libm exp and log1p) without the
+    ufunc call overhead; infinities of either sign and NaN behave alike."""
+    if x == y:
+        return x + _LOG2
+    d = x - y
+    if d > 0.0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0.0:
+        return y + math.log1p(math.exp(d))
+    return d
+
+
 def _wrap_phase(t: float) -> float:
     """Reduce to (-pi, pi]."""
     t = math.fmod(t, 2.0 * math.pi)
@@ -425,7 +442,7 @@ def _sum_parts(parts: list):
         if isinstance(part, ToleranceNotMet):
             return part
         total = total.add(part[0])
-        err_acc = float(np.logaddexp(err_acc, part[1]))
+        err_acc = _logaddexp(err_acc, part[1])
     return total, err_acc
 
 

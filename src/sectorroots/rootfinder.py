@@ -159,7 +159,8 @@ def _overflow_clipped(model, box: Box) -> bool:
 
 class _Search:
     """Recursive winding subdivision over any model exposing the sample
-    protocol (path_evaluator/diff_scaled/derivative_scaled/min_samples)."""
+    protocol (path_evaluator/diff_sample/diff_near/diff_scaled/
+    derivative_scaled/min_samples)."""
 
     def __init__(self, model, a: complex, tol: float, threads: int):
         self.model = model
@@ -281,15 +282,26 @@ class _Search:
 
 def _newton(model, a: complex, z0: complex, tol: float,
             maxit: int = 50) -> tuple[complex, float]:
-    """Newton iteration for f(z) = a from z0. Returns (root, residual)."""
+    """Newton iteration for f(z) = a from z0. Returns (root, residual).
+
+    Each iterate takes f - a from the previous one by model.diff_near when
+    that value clears the walk's headroom rule and stays above the goal;
+    otherwise, and for the first iterate, from model.diff_sample. Every
+    convergence test, the polishing step and the returned residual
+    therefore use diff_sample's value, the same as diff_scaled.
+    """
     z = complex(z0)
     goal = tol * (1.0 + abs(a))
     leash = 1e3 * (1.0 + abs(z0))
     best_res = math.inf
+    held = None
     for _ in range(maxit):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > leash:
             raise NoConvergence(f"iteration escaped to {z} from seed {z0}")
-        w = model.diff_scaled(z, a)
+        s = None if held is None else model.diff_near(held, z)
+        if s is None or s.w.abs_value() <= goal:
+            s = model.diff_sample(z, a)
+        w = s.w
         res = w.abs_value()
         if res <= goal:
             # one polishing step for the quadratic gain, kept only if better
@@ -310,6 +322,7 @@ def _newton(model, a: complex, z0: complex, tol: float,
         if abs(step) > cap:
             step *= cap / abs(step)
         z = z - step
+        held = s
         best_res = min(best_res, res)
     raise NoConvergence(
         f"no root to residual {goal:.2e} within {maxit} iterations from {z0}; "

@@ -489,7 +489,8 @@ class CanonicalProductModel:
     The core keeps the core_terms(rho, r_max) factors, which hold every
     zero up to 4 r_max; the rest is the zeta tail of that core, admitted
     out to at least 2 r_max. Works with the winding subdivision search
-    (path_evaluator/diff_scaled/derivative_scaled/min_samples).
+    (path_evaluator/diff_sample/diff_near/diff_scaled/derivative_scaled/
+    min_samples).
     """
 
     def __init__(self, P: CanonicalProduct, r_max: float):
@@ -527,8 +528,22 @@ class CanonicalProductModel:
 
     # --- sample protocol -------------------------------------------------
 
+    def diff_sample(self, z: complex, a: complex) -> PathSample:
+        """P(z) - a by direct evaluation, with the log of its rounding
+        bound (the bound _ProductPath walks with)."""
+        a = complex(a)
+        val = self.value(z)
+        err = self.rel_err * (abs(val) + abs(a)) + 1e-300
+        return PathSample(complex(z), ScaledComplex.from_complex(val - a),
+                          math.log(err))
+
     def diff_scaled(self, z: complex, a: complex) -> ScaledComplex:
         return ScaledComplex.from_complex(self.value(z) - complex(a))
+
+    def diff_near(self, held: PathSample, z: complex) -> None:
+        """Direct evaluation is absolute, so no value is carried from a
+        nearby point: Newton evaluates every iterate by diff_sample."""
+        return None
 
     def derivative_scaled(self, z: complex) -> ScaledComplex:
         z = complex(z)

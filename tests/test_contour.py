@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sectorroots import Box, ToleranceNotMet, winding_number
+from sectorroots import (Box, BoundaryTooClose, ToleranceNotMet,
+                         winding_number)
 from sectorroots import funcmodel
 from sectorroots.contour import (_PASS_ROWS, edge_points,
                                  integrate_segment_err, integrate_segments,
@@ -254,6 +255,26 @@ def test_winding_count_roundoff_field():
     res = winding_count(model.path_evaluator(0j), box)
     assert res.count == 1
     assert abs(res.raw - res.count) <= res.roundoff + 0.2
+
+
+@pytest.mark.parametrize("box", [
+    Box(1, -0.5, 2, 0.5),     # left edge through the zero at 1
+    Box(0.25, -0.5, 1, 0.5),  # right edge through it
+    Box(1, 0, 2, 1),          # first corner on it
+])
+@pytest.mark.parametrize("primed", [False, True])
+def test_walk_through_a_point_raises(box, primed):
+    model = PolyExpRootModel(square_minus_one())
+    if primed:
+        # anchors around the zero, close enough to be used for any start
+        # or re-anchor near it
+        for z in (1.001, 1 + 1e-3j, 0.999, 1 - 1e-3j, 1.25 + 0.25j,
+                  0.75 - 0.25j, 1.5, 1 + 0.5j):
+            model.anchored_f(z)
+        assert len(model._anchors) == 8
+        assert model.near_f(1 + 0j) is not None
+    with pytest.raises(BoundaryTooClose):
+        winding_count(model.path_evaluator(0j), box)
 
 
 class _Recorder:

@@ -17,7 +17,7 @@ from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
                          ScaledComplex, eval_f, eval_f_scaled, example1,
                          exp_function, function_from_json, function_to_json,
                          square_minus_one)
-from sectorroots.polyexp import (eval_f_prime, eval_scaled_exp,
+from sectorroots.polyexp import (_logaddexp, eval_f_prime, eval_scaled_exp,
                                  integral_scaled_batch, integral_scaled_parts,
                                  segment_re_q_max, segments_re_q_max)
 
@@ -92,6 +92,26 @@ def test_scaled_shift_and_zero():
     assert z.add(ScaledComplex.from_complex(2.0)).to_complex() == 2.0
     w = ScaledComplex.from_complex(1.0).shift(math.log(10.0))
     assert w.to_complex() == pytest.approx(10.0)
+
+
+def test_logaddexp_bit_identical_to_numpy():
+    rng = np.random.default_rng(20261018)
+    xs = rng.normal(scale=50.0, size=20000)
+    ys = rng.normal(scale=50.0, size=20000)
+    ys[::7] = xs[::7]                      # exact ties
+    ys[1::7] = xs[1::7] * (1.0 + 1e-15)    # ties up to an ulp or two
+    ys[2::7] = xs[2::7] + 800.0            # one term far below the other
+    inf, nan = math.inf, math.nan
+    edge = [(inf, inf), (-inf, -inf), (inf, -inf), (-inf, inf), (-inf, 3.0),
+            (3.0, -inf), (inf, 3.0), (-2.0, inf), (nan, 1.0), (1.0, nan),
+            (0.0, 0.0), (-0.0, 0.0), (-745.0, -745.0), (1e308, 1e308),
+            (-1e308, 1e308), (5e-324, 0.0), (709.0, 709.0)]
+    with np.errstate(all="ignore"):
+        for x, y in list(zip(xs.tolist(), ys.tolist())) + edge:
+            got, want = _logaddexp(x, y), float(np.logaddexp(x, y))
+            assert type(got) is float
+            same = got == want or (math.isnan(got) and math.isnan(want))
+            assert same, (x, y, got, want)
 
 
 def test_scaled_exp_matches_cmath():

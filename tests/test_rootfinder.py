@@ -11,8 +11,10 @@ import pytest
 from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f, example,
                          exp_function, find_a_points, newton_refine,
                          square_minus_one)
-from sectorroots.rootfinder import (RootRecord, _default_threads,
-                                    roots_to_csv, sort_records)
+from sectorroots.funcmodel import PolyExpRootModel
+from sectorroots.rootfinder import (RootRecord, _build_model,
+                                    _default_threads, _newton, roots_to_csv,
+                                    sort_records)
 
 # smallest zero pair of example 1, root of (2/sqrt(pi)) int t^2 e^{-t^2} = -1/2
 # refined with 50-digit mpmath Newton; frozen here as an independent oracle
@@ -144,6 +146,62 @@ def test_example1_records_verify_pointwise(ex1, ex1_zeros):
     result, _ = ex1_zeros
     for rec in list(result)[:6]:
         assert abs(eval_f(ex1, rec.location)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["ex1 zeros", "ex2 ones"])
+def test_residuals_are_from_zero(case, ex1, data1, ex2, data2):
+    F, data, a, r = {"ex1 zeros": (ex1, data1, 0j, 4.0),
+                     "ex2 ones": (ex2, data2, 1.0 + 0j, 3.0)}[case]
+    result = find_a_points(F, a, Box(-r, -r, r, r), tol=1e-9, data=data)
+    assert len(result) > 0
+    referee = _build_model(F, 1e-9, data)
+    for rec in result:
+        assert rec.residual == referee.diff_scaled(rec.location, a).abs_value()
+        assert rec.residual < 1e-9
+
+
+class _FromZero(PolyExpRootModel):
+    """Every Newton iterate evaluated from 0: the iteration as it was
+    before values were carried between iterates."""
+
+    def diff_near(self, held, z):
+        return None
+
+
+@pytest.mark.parametrize("case", ["simple root", "double root"])
+def test_newton_integrates_from_zero_three_times(monkeypatch, ex1, case):
+    # the double root converges linearly, so carried values fall below the
+    # goal while still clearing the headroom rule; none may end the search
+    F, seed, steps_from_zero = {
+        "simple root": (ex1, 0.4 + 0.8j, 6),
+        "double root": (square(), 0.5 + 0.3j, 17)}[case]
+    calls = []
+    anchored = PolyExpRootModel.anchored_f
+
+    def counted(self, z):
+        calls.append(z)
+        return anchored(self, z)
+
+    monkeypatch.setattr(PolyExpRootModel, "anchored_f", counted)
+
+    def run(cls):
+        calls.clear()
+        z, res = _newton(cls(F, tol=1e-13), 0j, seed, 1e-9)
+        return z, res, len(calls)
+
+    z, res, n = run(PolyExpRootModel)
+    z_ref, _, n_ref = run(_FromZero)
+    # the first iterate, the converged one and the polishing step; the
+    # iterates between take their value from the one before
+    assert n == 3
+    assert n_ref == steps_from_zero
+    assert res == PolyExpRootModel(F, tol=1e-13).diff_scaled(z, 0j).abs_value()
+    if case == "simple root":
+        assert abs(z - z_ref) <= 1e-12 * abs(z)
+        assert abs(z - EX1_SMALLEST_ZERO) < 1e-12
+        assert res < 1e-15
+    else:
+        assert abs(z) < 1e-4 and res < 1e-9
 
 
 def test_sorted_by_modulus(ex1_zeros):
