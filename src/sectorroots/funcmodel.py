@@ -9,7 +9,9 @@ the walk:
 
   * boundary samples extend incrementally by short-segment integrals, whose
     error scales with the local size of e^q rather than with the worst
-    point ever visited;
+    point ever visited; the planned samples of an edge are integrated and
+    summed block by block as arrays, the sums of one scaled add per sample
+    taken in the same order;
   * a walk start, or a sample whose headroom between |w| and the
     accumulated error has collapsed, is re-anchored: integrated from the
     nearest point the model remembers (its last _ANCHOR_MEMORY anchored
@@ -29,16 +31,18 @@ floating-point estimate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .asymptotics import (AsymptoticData, asymptotic_values, in_decay_interior,
                           sector_remainder, tail_remainder)
 from .contour import edge_points
 from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
-                      eval_f_prime, integral_scaled_batch,
-                      integral_scaled_parts)
+                      eval_f_prime, integral_raw_batch, integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
 _HEADROOM_LOG = math.log(1e4)
@@ -62,6 +66,9 @@ _ANCHOR_MEMORY = 16
 # walk increments integrated per batch; bounds the memory a long edge
 # takes, and the work left unused when a walk stops partway
 _PLAN_BLOCK = 256
+# log-range of term scales summed at one reference exponent; with the
+# headroom rule it keeps every usable partial sum far above underflow
+_SPAN_LOG = 600.0
 
 
 @dataclass
@@ -234,15 +241,58 @@ class PolyExpRootModel:
         return min(n, 20000)
 
 
+def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,
+                   m: np.ndarray, inc_err: np.ndarray):
+    """Walk samples from w, with log error bound err_log, through the
+    increments val[k] * exp(m[k]) with log error bounds inc_err[k], as
+    lists (logmag, phase, err_log, clears_headroom), one entry per sample.
+
+    This is _add_increment applied in turn: the partial sums share one
+    reference exponent, and the error logs are summed in the scalar order
+    (previous bound, increment bound, representation noise of the new
+    sum). The samples stop before the first one at which the running
+    maximum of the term scales has risen more than _SPAN_LOG above its
+    value at the first sample; the caller restarts from the last sample.
+    A sample's error bound is at least e^-35 times its largest term (the
+    quadrature bound of an increment is at least 5e-15 of its L1 norm),
+    so a sample that clears the headroom rule lies within _SPAN_LOG + 26
+    of the reference exponent, far above underflow.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.concatenate(([w.logmag], np.log(np.abs(val)) + m))
+    top = np.maximum.accumulate(scale)
+    n = int(np.searchsorted(top[1:], top[1] + _SPAN_LOG, side="right"))
+    ref = top[n]
+    terms = np.empty(n + 1, dtype=complex)
+    terms[0] = cmath.rect(1.0, w.phase) * math.exp(w.logmag - ref)
+    terms[1:] = val[:n] * np.exp(m[:n] - ref)
+    sums = np.cumsum(terms)[1:]
+    with np.errstate(divide="ignore"):
+        logmag = np.log(np.abs(sums)) + ref
+    errs = np.empty(2 * n + 1)
+    errs[0] = err_log
+    errs[1::2] = inc_err[:n]
+    errs[2::2] = _LOG_EPS + logmag
+    errs = np.logaddexp.accumulate(errs)[2::2]
+    ok = logmag - errs >= _HEADROOM_LOG
+    return (logmag.tolist(), np.angle(sums).tolist(), errs.tolist(),
+            ok.tolist())
+
+
 class _PolyExpPath:
     """Incremental scaled evaluator of w = f - a along a polygonal walk.
 
     min_samples(z0, z1) also plans the edge about to be walked, whose
-    samples are contour.edge_points(z0, z1, n): the increments between them
-    are integrated as one batch per block of _PLAN_BLOCK, when the walk
-    takes the first step of the block. extend uses the planned increment
-    when it steps to the next planned sample, and integrates any other step
-    (a bisection midpoint) alone.
+    samples are contour.edge_points(z0, z1, n). When the walk takes the
+    first step of a block of _PLAN_BLOCK planned steps, their increments
+    are integrated as one batch (polyexp.integral_raw_batch), and the
+    samples of the block are summed from the walk's last sample as arrays
+    (_block_samples). extend(prev, z) returns the next of them when prev is
+    the planned sample it last returned and z the next planned point. A
+    sample that fails the headroom rule is re-anchored as in the scalar
+    walk, and the rest of the block is summed again from it; a planned
+    increment whose quadrature failed raises when the walk reaches it. Any
+    other step (a bisection midpoint) is integrated alone.
     """
 
     def __init__(self, model: PolyExpRootModel, a: complex):
@@ -253,8 +303,15 @@ class _PolyExpPath:
         self.tol = model.tol
         self.floor_log = _LOG_PROX + math.log(max(1.0, abs(a)))
         self._edge: list[complex] = []
-        self._next = 0
-        self._block: dict = {}
+        # the planned sample last returned, at self._edge[self._pos]
+        self._last: PathSample | None = None
+        self._pos = 0
+        # increments of the steps from edge points _inc_lo .. _inc_hi - 1
+        self._inc_lo = self._inc_hi = 0
+        self._inc = None
+        # samples summed ahead, from edge point _ahead_lo on
+        self._ahead_lo = 0
+        self._ahead: tuple = ([], [], [], [])
 
     def _check_floor(self, s: PathSample) -> PathSample:
         if s.w.logmag >= self.floor_log:
@@ -276,11 +333,17 @@ class _PolyExpPath:
         if prev is not None:
             # w obeys the same increments as f, so extending w directly
             # avoids ever reconstructing the difference f - a
-            inc, inc_err_log = self._increment(prev.z, z)
+            inc, inc_err_log = integral_scaled_parts(self.F, prev.z, z,
+                                                     self.tol)
             s = _try(z, *_add_increment(prev.w, prev.err_log, inc,
                                         inc_err_log))
             if s is not None:
                 return self._check_floor(s)
+        return self._anchor(z)
+
+    def _anchor(self, z: complex) -> PathSample:
+        """The sample at z from a remembered anchor, from 0 or from the
+        decay-cone tail, whichever first clears the headroom rule."""
         near = self.model.near_f(z)
         if near is not None:
             s = _try(z, *_less_target(*near, self.neg_a))
@@ -298,34 +361,62 @@ class _PolyExpPath:
             f"cannot separate f - a from its error bound at {z} "
             f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
 
-    def _increment(self, z0: complex, z1: complex) -> tuple[ScaledComplex, float]:
-        """integral_scaled_parts over [z0, z1], taken from the edge plan when
-        the step is the plan's next increment. A planned increment whose
-        quadrature failed raises here, when the walk reaches it."""
-        part = self._block.pop((z0, z1), None)
-        if part is None:
-            i = self._next
-            edge = self._edge
-            if not (i + 1 < len(edge) and edge[i] == z0 and edge[i + 1] == z1):
-                return integral_scaled_parts(self.F, z0, z1, self.tol)
-            pts = edge[i:i + _PLAN_BLOCK + 1]
-            self._next = i + len(pts) - 1
-            parts = integral_scaled_batch(self.F, pts[:-1], pts[1:], self.tol)
-            self._block = dict(zip(zip(pts[:-1], pts[1:]), parts))
-            part = self._block.pop((z0, z1))
-        if isinstance(part, ToleranceNotMet):
-            raise part
-        return part
+    def _sum_ahead(self, j: int) -> None:
+        """Sum the samples from edge point j to the end of its block, from
+        the last planned sample; the block's increments are integrated
+        first when step j is the first of a block."""
+        i = j - 1
+        if not self._inc_lo <= i < self._inc_hi:
+            pts = self._edge[i:i + _PLAN_BLOCK + 1]
+            self._inc = integral_raw_batch(self.F, pts[:-1], pts[1:],
+                                           self.tol)
+            self._inc_lo, self._inc_hi = i, i + len(pts) - 1
+        val, m, inc_err, failures = self._inc
+        k = i - self._inc_lo
+        stop = min((f for f in failures if f >= k), default=len(val))
+        if stop == k:
+            raise failures[k]
+        last = self._last
+        self._ahead_lo = j
+        self._ahead = _block_samples(last.w, last.err_log, val[k:stop],
+                                     m[k:stop], inc_err[k:stop])
+
+    def _planned(self, j: int) -> PathSample:
+        k = j - self._ahead_lo
+        if not 0 <= k < len(self._ahead[0]):
+            self._sum_ahead(j)
+            k = 0
+        logmag, phase, err_log, ok = self._ahead
+        z = self._edge[j]
+        if ok[k]:
+            s = self._check_floor(
+                PathSample(z, ScaledComplex(logmag[k], phase[k]), err_log[k]))
+        else:
+            s = self._anchor(z)
+            # the samples ahead were summed from the value replaced here
+            self._ahead = ([], [], [], [])
+        self._last, self._pos = s, j
+        return s
 
     def start(self, z: complex) -> PathSample:
-        return self._build(complex(z), None)
+        s = self._build(complex(z), None)
+        self._last, self._edge = s, []
+        return s
 
     def extend(self, prev: PathSample, z: complex) -> PathSample:
+        j = self._pos + 1
+        if prev is self._last and j < len(self._edge) and z == self._edge[j]:
+            return self._planned(j)
         return self._build(complex(z), prev)
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         n = self.model.min_samples(z0, z1)
-        self._edge = [complex(z0)] + edge_points(complex(z0), complex(z1), n)
-        self._next = 0
-        self._block = {}
+        z0 = complex(z0)
+        self._edge = [z0] + edge_points(z0, complex(z1), n)
+        self._pos = 0
+        self._inc_lo = self._inc_hi = 0
+        self._ahead = ([], [], [], [])
+        if self._last is not None and self._last.z != z0:
+            # the walk does not continue from the last planned sample
+            self._last = None
         return n

@@ -376,15 +376,23 @@ def _phase_noise(mag):
     return 1e-15 * (1.0 + mag)
 
 
+def _quadrature(F: PolyExpFunction, z0: np.ndarray, delta: np.ndarray,
+                m: np.ndarray, mag: np.ndarray, tol: float):
+    """The quadrature core: integrals of p exp(q - m[i]) over the segments
+    [z0[i], z0[i] + delta[i]] in one GK batch, as integrate_segments
+    returns them (values, absolute bounds, failures), in units of exp(m)."""
+    from .contour import integrate_segments
+
+    return integrate_segments(
+        lambda z, seg: _scaled_integrand(F, z, m[seg, None]), z0, delta, tol,
+        _phase_noise(mag))
+
+
 def _chunk_parts(F: PolyExpFunction, z0: np.ndarray, delta: np.ndarray,
                  m: np.ndarray, mag: np.ndarray, tol: float) -> list:
     """Scaled integrals of p exp(q) over the segments [z0, z0 + delta], one
     GK batch, each with exp(q) factored at its segment's max m of Re q."""
-    from .contour import integrate_segments
-
-    vals, bounds, failures = integrate_segments(
-        lambda z, seg: _scaled_integrand(F, z, m[seg, None]), z0, delta, tol,
-        _phase_noise(mag))
+    vals, bounds, failures = _quadrature(F, z0, delta, m, mag, tol)
     return [failures[i] if i in failures else _scaled_part(v, e, mi)
             for i, (v, e, mi) in enumerate(zip(vals.tolist(), bounds.tolist(),
                                                m.tolist()))]
@@ -402,12 +410,30 @@ def _scaled_part(val: complex, err: float, m: float) -> tuple[ScaledComplex, flo
             m + math.log(err))
 
 
+def _chunks(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
+            swing: np.ndarray):
+    """The chunks of the segments [z0[i], z1[i]]: the count n[i] of each
+    segment's chunks, the segment of every chunk, the chunk starts and
+    lengths, and the max of Re q and the largest |q| on each chunk."""
+    n = _chunk_counts(swing)
+    seg = np.repeat(np.arange(len(z0)), n)
+    ends = np.cumsum(n)
+    j = np.arange(len(seg)) - np.repeat(ends - n, n)
+    step = ((z1 - z0) / n)[seg]
+    c0 = z0[seg] + j * step
+    c1 = z0[seg] + (j + 1) * step
+    c1[ends - 1] = z1
+    cd = c1 - c0
+    cm, cmag, _ = _segment_data(F.q, c0, cd)
+    return n, seg, c0, cd, cm, cmag
+
+
 def integral_scaled_batch(F: PolyExpFunction, z0, z1,
                           tol: float = 1e-12) -> list:
     """integral_scaled_parts for the segments [z0[i], z1[i]] in one batch.
 
     Returns one entry per segment: (value, err_log), or the ToleranceNotMet
-    its quadrature ended with, so that a caller walking the segments in
+    its quadrature ended with, so that a caller taking the segments in
     order raises it at that segment. Segments with a large phase swing are
     cut into chunks, and the chunks of every segment go to the quadrature
     together. A segment's result does not depend on the rest of the batch
@@ -420,18 +446,39 @@ def integral_scaled_batch(F: PolyExpFunction, z0, z1,
     m, mag, swing = _segment_data(F.q, z0, delta)
     if not (swing > 60.0).any():
         return _chunk_parts(F, z0, delta, m, mag, tol)
-    n = _chunk_counts(swing)
-    seg = np.repeat(np.arange(len(z0)), n)
-    ends = np.cumsum(n)
-    j = np.arange(len(seg)) - np.repeat(ends - n, n)
-    step = (delta / n)[seg]
-    c0 = z0[seg] + j * step
-    c1 = z0[seg] + (j + 1) * step
-    c1[ends - 1] = z1
-    cd = c1 - c0
-    cm, cmag, _ = _segment_data(F.q, c0, cd)
+    n, _, c0, cd, cm, cmag = _chunks(F, z0, z1, swing)
     chunks = iter(_chunk_parts(F, c0, cd, cm, cmag, tol))
     return [_sum_parts([next(chunks) for _ in range(ni)]) for ni in n.tolist()]
+
+
+def integral_raw_batch(F: PolyExpFunction, z0, z1, tol: float = 1e-12):
+    """integral_scaled_batch as arrays, for callers that sum the integrals
+    in numpy: (val, m, err_log, failures).
+
+    Segment i's integral is val[i] * exp(m[i]), with log absolute error
+    bound err_log[i] (-inf, with val[i] = 0, for a zero-length segment);
+    failures maps the index of every segment whose quadrature failed to
+    its ToleranceNotMet, and val and err_log mean nothing there. The
+    chunks of a segment are summed at the largest of their scales. Values
+    agree with integral_scaled_batch to rounding.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    z1 = np.asarray(z1, dtype=complex)
+    m, mag, swing = _segment_data(F.q, z0, z1 - z0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not (swing > 60.0).any():
+            vals, bounds, failures = _quadrature(F, z0, z1 - z0, m, mag, tol)
+            return vals, m, m + np.log(bounds), failures
+        n, seg, c0, cd, cm, cmag = _chunks(F, z0, z1, swing)
+        cv, cb, cf = _quadrature(F, c0, cd, cm, cmag, tol)
+        first = np.cumsum(n) - n
+        m = np.maximum.reduceat(cm, first)
+        vals = np.add.reduceat(cv * np.exp(cm - m[seg]), first)
+        err_log = np.logaddexp.reduceat(cm + np.log(cb), first)
+    failures = {}
+    for i in sorted(cf):
+        failures.setdefault(int(seg[i]), cf[i])
+    return vals, m, err_log, failures
 
 
 def _sum_parts(parts: list):

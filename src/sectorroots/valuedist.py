@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .asymptotics import tail_end
-from .contour import Box
+from .contour import Box, edge_points
 from .errors import (BoundaryTooClose, DegreeZero, NonPositiveLogM,
                      TailTooLarge, ToleranceNotMet)
 from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
@@ -399,7 +399,11 @@ class _ZetaTail:
 
     def log(self, z: complex) -> complex:
         """T(z/a_{N+1}), so that the tail factor is exp(-T)."""
-        u = self._u(z)
+        return self.series(self._u(z))
+
+    def series(self, u):
+        """T(u) by Horner; u may be a scalar or an array, and is not
+        checked against the admitted disk |u| < 1/2."""
         acc = 0j
         for d in self._d:
             acc = (acc + d) * u
@@ -511,6 +515,20 @@ class CanonicalProductModel:
         tail = self.tail.log(z)
         return complex(np.prod(1.0 - z / self.a)) * cmath.exp(-tail)
 
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """value at every point of z, NaN where the tail does not admit
+        the point (value raises TailTooLarge there). The core product is
+        taken by rows, at most _CHUNK factors per pass."""
+        u = z / self.tail.scale
+        core = np.empty(len(z), dtype=complex)
+        rows = max(1, _CHUNK // len(self.a))
+        for lo in range(0, len(z), rows):
+            core[lo:lo + rows] = np.prod(
+                1.0 - z[lo:lo + rows, None] / self.a, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(np.abs(u) < 0.5,
+                            core * np.exp(-self.tail.series(u)), np.nan)
+
     def log_abs(self, z: complex) -> float:
         z = complex(z)
         tail = self.tail.log(z)
@@ -582,20 +600,25 @@ class _ProductPath:
 
     Direct evaluation is absolute here (no incremental state): |P| stays
     within double range on any disk the tail admits, and w inherits only
-    the factor-count rounding noise.
+    the factor-count rounding noise. min_samples evaluates P at all the
+    points of the edge about to be walked in one pass
+    (CanonicalProductModel.values); extend takes the planned value when
+    it steps to the next planned point, and evaluates any other point (a
+    bisection midpoint) alone. Every sample passes the same floor and
+    headroom checks.
     """
 
     def __init__(self, model: CanonicalProductModel, a: complex):
         self.model = model
         self.a = complex(a)
         self.floor_log = math.log(1e-9 * max(1.0, abs(self.a)))
+        self._pts: list[complex] = []
+        # (log|w|, arg w, error log) at the planned points
+        self._planned: tuple = ([], [], [])
+        self._next = 0
 
-    def _sample(self, z: complex) -> PathSample:
-        val = self.model.value(z)
-        w = val - self.a
-        ws = ScaledComplex.from_complex(w)
-        err = self.model.rel_err * (abs(val) + abs(self.a)) + 1e-300
-        err_log = math.log(err)
+    def _checked(self, z: complex, ws: ScaledComplex,
+                 err_log: float) -> PathSample:
         if ws.is_zero or ws.logmag < self.floor_log:
             raise BoundaryTooClose(
                 f"|P - a| = {ws.abs_value():.3e} under the proximity floor "
@@ -603,17 +626,40 @@ class _ProductPath:
         if ws.logmag - err_log < _HEADROOM_LOG:
             raise BoundaryTooClose(
                 f"|P - a| at {z} inside evaluation noise "
-                f"({ws.abs_value():.3e} vs err {err:.3e})")
+                f"({ws.abs_value():.3e} vs err {math.exp(err_log):.3e})")
         return PathSample(complex(z), ws, err_log)
+
+    def _sample(self, z: complex) -> PathSample:
+        val = self.model.value(z)
+        err = self.model.rel_err * (abs(val) + abs(self.a)) + 1e-300
+        return self._checked(z, ScaledComplex.from_complex(val - self.a),
+                             math.log(err))
 
     def start(self, z: complex) -> PathSample:
         return self._sample(z)
 
     def extend(self, prev: PathSample, z: complex) -> PathSample:
+        i = self._next
+        if i < len(self._pts) and z == self._pts[i]:
+            self._next = i + 1
+            logmag, phase, err_log = self._planned
+            # NaN where the tail does not admit z: _sample raises there
+            if logmag[i] == logmag[i]:
+                return self._checked(z, ScaledComplex(logmag[i], phase[i]),
+                                     err_log[i])
         return self._sample(z)
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        return self.model.min_samples(z0, z1)
+        n = self.model.min_samples(z0, z1)
+        self._pts = edge_points(complex(z0), complex(z1), n)
+        val = self.model.values(np.array(self._pts))
+        w = val - self.a
+        err = self.model.rel_err * (np.abs(val) + abs(self.a)) + 1e-300
+        with np.errstate(divide="ignore"):
+            self._planned = (np.log(np.abs(w)).tolist(),
+                             np.angle(w).tolist(), np.log(err).tolist())
+        self._next = 0
+        return n
 
 
 def _product_log_max(P: CanonicalProduct, r: float, samples: int = 128,

@@ -320,14 +320,14 @@ def test_edges_end_on_their_corners_bit_for_bit():
 
 
 def test_planned_increment_failure_raises_at_its_position(monkeypatch):
-    real = funcmodel.integral_scaled_batch
+    real = funcmodel.integral_raw_batch
 
     def failing_fourth(F, z0, z1, tol):
-        parts = real(F, z0, z1, tol)
-        parts[3] = ToleranceNotMet("planted failure")
-        return parts
+        val, m, err_log, failures = real(F, z0, z1, tol)
+        return val, m, err_log, {**failures,
+                                 3: ToleranceNotMet("planted failure")}
 
-    monkeypatch.setattr(funcmodel, "integral_scaled_batch", failing_fourth)
+    monkeypatch.setattr(funcmodel, "integral_raw_batch", failing_fourth)
     model = PolyExpRootModel(exp_function())
     path = model.path_evaluator(1.0 + 0j)
     z0, z1 = -1.0 - 1.0j, 1.0 - 1.0j

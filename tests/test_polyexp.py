@@ -17,9 +17,11 @@ from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
                          ScaledComplex, eval_f, eval_f_scaled, example1,
                          exp_function, function_from_json, function_to_json,
                          square_minus_one)
+from sectorroots import ToleranceNotMet, polyexp
 from sectorroots.polyexp import (_logaddexp, eval_f_prime, eval_scaled_exp,
-                                 integral_scaled_batch, integral_scaled_parts,
-                                 segment_re_q_max, segments_re_q_max)
+                                 integral_raw_batch, integral_scaled_batch,
+                                 integral_scaled_parts, segment_re_q_max,
+                                 segments_re_q_max)
 
 mp.mp.dps = 30
 
@@ -237,6 +239,44 @@ def test_integral_parts_error_bound_honest(ex2):
         alone, _ = integral_scaled_parts(ex2, complex(z0), complex(z1), 1e-13)
         assert abs(got.to_complex() - alone.to_complex()) <= bound
     assert parts[6] == (ScaledComplex.zero(), -math.inf)
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_raw_batch_matches_list_batch(ex2, chunked, monkeypatch):
+    # short steps, one of zero length; with chunked, also segments cut
+    # into 3, 7, 75 and 24 chunks
+    segs = [(2 - 1j, 2.05 - 0.98j), (-1.5 + 0.5j, -1.45 + 0.5j), (4j, 4j),
+            (0.3, 0.5 - 0.1j)]
+    if chunked:
+        segs += [(0.3, 2.9 - 2.2j), (1 + 1j, 5 + 2j),
+                 (0, 11 * cmath.exp(0.35j)), (0, 7.5)]
+    z0 = [complex(a) for a, _ in segs]
+    z1 = [complex(b) for _, b in segs]
+    parts = integral_scaled_batch(ex2, z0, z1, 1e-13)
+    val, m, err_log, failures = integral_raw_batch(ex2, z0, z1, 1e-13)
+    assert len(val) == len(m) == len(err_log) == len(segs)
+    assert failures == {}
+    for i, (want, want_err) in enumerate(parts):
+        got = val[i] * np.exp(m[i] - want.logmag) if not want.is_zero else 0
+        if want.is_zero:
+            assert val[i] == 0
+        else:
+            assert abs(got - cmath.rect(1.0, want.phase)) <= 1e-14
+        assert err_log[i] == want_err or abs(err_log[i] - want_err) <= 1e-12
+
+    # a failed quadrature (the last chunk but one) fails its own segment
+    # only: the last but one, or the last, whose chunks end the batch
+    quadrature = polyexp._quadrature
+
+    def failing(F, a, d, mm, mag, tol):
+        v, b, f = quadrature(F, a, d, mm, mag, tol)
+        return v, b, {**f, len(a) - 2: ToleranceNotMet("planted")}
+
+    monkeypatch.setattr(polyexp, "_quadrature", failing)
+    parts = integral_scaled_batch(ex2, z0, z1, 1e-13)
+    _, _, _, failures = integral_raw_batch(ex2, z0, z1, 1e-13)
+    failed = [i for i, p in enumerate(parts) if isinstance(p, ToleranceNotMet)]
+    assert failed == sorted(failures) == [len(segs) - 2 + chunked]
 
 
 def test_json_roundtrip(ex1):

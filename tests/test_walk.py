@@ -1,0 +1,234 @@
+"""The boundary walk: planned samples summed as arrays, pinned against the
+scalar walk they replace."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from sectorroots import (Box, BoundaryTooClose, find_a_points, rootfinder,
+                         square_minus_one)
+from sectorroots import funcmodel
+from sectorroots.contour import edge_points, winding_count
+from sectorroots.funcmodel import (PolyExpRootModel, _add_increment,
+                                   _block_samples, _clears_headroom)
+from sectorroots.polyexp import ScaledComplex
+from sectorroots.valuedist import CanonicalProduct, CanonicalProductModel
+
+
+class _Walk:
+    """Path evaluator proxy that counts bisection samples and notes the
+    planned step each extend call takes: the index of its point in the
+    edge's plan, counting the edge's first corner as 0, or None for a
+    start or a bisection."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.plan = {}
+        self.at = None
+        self.bisections = 0
+
+    def start(self, z):
+        self.at = None
+        return self.inner.start(z)
+
+    def extend(self, prev, z):
+        self.at = self.plan.get(z)
+        self.bisections += self.at is None
+        return self.inner.extend(prev, z)
+
+    def min_samples(self, z0, z1):
+        n = self.inner.min_samples(z0, z1)
+        self.plan = {z: j for j, z in enumerate(edge_points(z0, z1, n), 1)}
+        return n
+
+
+def _count_anchors(monkeypatch, record, at=lambda: None):
+    """Count near_f and anchored_f calls made inside winding walks, and
+    note at() for each."""
+    near = PolyExpRootModel.near_f
+    anchored = PolyExpRootModel.anchored_f
+
+    def counted(name, fn):
+        def wrapper(self, z):
+            if record["walks"]:
+                record[name] += 1
+                record["where"].append(at())
+            return fn(self, z)
+        return wrapper
+
+    monkeypatch.setattr(PolyExpRootModel, "near_f", counted("near", near))
+    monkeypatch.setattr(PolyExpRootModel, "anchored_f",
+                        counted("anchored", anchored))
+
+
+# (function, target, box, count, raw winding, bisection samples, near_f
+# calls, anchored_f calls), measured with the scalar walk on a fresh model
+PINNED = [
+    ("ex1", 0, (-8, -8, 8, 8), 40, 40.00000000000006, 4, 12, 12),
+    ("ex1", 0, (4, -8, 8, -4), 14, 14.000000000000007, 2, 3, 3),
+    ("ex1", 1, (-8, -8, 8, 8), 40, 39.99999999999987, 4, 12, 12),
+    ("ex1", 1, (-2, -2, 2, 2), 4, 3.9999999999999996, 0, 1, 1),
+    ("ex2", 0, (2.5, -1.75, 2.75, -1.5), 1, 1.0000000000000004, 3, 1, 1),
+    ("ex2", 0, (0, -4, 4, 0), 16, 16.00000000000002, 0, 7, 7),
+    ("ex2", 1, (-5.619675, -3.2116875, -5.4295124999999995, -3.0258), 3,
+     2.9999999999999987, 3, 2, 1),
+    ("ex2", 1, (-3, -3, 3, 3), 23, 23.000000000000014, 0, 10, 10),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-a{c[1]}-{c[2]}")
+def test_pinned_windings(case, request, monkeypatch):
+    name, a, box, count, raw, bisections, near, anchored = case
+    F = request.getfixturevalue(name)
+    data = request.getfixturevalue("data" + name[-1])
+    model = PolyExpRootModel(F, tol=1e-13, data=data)
+    walk = _Walk(model.path_evaluator(a))
+    record = {"walks": 1, "near": 0, "anchored": 0, "where": []}
+    _count_anchors(monkeypatch, record, lambda: walk.at)
+    result = winding_count(walk, Box(*box))
+    assert result.count == count
+    assert abs(result.raw.real - raw) <= 1e-12
+    assert walk.bisections == bisections
+    assert (record["near"], record["anchored"]) == (near, anchored)
+    # every walk starts from an anchor; a re-anchor at a planned step other
+    # than the first of its block restarts a block's sums midway
+    starts = [j for j in record["where"] if j is None]
+    mid_block = [j for j in record["where"]
+                 if j is not None and (j - 1) % funcmodel._PLAN_BLOCK]
+    assert len(starts) >= 1
+    if near > 2:
+        assert mid_block
+
+
+@pytest.mark.parametrize("name, box, near, anchored", [
+    ("ex1", (-8, -8, 8, 8), 314, 48),
+    ("ex2", (-4, -4, 4, 4), 365, 77),
+])
+def test_search_anchor_calls_pinned(name, box, near, anchored, request,
+                                    monkeypatch):
+    F = request.getfixturevalue(name)
+    data = request.getfixturevalue("data" + name[-1])
+    record = {"walks": 0, "near": 0, "anchored": 0, "where": []}
+    _count_anchors(monkeypatch, record)
+    walk = rootfinder.winding_count
+
+    def counted_walk(pathval, b):
+        record["walks"] += 1
+        try:
+            return walk(pathval, b)
+        finally:
+            record["walks"] -= 1
+
+    monkeypatch.setattr(rootfinder, "winding_count", counted_walk)
+    result = find_a_points(F, 0j, Box(*box), tol=1e-9, data=data)
+    assert result.total_multiplicity == result.winding_total
+    assert (record["near"], record["anchored"]) == (near, anchored)
+
+
+def _sequential(w, err, val, m, inc_err):
+    """The scalar walk: _add_increment applied increment by increment."""
+    out = []
+    for v, mk, ek in zip(val.tolist(), m.tolist(), inc_err.tolist()):
+        inc = ScaledComplex.from_complex(v).shift(mk)
+        w, err = _add_increment(w, err, inc, ek)
+        out.append((w, err))
+    return out
+
+
+def test_block_samples_match_sequential_adds():
+    rng = np.random.default_rng(11)
+    # increment scales rise through 1,460 in log and fall back, so one
+    # reference exponent cannot hold the block
+    m = np.concatenate([np.linspace(-700.0, 760.0, 300),
+                        np.linspace(755.0, 600.0, 40)])
+    val = np.exp(1j * rng.uniform(-math.pi, math.pi, len(m)))
+    inc_err = m + math.log(1e-14)
+    w0, err0 = ScaledComplex(-705.0, 0.4), -705.0 + math.log(1e-13)
+    # increment 150 cancels the sum before it, so sample 150 fails the
+    # headroom rule mid-block and the samples after it recover
+    before = _sequential(w0, err0, val[:150], m[:150], inc_err[:150])[-1][0]
+    m[150] = before.logmag
+    val[150] = -cmath.rect(1.0, before.phase)
+    want = _sequential(w0, err0, val, m, inc_err)
+
+    got = []
+    w, err, calls = w0, err0, 0
+    while len(got) < len(m):
+        i = len(got)
+        logmag, phase, errs, ok = _block_samples(w, err, val[i:], m[i:],
+                                                 inc_err[i:])
+        calls += 1
+        assert 1 <= len(logmag) <= len(m) - i
+        got += zip(logmag, phase, errs, ok)
+        w, err = ScaledComplex(logmag[-1], phase[-1]), errs[-1]
+    # the rise is cut into windows of at most _SPAN_LOG
+    assert calls >= 1460 / funcmodel._SPAN_LOG
+
+    fails = [j for j, (ws, e) in enumerate(want)
+             if not _clears_headroom(ws, e)]
+    assert fails == [150]
+    # the two summation orders agree to a few ulps of the scaled form;
+    # an ulp of logmag is itself a relative 1e-13 of |w| at logmag 600
+    ulps = 64 * np.finfo(float).eps
+    for (ws, e), (logmag, phase, err_log, ok) in zip(want, got):
+        assert ok == _clears_headroom(ws, e)
+        assert abs(err_log - e) <= ulps * max(1.0, abs(e))
+        if ok:
+            assert abs(logmag - ws.logmag) <= ulps * max(1.0, abs(logmag))
+            assert abs(cmath.phase(cmath.rect(1.0, phase - ws.phase))) <= ulps
+
+
+def test_planned_sample_on_a_point_raises():
+    # f = z^2 - 1 on the edge [0.5, 1.5]: the planned point 1 is its zero
+    path = PolyExpRootModel(square_minus_one()).path_evaluator(0j)
+    z0, z1 = 0.5 + 0j, 1.5 + 0j
+    prev = path.start(z0)
+    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    at = pts.index(1.0)
+    for z in pts[:at]:
+        prev = path.extend(prev, z)
+    with pytest.raises(BoundaryTooClose):
+        path.extend(prev, pts[at])
+
+
+def test_planned_product_sample_on_a_point_raises():
+    # the rho = 1/2 product on the edge [2, 6]: the planned point 4 is a zero
+    model = CanonicalProductModel(CanonicalProduct(0.5, 64), 6.0)
+    path = model.path_evaluator(0j)
+    z0, z1 = 2.0 + 0j, 6.0 + 0j
+    prev = path.start(z0)
+    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    at = pts.index(4.0)
+    for z in pts[:at]:
+        prev = path.extend(prev, z)
+    with pytest.raises(BoundaryTooClose, match="proximity floor"):
+        path.extend(prev, pts[at])
+
+
+@pytest.mark.parametrize("rho, a, box", [
+    (0.5, 1.0, (-30.5, -30.5, 30.5, 30.5)),
+    (1.0 / 3.0, 0.0, (-20.5, -3.5, 40.5, 3.5)),
+])
+def test_planned_product_samples_match_pointwise(rho, a, box):
+    model = CanonicalProductModel(CanonicalProduct(rho, 64), 45.0)
+    path = model.path_evaluator(a)
+    corners = Box(*box).corners()
+    for i in range(4):
+        z0, z1 = corners[i], corners[(i + 1) % 4]
+        pts = edge_points(z0, z1, path.min_samples(z0, z1))
+        prev = None
+        for z in pts:
+            planned = path.extend(prev, z)
+            alone = path._sample(z)
+            assert planned.z == z
+            assert abs(planned.w.logmag - alone.w.logmag) <= 1e-12
+            assert abs(cmath.phase(cmath.rect(
+                1.0, planned.w.phase - alone.w.phase))) <= 1e-12
+            assert abs(planned.err_log - alone.err_log) <= 1e-12
+            prev = planned
+    # values at points the tail does not admit are NaN, and the walk
+    # raises there through the pointwise evaluation
+    far = model.values(np.array([0j, 10.0 * model.tail.radius + 0j]))
+    assert not math.isnan(far[0].real) and math.isnan(far[1].real)
