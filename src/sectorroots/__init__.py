@@ -10,10 +10,10 @@ from .catalog import (example, example1, example2, example_region,
                       exp_function, gamma_quadrature, square_minus_one)
 from .contour import Box, WindingResult, winding_number
 from .errors import (BoundViolated, BoundaryTooClose, CounterexampleFound,
-                     DegreeZero, DepthExceeded, DerivativeVanishes,
-                     EmptyRaySet, NearCriticalZero, NoConvergence,
-                     NonPositiveLogM, OverflowRegion, SectorRootsError,
-                     TailTooLarge, ToleranceNotMet)
+                     DegreeZero, DerivativeVanishes, EmptyRaySet,
+                     NearCriticalZero, NoConvergence, NonPositiveLogM,
+                     OverflowRegion, SectorRootsError, TailTooLarge,
+                     ToleranceNotMet)
 from .kernels import (KernelBoundsReport, KernelParams, kernel_K,
                       kernel_bounds_check, kernel_grid_report,
                       kernel_integral_quadrature, kernel_integral_residue,
@@ -39,9 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulationConfig", "AsymptoticData", "BoundViolated",
     "BoundaryTooClose", "Box", "CanonicalProduct", "CountingTable",
-    "CounterexampleFound", "DegreeZero", "DepthExceeded",
-    "DerivativeVanishes", "EmptyRaySet", "EnumerationReport",
-    "FeasibilityVerdict", "KernelBoundsReport", "KernelParams",
+    "CounterexampleFound", "DegreeZero", "DerivativeVanishes",
+    "EmptyRaySet", "EnumerationReport", "FeasibilityVerdict",
+    "KernelBoundsReport", "KernelParams",
     "NearCriticalZero", "NoConvergence", "NonPositiveLogM", "OverflowRegion",
     "PolyExpFunction", "Polynomial", "RaySet", "RootRecord", "ScaledComplex",
     "SearchResult", "Sector", "SectorReport", "SectorRootsError",

@@ -22,19 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DegreeZero, NearCriticalZero, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, eval_f, eval_scaled_exp,
-                      integral_scaled, _wrap_phase)
-
-TWO_PI = 2.0 * math.pi
-
-
-def _mod_2pi(t: float) -> float:
-    t = math.fmod(t, TWO_PI)
-    return t + TWO_PI if t < 0 else t
-
-
-def angular_distance(a: float, b: float) -> float:
-    """Distance between two directions, in [0, pi]."""
-    return abs(_wrap_phase(a - b))
+                      integral_scaled)
+from .sectorgeom import TWO_PI, angle_distance, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ class AsymptoticData:
     def nearest_ray(self, theta: float) -> int:
         """Index of the ray closest to the direction theta."""
         return min(range(self.d),
-                   key=lambda k: (angular_distance(theta, self.rays[k]), k))
+                   key=lambda k: (angle_distance(theta, self.rays[k]), k))
 
 
 def critical_rays(F: PolyExpFunction) -> list[float]:
@@ -66,7 +55,7 @@ def critical_rays(F: PolyExpFunction) -> list[float]:
     if d < 1:
         raise DegreeZero("deg q = 0: the function has no critical rays")
     arg_a = cmath.phase(F.A)
-    rays = [_mod_2pi(((2 * k - 1) * math.pi - arg_a) / d) for k in range(1, d + 1)]
+    rays = [wrap_angle(((2 * k - 1) * math.pi - arg_a) / d) for k in range(1, d + 1)]
     return sorted(rays)
 
 
@@ -207,7 +196,7 @@ def accumulation_rays_analytic(data: AsymptoticData, target: complex,
     for k in range(data.d):
         if abs(data.values[k] - complex(target)) <= tol:
             continue
-        for cand in (_mod_2pi(data.rays[k] - half), _mod_2pi(data.rays[k] + half)):
-            if not any(angular_distance(cand, r) <= 1e-12 for r in out):
+        for cand in (wrap_angle(data.rays[k] - half), wrap_angle(data.rays[k] + half)):
+            if not any(angle_distance(cand, r) <= 1e-12 for r in out):
                 out.append(cand)
     return sorted(out)

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .asymptotics import accumulation_rays_analytic, asymptotic_values
 from .catalog import example, example_region
 from .contour import Box
 from .errors import (BoundViolated, CounterexampleFound, DegreeZero,
-                     EmptyRaySet, SectorRootsError)
+                     SectorRootsError)
 from .kernels import KernelParams, kernel_bounds_check, kernel_grid_report
 from .polyexp import PolyExpFunction, load_function
 from .rayconfig import enumerate_configs
@@ -31,28 +30,6 @@ from .sectorgeom import RaySet, Sector, minimal_cone, sector_report
 from .valuedist import (CanonicalProduct, canonical_one_point_rays,
                         canonical_product_eval, core_terms,
                         counting_functions, log_max_modulus, order_estimate)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    tol: float
-    region: Box | None = None
-    r0: float = 3.0
-    threads: int | None = None
-    out: str | None = None
-    as_json: bool = False
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.region is not None and (self.region.x1 <= self.region.x0
-                                        or self.region.y1 <= self.region.y0):
-            raise ValueError("region must be nonempty")
-        if not self.r0 > 0:
-            raise ValueError("r0 must be positive")
 
 
 def _parse_complex(text: str) -> complex:
@@ -160,8 +137,7 @@ def _roots_run(args, F: PolyExpFunction, target: complex, region: Box,
             raise DegreeZero(
                 "no critical rays (deg q = 0); pass --sector B,H")
         sector = _default_sector(data, target)
-    result = find_a_points(F, target, region, tol=args.tol, data=data,
-                           threads=args.threads)
+    result = find_a_points(F, target, region, tol=args.tol, data=data)
     report = sector_report([r.location for r in result], sector, args.r0)
     return result, report
 
@@ -202,8 +178,6 @@ def cmd_roots(args) -> int:
         region = example_region(args.example)
     else:
         raise ValueError("pass --region X0,Y0,X1,Y1")
-    RunConfig("roots", args.tol, region, args.r0, args.threads, args.out,
-              args.json)
     sector = _parse_sector(args.sector) if args.sector else None
     result, report = _roots_run(args, F, target, region, sector)
     if not args.json:
@@ -291,8 +265,7 @@ def cmd_counting(args) -> int:
         data = asymptotic_values(F, tol=1e-9)
     except DegreeZero:
         pass
-    result = find_a_points(F, target, region, tol=args.tol, data=data,
-                           threads=args.threads)
+    result = find_a_points(F, target, region, tol=args.tol, data=data)
     table = counting_functions(
         result, lambda r: log_max_modulus(F, r, data=data), rgrid)
     if not args.json:
@@ -307,14 +280,9 @@ def cmd_counting(args) -> int:
     return 0
 
 
-def _auto_terms(rho: float, radius: float) -> int:
-    """Factor count the product evaluator keeps for |z| <= radius."""
-    return core_terms(rho, radius)
-
-
 def cmd_product(args) -> int:
     z = _parse_complex(args.eval)
-    nterms = args.nterms or _auto_terms(args.rho, abs(z))
+    nterms = args.nterms or core_terms(args.rho, abs(z))
     P = CanonicalProduct(args.rho, nterms)
     value = canonical_product_eval(P, z)
     rays = canonical_one_point_rays(args.rho)
@@ -363,14 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=float, default=3.0,
                    help="modulus below which points are exempt")
     p.add_argument("--sector", help="override sector BISECTOR,HALF_OPENING")
-    p.add_argument("--threads", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("verify", help="end-to-end check of an example")
     p.add_argument("--example", type=int, choices=(1, 2), required=True)
     p.add_argument("--r0", type=float, default=3.0)
-    p.add_argument("--threads", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -397,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_flags(p)
     p.add_argument("--rgrid", required=True, help="radii R1,R2,...")
     p.add_argument("--target", default="0", help="target value RE[,IM]")
-    p.add_argument("--threads", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_counting)
 

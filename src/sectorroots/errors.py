@@ -17,10 +17,6 @@ class BoundaryTooClose(SectorRootsError):
     """f - a vanishes (or nearly vanishes) on a contour; the contour must move."""
 
 
-class DepthExceeded(SectorRootsError):
-    """Subdivision passed the depth limit, usually a tight root cluster."""
-
-
 class NoConvergence(SectorRootsError):
     """Newton iteration failed to converge from the given seed."""
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .asymptotics import DegreeZero
@@ -123,14 +121,6 @@ def roots_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("SECTORROOTS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _boundary_min_re_q(q: Polynomial, box: Box) -> float:
     """Exact minimum of Re q over the four box edges."""
     if q.degree < 1:
@@ -162,17 +152,11 @@ class _Search:
     protocol (path_evaluator/diff_sample/diff_near/diff_scaled/
     derivative_scaled/min_samples)."""
 
-    def __init__(self, model, a: complex, tol: float, threads: int):
+    def __init__(self, model, a: complex, tol: float):
         self.model = model
         self.a = a
         self.tol = tol
-        self.threads = threads
         self.clipped: list[Box] = []
-        self.pool = ThreadPoolExecutor(threads) if threads > 1 else None
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def wind(self, box: Box) -> int:
         return _wind_once(self.model, self.a, box)
@@ -197,19 +181,10 @@ class _Search:
             # patch where |f - a| sits below the proximity floor, so no
             # finer certificate exists; report the cell at the stop scale
             return [self._polish(box, count)]
-        keep = [(ch, c) for ch, c in zip(children, counts) if c > 0]
-        # only the caller's thread submits: a pool worker waiting on tasks
-        # queued behind its own could leave every worker blocked
-        if self.pool is not None and depth == 0 and len(keep) > 1:
-            futures = [self.pool.submit(self.descend, ch, c, depth + 1)
-                       for ch, c in keep]
-            out: list[RootRecord] = []
-            for fut in futures:
-                out.extend(fut.result())
-            return out
-        out = []
-        for ch, c in keep:
-            out.extend(self.descend(ch, c, depth + 1))
+        out: list[RootRecord] = []
+        for ch, c in zip(children, counts):
+            if c > 0:
+                out.extend(self.descend(ch, c, depth + 1))
         return out
 
     def _split(self, box: Box, count: int):
@@ -329,9 +304,8 @@ def _newton(model, a: complex, z0: complex, tol: float,
         f"best |f-a| = {best_res:.2e}")
 
 
-def _build_model(F: PolyExpFunction, tol: float,
-                 data=None) -> PolyExpRootModel:
-    model = PolyExpRootModel(F, tol=1e-13, data=data)
+def _build_model(F: PolyExpFunction, data=None) -> PolyExpRootModel:
+    model = PolyExpRootModel(F, data=data)
     if data is None:
         try:
             model.ensure_data()
@@ -340,10 +314,9 @@ def _build_model(F: PolyExpFunction, tol: float,
     return model
 
 
-def find_a_points(F: PolyExpFunction, a: complex, region: Box,
-                  tol: float = 1e-9, *, data=None,
-                  threads: int | None = None) -> SearchResult:
-    """Locate every a-point of f inside region.
+def search_region(model, a: complex, region: Box,
+                  tol: float) -> SearchResult:
+    """Locate every a-point of model's function inside region.
 
     Returns a SearchResult (iterable of RootRecord in sort_records order)
     whose total multiplicity equals the winding number over the
@@ -351,17 +324,15 @@ def find_a_points(F: PolyExpFunction, a: complex, region: Box,
     grown by steps of 0.3 percent (up to five) until the walk succeeds; the
     searched box is recorded in the result.
     """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     a = complex(a)
-    if threads is None:
-        threads = _default_threads()
-    model = _build_model(F, tol, data)
-
     searched = region
     top_count = None
     last: Exception | None = None
     for i in range(len(_JITTER)):
         searched = region.expanded(0.003 * i)
-        if _boundary_min_re_q(F.q, searched) > OVERFLOW_LOG - 10.0:
+        if _overflow_clipped(model, searched):
             return SearchResult([], a, region, searched, 0, [searched])
         try:
             top_count = _wind_once(model, a, searched)
@@ -373,11 +344,8 @@ def find_a_points(F: PolyExpFunction, a: complex, region: Box,
             f"region boundary {region} stayed too close to an a-point after "
             f"{len(_JITTER) - 1} retries: {last}")
 
-    search = _Search(model, a, tol, threads)
-    try:
-        records = search.descend(searched, top_count, 0)
-    finally:
-        search.close()
+    search = _Search(model, a, tol)
+    records = search.descend(searched, top_count, 0)
     records = sort_records(_dedup(records, searched.diameter))
     result = SearchResult(records, a, region, searched, top_count,
                           search.clipped)
@@ -386,6 +354,12 @@ def find_a_points(F: PolyExpFunction, a: complex, region: Box,
             f"multiplicity sum {result.total_multiplicity} != region winding "
             f"{top_count}")
     return result
+
+
+def find_a_points(F: PolyExpFunction, a: complex, region: Box,
+                  tol: float = 1e-9, *, data=None) -> SearchResult:
+    """Locate every a-point of f inside region; see search_region."""
+    return search_region(_build_model(F, data), a, region, tol)
 
 
 def _dedup(records: list[RootRecord], diameter: float) -> list[RootRecord]:
@@ -424,7 +398,7 @@ def newton_refine(F: PolyExpFunction, a: complex, z0: complex,
     returning the refined point with the smallest certified box attempted).
     """
     a = complex(a)
-    model = _build_model(F, tol, data)
+    model = _build_model(F, data)
     z, res = _newton(model, a, z0, tol, maxit)
 
     side = max(1e-7, 1e-5 * abs(z))

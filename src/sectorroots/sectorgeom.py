@@ -126,11 +126,6 @@ class RaySet:
         return RaySet(t + theta for t in self.angles)
 
 
-def contains(s: Sector, z: complex) -> bool:
-    """Closed sector membership; z = 0 is always inside."""
-    return s.contains(z)
-
-
 def minimal_cone(rays) -> Sector:
     """Smallest closed sector containing every ray of the set.
 

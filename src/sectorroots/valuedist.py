@@ -22,12 +22,11 @@ from scipy.special import zeta
 
 from .asymptotics import tail_end
 from .contour import Box, edge_points
-from .errors import (BoundaryTooClose, DegreeZero, NonPositiveLogM,
-                     TailTooLarge, ToleranceNotMet)
+from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
+                     ToleranceNotMet)
 from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
 from .polyexp import PolyExpFunction, ScaledComplex, integral_scaled_batch
-from .rootfinder import (SearchResult, _JITTER, _Search, _dedup, _wind_once,
-                         sort_records)
+from .rootfinder import SearchResult, _build_model, search_region
 from .sectorgeom import RaySet
 
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -43,16 +42,6 @@ _TAIL_EPS = 1e-18
 # Euler-Maclaurin weights B_2m/(2m)! = (-1)^(m+1) 2 zeta(2m)/(2 pi)^(2m)
 _EM_COEFFS = tuple((-1) ** (m + 1) * 2.0 * float(zeta(2.0 * m))
                    / (2.0 * math.pi) ** (2 * m) for m in range(1, 13))
-
-
-def _model_for(F: PolyExpFunction, data=None) -> PolyExpRootModel:
-    model = PolyExpRootModel(F, data=data)
-    if data is None:
-        try:
-            model.ensure_data()
-        except (DegreeZero, ToleranceNotMet):
-            model.data = None
-    return model
 
 
 def _log_abs_f(model: PolyExpRootModel, z):
@@ -124,7 +113,7 @@ def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
         raise ValueError("r must be positive and finite")
     if samples < 64:
         raise ValueError("need at least 64 circle samples")
-    model = _model_for(F, data)
+    model = _build_model(F, data)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     pts = [r * cmath.exp(1j * t) for t in thetas]
     vals = []
@@ -151,7 +140,7 @@ def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
         raise ValueError("r must be positive and finite")
     if samples < 64:
         raise ValueError("need at least 64 circle samples")
-    model = _model_for(F, data)
+    model = _build_model(F, data)
     pts = [r * cmath.exp(1j * (2.0 * math.pi * k / samples))
            for k in range(samples)]
     total = 0.0
@@ -210,7 +199,7 @@ def order_estimate(F_or_product, rgrid, *, samples: int = 128,
     else:
         model_data = data
         if model_data is None:
-            model_data = _model_for(F_or_product).data
+            model_data = _build_model(F_or_product).data
         logm = [log_max_modulus(F_or_product, r, samples, data=model_data)
                 for r in radii]
     bad = [r for r, m in zip(radii, logm) if m <= 1.0]
@@ -683,39 +672,8 @@ def find_product_a_points(P: CanonicalProduct, a: complex, region: Box,
                           tol: float = 1e-9) -> SearchResult:
     """Locate every a-point of the canonical product inside region.
 
-    Same subdivision search as the integral family, driven by the direct
-    product evaluator. The region boundary is nudged outward (up to five
-    0.3 percent steps) if it starts too close to an a-point.
+    Same subdivision search as the integral family (see
+    rootfinder.search_region), driven by the direct product evaluator.
     """
-    a = complex(a)
     r_max = max(abs(z) for z in region.expanded(0.05).corners())
-    model = CanonicalProductModel(P, r_max)
-
-    searched = region
-    top_count = None
-    last: Exception | None = None
-    for i in range(len(_JITTER)):
-        searched = region.expanded(0.003 * i)
-        try:
-            top_count = _wind_once(model, a, searched)
-            break
-        except (BoundaryTooClose, ToleranceNotMet) as exc:
-            last = exc
-    if top_count is None:
-        raise BoundaryTooClose(
-            f"region boundary {region} stayed too close to an a-point after "
-            f"{len(_JITTER) - 1} retries: {last}")
-
-    search = _Search(model, a, tol, threads=1)
-    try:
-        records = search.descend(searched, top_count, 0)
-    finally:
-        search.close()
-    records = sort_records(_dedup(records, searched.diameter))
-    result = SearchResult(records, a, region, searched, top_count,
-                          search.clipped)
-    if result.total_multiplicity != top_count:
-        raise ToleranceNotMet(
-            f"multiplicity sum {result.total_multiplicity} != region "
-            f"winding {top_count}")
-    return result
+    return search_region(CanonicalProductModel(P, r_max), a, region, tol)

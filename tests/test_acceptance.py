@@ -36,8 +36,8 @@ from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
                          kernel_integral_residue, order_estimate)
 from sectorroots.asymptotics import asymptotic_approx
 from sectorroots.catalog import gamma_quadrature
-from sectorroots.cli import _auto_terms
 from sectorroots.sectorgeom import angle_distance
+from sectorroots.valuedist import core_terms
 
 PI = math.pi
 
@@ -223,7 +223,7 @@ def test_criterion_7_order_estimates(ex1, ex2, data1, data2):
 
 def test_criterion_8_canonical_products():
     try:
-        n = _auto_terms(0.5, 1.0)
+        n = core_terms(0.5, 1.0)
         value = canonical_product_eval(CanonicalProduct(0.5, n), -1.0 + 0j)
         closed = math.sinh(PI) / PI
         eval_err = abs(value - closed)

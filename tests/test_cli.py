@@ -149,6 +149,16 @@ def test_counting_square(square_spec, tmp_path, capsys):
                                                 abs=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["counting", "--rgrid", "2,3", "--tol", "-1"],
+    ["roots", "--target", "0", "--region=-2,-2,2,2", "--sector", "0,3",
+     "--tol", "0"],
+])
+def test_bad_tolerance_errors(square_spec, capsys, argv):
+    assert main(argv + ["--spec", square_spec]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
 def test_product_auto_terms(capsys):
     code = main(["product", "--rho", "0.3333333333333333",
                  "--eval=-0.5", "--json"])

@@ -1,20 +1,15 @@
 """rootfinder: winding subdivision, isolation, refinement, determinism."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f, example,
+from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f,
                          exp_function, find_a_points, newton_refine,
                          square_minus_one)
 from sectorroots.funcmodel import PolyExpRootModel
-from sectorroots.rootfinder import (RootRecord, _build_model,
-                                    _default_threads, _newton, roots_to_csv,
-                                    sort_records)
+from sectorroots.rootfinder import (RootRecord, _build_model, _newton,
+                                    roots_to_csv, sort_records)
 
 # smallest zero pair of example 1, root of (2/sqrt(pi)) int t^2 e^{-t^2} = -1/2
 # refined with 50-digit mpmath Newton; frozen here as an independent oracle
@@ -97,39 +92,17 @@ def test_csv_schema():
     assert roots_to_csv(res.records) == text
 
 
-def test_determinism_across_threads():
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        find_a_points(square_minus_one(), 0j, Box(-2, -1, 2, 1), tol=tol)
+
+
+def test_determinism_between_runs():
     region = Box(-1, -7, 1, 7)
-    runs = [find_a_points(exp_function(), 1.0 + 0j, region, tol=1e-10,
-                          threads=t) for t in (1, 4)]
+    runs = [find_a_points(exp_function(), 1.0 + 0j, region, tol=1e-10)
+            for _ in range(2)]
     assert runs[0].to_csv() == runs[1].to_csv()
-
-
-def test_threaded_search_returns():
-    # with a two-worker pool, workers that submitted their own children
-    # waited on tasks queued behind themselves and the search never
-    # returned; a subprocess under a hard timeout turns a hang into a fail
-    code = ("from sectorroots import Box, example, find_a_points\n"
-            "print(find_a_points(example(1), 0j, Box(-4, -4, 4, 4),"
-            " threads=2).to_csv(), end='')\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    alone = find_a_points(example(1), 0j, Box(-4, -4, 4, 4), threads=1)
-    assert len(alone.records) == 10
-    assert proc.stdout == alone.to_csv()
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("SECTORROOTS_THREADS", "6")
-    assert _default_threads() == 6
-    monkeypatch.setenv("SECTORROOTS_THREADS", "not a number")
-    assert _default_threads() == 1
-    monkeypatch.delenv("SECTORROOTS_THREADS")
-    assert _default_threads() == 1
 
 
 def test_example1_smallest_zero_oracle(ex1_zeros):
@@ -154,7 +127,7 @@ def test_residuals_are_from_zero(case, ex1, data1, ex2, data2):
                      "ex2 ones": (ex2, data2, 1.0 + 0j, 3.0)}[case]
     result = find_a_points(F, a, Box(-r, -r, r, r), tol=1e-9, data=data)
     assert len(result) > 0
-    referee = _build_model(F, 1e-9, data)
+    referee = _build_model(F, data)
     for rec in result:
         assert rec.residual == referee.diff_scaled(rec.location, a).abs_value()
         assert rec.residual < 1e-9

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sectorroots import (EmptyRaySet, RaySet, Sector, angle_distance,
                          minimal_cone, sector_report, separated, wrap_angle)
-from sectorroots.sectorgeom import contains
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -112,10 +111,6 @@ def test_separated():
     assert not separated(Sector(0.0, 1.0), Sector(1.5, 1.0))
     # touching boundaries are not separated (closed sectors share a ray)
     assert not separated(Sector(0.0, 0.5), Sector(1.0, 0.5))
-
-
-def test_contains_wrapper():
-    assert contains(Sector(0.0, 0.5), 1.0 + 0.1j)
 
 
 def test_sector_report_partition():

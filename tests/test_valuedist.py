@@ -18,6 +18,7 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
                          log_max_modulus, order_estimate, square_minus_one,
                          valuedist)
 from sectorroots.cli import main
+from sectorroots.rootfinder import _build_model
 from sectorroots.valuedist import (CanonicalProductModel, CountingTable,
                                    _scaled_hurwitz)
 
@@ -147,7 +148,7 @@ def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
     # ex1 at r = 6 mixes anchored and rescued samples; ex2 at r = 11 cuts
     # its radial paths into up to 75 chunks
     F = request.getfixturevalue(f"ex{which}")
-    model = valuedist._model_for(F, request.getfixturevalue(f"data{which}"))
+    model = _build_model(F, request.getfixturevalue(f"data{which}"))
     pts = _circle(r, n)
     if which == 1:
         assert 0 < sum(model.in_rescue_zone(z) for z in pts) < n
@@ -162,7 +163,7 @@ def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
 
 
 def test_log_abs_f_batch_raises_first_failure(monkeypatch, ex1, data1):
-    model = valuedist._model_for(ex1, data1)
+    model = _build_model(ex1, data1)
     pts = _circle(6.0, 64)
     rescue = [k for k, z in enumerate(pts) if model.in_rescue_zone(z)]
     batch = valuedist.integral_scaled_batch
@@ -403,3 +404,10 @@ def test_product_root_search_small_box():
     res = find_product_a_points(P, 1.0 + 0j, Box(-5.0, -5.0, 5.0, 5.0))
     assert res.total_multiplicity == res.winding_total == 1
     assert abs(res[0].location) < 1e-9  # P(0) = 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_product_search_rejects_bad_tolerance(tol):
+    P = CanonicalProduct(1.0 / 3.0, 64)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        find_product_a_points(P, 1.0 + 0j, Box(-5.0, -5.0, 5.0, 5.0), tol=tol)
