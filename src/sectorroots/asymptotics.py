@@ -76,8 +76,11 @@ def asymptotic_values(F: PolyExpFunction, tol: float = 1e-9,
 
     The integration endpoint R on each ray is pushed out until the dropped
     tail is provably below tol / 10, then f(R e^{i phi_k}) is evaluated with
-    quadrature tolerance tol / 10.
+    quadrature tolerance tol / 10. A tol that is not positive raises
+    ValueError.
     """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     rays = critical_rays(F)
     if F.p.is_zero:
         # f is constant; every limit equals c

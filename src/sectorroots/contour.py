@@ -298,10 +298,23 @@ def _refine(pathval, s0, s1, depth: int) -> float:
     return _refine(pathval, s0, sm, depth + 1) + _refine(pathval, sm, s1, depth + 1)
 
 
+def edge_reversed(z0: complex, z1: complex) -> bool:
+    """True when the walk z0 -> z1 runs against its edge's canonical
+    orientation, which starts from the endpoint smaller by (real, imag)."""
+    return (z1.real, z1.imag) < (z0.real, z0.imag)
+
+
 def edge_points(z0: complex, z1: complex, n: int) -> list[complex]:
     """The samples of a walk along the edge z0 -> z1 after z0: max(2, n)
-    evenly spaced points, the last of them exactly z1."""
+    evenly spaced points, the last of them exactly z1.
+
+    The points are computed from the canonical endpoint (edge_reversed),
+    so the walk z1 -> z0 visits exactly the same points in reverse, bit
+    for bit.
+    """
     n = max(2, n)
+    if edge_reversed(z0, z1):
+        return edge_points(z1, z0, n)[-2::-1] + [z1]
     step = z1 - z0
     return [z0 + step * (j / n) for j in range(1, n)] + [z1]
 
@@ -314,6 +327,10 @@ def winding_count(pathval, box: Box) -> WindingResult:
     Each edge is announced by min_samples(z_from, z_to) just before it is
     walked; the walk then extends through edge_points(z_from, z_to, n), so
     an evaluator may plan the increments of the whole edge at that call.
+    The plan is canonical: an edge that two boxes share is walked through
+    the same points in both directions, provided min_samples gives the
+    same n both ways, so a shared edge can be served from the samples of
+    the earlier walk.
     """
     corners = box.corners()
     first = pathval.start(corners[0])

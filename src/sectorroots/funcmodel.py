@@ -39,7 +39,7 @@ import numpy as np
 
 from .asymptotics import (AsymptoticData, asymptotic_values, in_decay_interior,
                           sector_remainder, tail_remainder)
-from .contour import edge_points
+from .contour import edge_points, edge_reversed
 from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
                       eval_f_prime, integral_raw_batch, integral_scaled_parts)
@@ -232,7 +232,10 @@ class PolyExpRootModel:
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Initial sample count for an edge, from a bound on the phase
-        variation of exp(q) plus slack for the polynomial factor."""
+        variation of exp(q) plus slack for the polynomial factor; the same
+        in both directions."""
+        if edge_reversed(z0, z1):
+            z0, z1 = z1, z0
         qd = self.F.q_prime
         pts = [z0 + (z1 - z0) * t for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
         qmax = max(abs(qd(w)) for w in pts)
@@ -287,8 +290,9 @@ class _PolyExpPath:
     first step of a block of _PLAN_BLOCK planned steps, their increments
     are integrated as one batch (polyexp.integral_raw_batch), and the
     samples of the block are summed from the walk's last sample as arrays
-    (_block_samples). extend(prev, z) returns the next of them when prev is
-    the planned sample it last returned and z the next planned point. A
+    (_block_samples). extend(prev, z) returns the next of them when z is
+    the next planned point and prev.z the planned point before it; when
+    prev is not the sample it last returned, the sums restart from prev. A
     sample that fails the headroom rule is re-anchored as in the scalar
     walk, and the rest of the block is summed again from it; a planned
     increment whose quadrature failed raises when the walk reaches it. Any
@@ -405,7 +409,13 @@ class _PolyExpPath:
 
     def extend(self, prev: PathSample, z: complex) -> PathSample:
         j = self._pos + 1
-        if prev is self._last and j < len(self._edge) and z == self._edge[j]:
+        edge = self._edge
+        if j < len(edge) and z == edge[j] and prev.z == edge[j - 1]:
+            if prev is not self._last:
+                # the walk goes on from a sample summed elsewhere (a
+                # corner served by the caller): sum the block from it
+                self._last = prev
+                self._ahead = ([], [], [], [])
             return self._planned(j)
         return self._build(complex(z), prev)
 
@@ -416,7 +426,4 @@ class _PolyExpPath:
         self._pos = 0
         self._inc_lo = self._inc_hi = 0
         self._ahead = ([], [], [], [])
-        if self._last is not None and self._last.z != z0:
-            # the walk does not continue from the last planned sample
-            self._last = None
         return n

@@ -11,6 +11,13 @@ sector are not searched; they are reported as clipped in the result so the
 omission is visible. Boundary walks that pass too close to an a-point are
 retried with the box (or the subdivision crosshair) jittered by about one
 percent of the side length, five times, before the failure propagates.
+
+Every walk of one search (one model, one target) goes through one shared
+memo, _SharedWalk. Sibling boxes walk their common crosshair spokes in
+opposite directions, and neighbouring boxes share corners; the memo serves
+an edge's samples to the second walk along it, in reverse, and a corner's
+sample to every later walk that starts or arrives there. The memo lives as
+long as the search and is dropped with it.
 """
 
 from __future__ import annotations
@@ -19,13 +26,15 @@ import io
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .asymptotics import DegreeZero
-from .contour import Box, winding_count
+from .contour import Box, edge_points, edge_reversed, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
-from .funcmodel import PolyExpRootModel
+from .funcmodel import PathSample, PolyExpRootModel
 from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction,
-                      segments_re_q_max)
+                      ScaledComplex, segments_re_q_max)
 
 # stop subdividing an isolated root below this box diameter
 _DIAM_STOP = 1e-3
@@ -131,10 +140,6 @@ def _boundary_min_re_q(q: Polynomial, box: Box) -> float:
     return -float(segments_re_q_max(neg, corners, corners[1:] + corners[:1]).max())
 
 
-def _wind_once(model, a: complex, box: Box) -> int:
-    return winding_count(model.path_evaluator(a), box).count
-
-
 def _overflow_clipped(model, box: Box) -> bool:
     """True when every f on the box boundary overflows past rescue.
 
@@ -147,19 +152,101 @@ def _overflow_clipped(model, box: Box) -> bool:
     return _boundary_min_re_q(F.q, box) > OVERFLOW_LOG - 10.0
 
 
+class _SharedWalk:
+    """Path evaluator for every walk of one search: serves the edges and
+    corners that an earlier walk of the search evaluated, and passes every
+    other sample to inner, the model's path evaluator for the target.
+
+    edges maps the canonical endpoints of an edge (contour.edge_reversed)
+    to (n, samples): n is what min_samples gave for it, and samples is a
+    (3, n - 1) array of log|w|, arg w and error log at its interior points
+    in canonical order. An edge is stored once its walk has returned its
+    last interior sample, so a walk that raises partway stores nothing for
+    that edge. An edge borders at most two boxes of the quadtree, so its
+    entry is popped when it is served. corners maps a point to the sample a
+    walk started at or ended an edge on. Bisection midpoints always go to
+    inner.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.edges: dict = {}
+        self.corners: dict = {}
+        # the edge being walked: its planned points, the index of the next
+        # one, its key and n, whether the walk runs against the canonical
+        # orientation, and the samples served (walk order) or returned
+        self._pts: list[complex] = []
+        self._next = 0
+        self._key = None
+        self._n = 0
+        self._flip = False
+        self._served = None
+        self._walked: list[PathSample] = []
+
+    def start(self, z: complex) -> PathSample:
+        s = self.corners.get(z)
+        if s is None:
+            s = self.corners[z] = self.inner.start(z)
+        return s
+
+    def min_samples(self, z0: complex, z1: complex) -> int:
+        flip = edge_reversed(z0, z1)
+        key = (z1, z0) if flip else (z0, z1)
+        hit = self.edges.pop(key, None)
+        if hit is None:
+            n = self.inner.min_samples(z0, z1)
+            self._served = None
+            self._walked = []
+        else:
+            n, samples = hit
+            self._served = (samples[:, ::-1] if flip else samples).tolist()
+        self._pts = edge_points(z0, z1, n)
+        self._next = 0
+        self._key, self._n, self._flip = key, n, flip
+        return n
+
+    def extend(self, prev: PathSample, z: complex) -> PathSample:
+        k = self._next
+        pts = self._pts
+        if k >= len(pts) or z != pts[k]:
+            return self.inner.extend(prev, z)
+        self._next = k + 1
+        if k == len(pts) - 1:
+            s = self.corners.get(z)
+            if s is None:
+                s = self.corners[z] = self.inner.extend(prev, z)
+            return s
+        served = self._served
+        if served is not None:
+            return PathSample(z, ScaledComplex(served[0][k], served[1][k]),
+                              served[2][k])
+        s = self.inner.extend(prev, z)
+        self._walked.append(s)
+        if k == len(pts) - 2:
+            self._store()
+        return s
+
+    def _store(self) -> None:
+        samples = np.array([(s.w.logmag, s.w.phase, s.err_log)
+                            for s in self._walked]).T
+        self.edges[self._key] = (self._n,
+                                 samples[:, ::-1] if self._flip else samples)
+
+
 class _Search:
     """Recursive winding subdivision over any model exposing the sample
     protocol (path_evaluator/diff_sample/diff_near/diff_scaled/
-    derivative_scaled/min_samples)."""
+    derivative_scaled/min_samples). Its walks share one _SharedWalk."""
 
     def __init__(self, model, a: complex, tol: float):
         self.model = model
         self.a = a
         self.tol = tol
         self.clipped: list[Box] = []
+        self.path = _SharedWalk(model.path_evaluator(a))
 
     def wind(self, box: Box) -> int:
-        return _wind_once(self.model, self.a, box)
+        return winding_count(self.path, box).count
 
     def descend(self, box: Box, count: int, depth: int) -> list[RootRecord]:
         if count == 0:
@@ -327,6 +414,7 @@ def search_region(model, a: complex, region: Box,
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     a = complex(a)
+    search = _Search(model, a, tol)
     searched = region
     top_count = None
     last: Exception | None = None
@@ -335,7 +423,7 @@ def search_region(model, a: complex, region: Box,
         if _overflow_clipped(model, searched):
             return SearchResult([], a, region, searched, 0, [searched])
         try:
-            top_count = _wind_once(model, a, searched)
+            top_count = search.wind(searched)
             break
         except (BoundaryTooClose, ToleranceNotMet) as exc:
             last = exc
@@ -344,7 +432,6 @@ def search_region(model, a: complex, region: Box,
             f"region boundary {region} stayed too close to an a-point after "
             f"{len(_JITTER) - 1} retries: {last}")
 
-    search = _Search(model, a, tol)
     records = search.descend(searched, top_count, 0)
     records = sort_records(_dedup(records, searched.diameter))
     result = SearchResult(records, a, region, searched, top_count,
@@ -407,7 +494,7 @@ def newton_refine(F: PolyExpFunction, a: complex, z0: complex,
     for _ in range(6):
         cand = Box(z.real - side, z.imag - side, z.real + side, z.imag + side)
         try:
-            count = _wind_once(model, a, cand)
+            count = winding_count(model.path_evaluator(a), cand).count
         except (BoundaryTooClose, ToleranceNotMet):
             side *= 8.0
             continue

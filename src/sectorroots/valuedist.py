@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .asymptotics import tail_end
-from .contour import Box, edge_points
+from .contour import Box, edge_points, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
                      ToleranceNotMet)
 from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
@@ -569,8 +569,12 @@ class CanonicalProductModel:
         return _ProductPath(self, complex(a))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
+        """Sample count for an edge from the phase its nearby zeros can
+        turn; the same in both directions."""
         z0 = complex(z0)
         z1 = complex(z1)
+        if edge_reversed(z0, z1):
+            z0, z1 = z1, z0
         d = z1 - z0
         L = abs(d)
         if L == 0.0 or len(self._near) == 0:

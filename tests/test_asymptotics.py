@@ -116,6 +116,12 @@ def test_tail_remainder_rejects_growth_cone(ex1):
         tail_remainder(ex1, 3.0j)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_asymptotic_values_rejects_nonpositive_tol(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        asymptotic_values(exp_function(), tol=tol)
+
+
 def test_accumulation_rays_example1(data1):
     zeros = accumulation_rays_analytic(data1, 0j)
     ones = accumulation_rays_analytic(data1, 1.0 + 0j)

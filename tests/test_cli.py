@@ -69,6 +69,20 @@ def test_rays_constant_function_errors(const_spec, capsys):
     assert "no critical rays" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--example", "1", "--target", "0", "--tol", "0"],
+    ["roots", "--example", "1", "--target", "0", "--tol", "nan"],
+    ["verify", "--example", "1", "--tol", "0"],
+    ["verify", "--example", "1", "--tol", "nan"],
+    ["rays", "--example", "1", "--tol", "0"],
+    ["rays", "--example", "1", "--tol", "-1"],
+    ["rays", "--example", "1", "--tol", "nan"],
+])
+def test_nonpositive_tolerance_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
 def test_missing_function_source_errors(capsys):
     assert main(["order", "--rgrid", "4,6,9,13"]) == 2
     assert "error" in capsys.readouterr().err

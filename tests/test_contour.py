@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from sectorroots import (Box, BoundaryTooClose, ToleranceNotMet,
+from sectorroots import (Box, BoundaryTooClose, ToleranceNotMet, example2,
                          winding_number)
 from sectorroots import funcmodel
 from sectorroots.contour import (_PASS_ROWS, edge_points,
@@ -14,6 +16,7 @@ from sectorroots.contour import (_PASS_ROWS, edge_points,
                                  winding_count)
 from sectorroots import exp_function, square_minus_one
 from sectorroots.funcmodel import PolyExpRootModel
+from sectorroots.valuedist import CanonicalProduct, CanonicalProductModel
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -317,6 +320,36 @@ def test_edges_end_on_their_corners_bit_for_bit():
         last = rec.edges[i][1][-1]
         assert (last.real, last.imag) == (corners[i + 1].real,
                                           corners[i + 1].imag)
+
+
+def _bits(points):
+    return [(z.real.hex(), z.imag.hex()) for z in points]
+
+
+_PLAN_MODELS = (PolyExpRootModel(example2()),
+                CanonicalProductModel(CanonicalProduct(0.5, 64), 60.0))
+
+
+@given(x0=st.floats(-40.0, 40.0), y0=st.floats(-40.0, 40.0),
+       x1=st.floats(-40.0, 40.0), y1=st.floats(-40.0, 40.0),
+       n=st.integers(0, 600))
+# the box of test_edges_end_on_their_corners_bit_for_bit
+@example(x0=-0.3, y0=0.1, x1=0.9, y1=0.8, n=9)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_edge_plans_are_canonical(x0, y0, x1, y1, n):
+    # down to sides below newton_refine's smallest certificate box (2e-7)
+    assume(x1 - x0 > 1e-8 and y1 - y0 > 1e-8)
+    box = Box(x0, y0, x1, y1)
+    corners = box.corners()
+    for i in range(4):
+        z0, z1 = corners[i], corners[(i + 1) % 4]
+        # the walk back visits exactly the points of the walk out, reversed
+        assert _bits(edge_points(z1, z0, n)) == _bits(
+            edge_points(z0, z1, n)[-2::-1] + [z0])
+        assert _bits(edge_points(z0, z1, n)) == _bits(
+            edge_points(z1, z0, n)[-2::-1] + [z1])
+        for model in _PLAN_MODELS:
+            assert model.min_samples(z0, z1) == model.min_samples(z1, z0)
 
 
 def test_planned_increment_failure_raises_at_its_position(monkeypatch):

@@ -102,9 +102,12 @@ def test_pinned_windings(case, request, monkeypatch):
         assert mid_block
 
 
+# walk starts and re-anchors of a whole search; the search's shared walk
+# serves every corner and edge an earlier walk evaluated (314, 48 and 365,
+# 77 without it)
 @pytest.mark.parametrize("name, box, near, anchored", [
-    ("ex1", (-8, -8, 8, 8), 314, 48),
-    ("ex2", (-4, -4, 4, 4), 365, 77),
+    ("ex1", (-8, -8, 8, 8), 95, 28),
+    ("ex2", (-4, -4, 4, 4), 147, 59),
 ])
 def test_search_anchor_calls_pinned(name, box, near, anchored, request,
                                     monkeypatch):
@@ -125,6 +128,91 @@ def test_search_anchor_calls_pinned(name, box, near, anchored, request,
     result = find_a_points(F, 0j, Box(*box), tol=1e-9, data=data)
     assert result.total_multiplicity == result.winding_total
     assert (record["near"], record["anchored"]) == (near, anchored)
+
+
+def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
+    wound = []
+    walk = rootfinder.winding_count
+
+    def recorded(pathval, box):
+        result = walk(pathval, box)
+        wound.append((box, result.count))
+        return result
+
+    monkeypatch.setattr(rootfinder, "winding_count", recorded)
+    result = find_a_points(ex2, 0j, Box(-4, -4, 4, 4), tol=1e-9, data=data2)
+    assert result.total_multiplicity == result.winding_total == 32
+    assert len(wound) > 200
+    model = rootfinder._build_model(ex2, data2)
+    for box, count in wound:
+        assert walk(model.path_evaluator(0j), box).count == count
+
+
+@pytest.mark.parametrize("box, stored", [
+    (Box(1, -0.5, 2, 0.5), 3),     # the last edge runs through the zero at 1
+    (Box(0.25, -0.5, 1, 0.5), 1),  # the second edge does
+    (Box(1, 0, 2, 1), 0),          # the walk starts on it
+])
+def test_walk_raising_mid_edge_stores_no_edge(box, stored):
+    path = rootfinder._SharedWalk(
+        PolyExpRootModel(square_minus_one()).path_evaluator(0j))
+    with pytest.raises(BoundaryTooClose):
+        winding_count(path, box)
+    # only the edges walked to their end before the zero are stored
+    assert len(path.edges) == stored
+    for z0, z1 in path.edges:
+        assert not (min(z0.real, z1.real) <= 1.0 <= max(z0.real, z1.real)
+                    and min(z0.imag, z1.imag) <= 0.0
+                    <= max(z0.imag, z1.imag))
+
+
+class _Noted:
+    """Path evaluator proxy that notes every sample it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.samples = []
+
+    def start(self, z):
+        self.samples.append(self.inner.start(z))
+        return self.samples[-1]
+
+    def extend(self, prev, z):
+        self.samples.append(self.inner.extend(prev, z))
+        return self.samples[-1]
+
+    def min_samples(self, z0, z1):
+        return self.inner.min_samples(z0, z1)
+
+
+def test_served_edge_is_popped(ex1, data1):
+    model = rootfinder._build_model(ex1, data1)
+    path = rootfinder._SharedWalk(model.path_evaluator(0j))
+    left, right = Box(-2, -2, 2, 2).split()[:2]
+    spoke = (-2j, 0j)
+    fresh = [winding_count(model.path_evaluator(0j), b).count
+             for b in (left, right)]
+    assert sum(fresh) > 0
+    assert winding_count(path, left).count == fresh[0]
+    n, samples = path.edges[spoke]
+    assert samples.shape == (3, n - 1)
+    assert set(path.corners) == set(left.corners())
+
+    path.inner = inner = _Noted(path.inner)
+    outer = _Noted(path)
+    assert winding_count(outer, right).count == fresh[1]
+    # the right box walks the spoke 0 -> -2i last, from the stored samples
+    assert spoke not in path.edges
+    plan = edge_points(0j, -2j, n)
+    on_spoke = [s for s in outer.samples if s.z in plan[:-1]]
+    assert [s.z for s in on_spoke] == plan[:-1]
+    assert [s.w.logmag for s in on_spoke] == samples[0, ::-1].tolist()
+    assert [s.w.phase for s in on_spoke] == samples[1, ::-1].tolist()
+    assert [s.err_log for s in on_spoke] == samples[2, ::-1].tolist()
+    # the inner evaluator took none of the spoke's points, nor the corners
+    # 0 and -2i (the start) that the left box evaluated
+    assert not (set(plan) | {0j}) & {s.z for s in inner.samples}
+    assert set(path.corners) == set(left.corners()) | set(right.corners())
 
 
 def _sequential(w, err, val, m, inc_err):
