@@ -8,7 +8,7 @@ from .asymptotics import (AsymptoticData, accumulation_rays_analytic,
                           asymptotic_values, critical_rays)
 from .catalog import (example, example1, example2, example_region,
                       exp_function, gamma_quadrature, square_minus_one)
-from .contour import Box, WindingResult, winding_number
+from .contour import Box, WindingResult
 from .errors import (BoundViolated, BoundaryTooClose, CounterexampleFound,
                      DegreeZero, DerivativeVanishes, EmptyRaySet,
                      NearCriticalZero, NoConvergence, NonPositiveLogM,
@@ -57,5 +57,5 @@ __all__ = [
     "kernel_integral_quadrature", "kernel_integral_residue", "kernel_report",
     "load_function", "log_max_modulus", "minimal_cone", "newton_refine",
     "order_estimate", "roots_to_csv", "save_function", "sector_report",
-    "separated", "square_minus_one", "winding_number", "wrap_angle",
+    "separated", "square_minus_one", "wrap_angle",
 ]

@@ -20,9 +20,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import polyexp
 from .errors import DegreeZero, NearCriticalZero, ToleranceNotMet
-from .polyexp import (PolyExpFunction, ScaledComplex, eval_f, eval_scaled_exp,
-                      integral_scaled)
+from .polyexp import PolyExpFunction, ScaledComplex, eval_f, eval_scaled_exp
 from .sectorgeom import TWO_PI, angle_distance, wrap_angle
 
 
@@ -181,7 +181,9 @@ def tail_remainder(F: PolyExpFunction, z: complex,
     double-precision evaluation.
     """
     z = complex(z)
-    return integral_scaled(F, z, tail_end(F, z), tol).neg()
+    # through the module, so that a wrapper installed on
+    # polyexp.integral_scaled_parts sees this call too
+    return polyexp.integral_scaled_parts(F, z, tail_end(F, z), tol)[0].neg()
 
 
 def accumulation_rays_analytic(data: AsymptoticData, target: complex,

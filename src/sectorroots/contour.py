@@ -356,14 +356,3 @@ def winding_count(pathval, box: Box) -> WindingResult:
             f"winding phase defect {roundoff:.3f} too large (raw {raw:.6f})")
     return WindingResult(count=count, raw=complex(raw), roundoff=roundoff)
 
-
-def winding_number(F, a: complex, box: Box, tol: float = 1e-10) -> WindingResult:
-    """Winding number of f - a on the box boundary for a PolyExpFunction.
-
-    Thin wrapper building the standard path evaluator; use find_a_points for
-    searches that need decay-sector rescue or clipping.
-    """
-    from .funcmodel import PolyExpRootModel  # deferred: funcmodel uses this module
-
-    model = PolyExpRootModel(F, tol=tol)
-    return winding_count(model.path_evaluator(complex(a)), box)

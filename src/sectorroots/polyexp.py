@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OverflowRegion, ToleranceNotMet
+from .errors import OverflowRegion
 
 # Largest exponent allowed in plain double-precision evaluation. exp(690)
 # is near 1e299, which leaves headroom for the polynomial factor.
@@ -348,11 +348,6 @@ def segments_re_q_max(q: Polynomial, z0, z1) -> np.ndarray:
     return _segment_data(q, z0, np.asarray(z1) - z0)[0]
 
 
-def segment_re_q_max(q: Polynomial, z0: complex, z1: complex) -> float:
-    """Exact max of Re q on the straight segment [z0, z1]."""
-    return float(segments_re_q_max(q, (z0,), (z1,))[0])
-
-
 def _chunk_counts(swing: np.ndarray) -> np.ndarray:
     """Split count keeping the phase swing of exp(q) moderate per chunk.
 
@@ -388,26 +383,14 @@ def _quadrature(F: PolyExpFunction, z0: np.ndarray, delta: np.ndarray,
         _phase_noise(mag))
 
 
-def _chunk_parts(F: PolyExpFunction, z0: np.ndarray, delta: np.ndarray,
-                 m: np.ndarray, mag: np.ndarray, tol: float) -> list:
-    """Scaled integrals of p exp(q) over the segments [z0, z0 + delta], one
-    GK batch, each with exp(q) factored at its segment's max m of Re q."""
-    vals, bounds, failures = _quadrature(F, z0, delta, m, mag, tol)
-    return [failures[i] if i in failures else _scaled_part(v, e, mi)
-            for i, (v, e, mi) in enumerate(zip(vals.tolist(), bounds.tolist(),
-                                               m.tolist()))]
-
-
-def _scaled_part(val: complex, err: float, m: float) -> tuple[ScaledComplex, float]:
-    """(value, err_log) of an integral computed with exp(q) scaled by
-    exp(-m): val and its absolute error bound err, shifted back by m."""
-    if err == 0.0:
+def _scaled_part(val: complex, m: float,
+                 err_log: float) -> tuple[ScaledComplex, float]:
+    """(value, err_log) of the integral val * exp(m) whose absolute error
+    bound is exp(err_log)."""
+    if err_log == -math.inf:
         # zero length (or a zero integrand): nothing to add, no error
-        return ScaledComplex.zero(), -math.inf
-    if val == 0:
-        return ScaledComplex.zero(), m + math.log(err)
-    return (ScaledComplex(math.log(abs(val)) + m, math.atan2(val.imag, val.real)),
-            m + math.log(err))
+        return ScaledComplex.zero(), err_log
+    return ScaledComplex.from_complex(val).shift(m), err_log
 
 
 def _chunks(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
@@ -428,39 +411,19 @@ def _chunks(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
     return n, seg, c0, cd, cm, cmag
 
 
-def integral_scaled_batch(F: PolyExpFunction, z0, z1,
-                          tol: float = 1e-12) -> list:
-    """integral_scaled_parts for the segments [z0[i], z1[i]] in one batch.
-
-    Returns one entry per segment: (value, err_log), or the ToleranceNotMet
-    its quadrature ended with, so that a caller taking the segments in
-    order raises it at that segment. Segments with a large phase swing are
-    cut into chunks, and the chunks of every segment go to the quadrature
-    together. A segment's result does not depend on the rest of the batch
-    beyond rounding: BLAS may sum one row of a larger matrix product in a
-    different order.
-    """
-    z0 = np.asarray(z0, dtype=complex)
-    z1 = np.asarray(z1, dtype=complex)
-    delta = z1 - z0
-    m, mag, swing = _segment_data(F.q, z0, delta)
-    if not (swing > 60.0).any():
-        return _chunk_parts(F, z0, delta, m, mag, tol)
-    n, _, c0, cd, cm, cmag = _chunks(F, z0, z1, swing)
-    chunks = iter(_chunk_parts(F, c0, cd, cm, cmag, tol))
-    return [_sum_parts([next(chunks) for _ in range(ni)]) for ni in n.tolist()]
-
-
 def integral_raw_batch(F: PolyExpFunction, z0, z1, tol: float = 1e-12):
-    """integral_scaled_batch as arrays, for callers that sum the integrals
-    in numpy: (val, m, err_log, failures).
+    """The integrals of p exp(q) over the segments [z0[i], z1[i]] in one
+    quadrature batch, as arrays: (val, m, err_log, failures).
 
     Segment i's integral is val[i] * exp(m[i]), with log absolute error
     bound err_log[i] (-inf, with val[i] = 0, for a zero-length segment);
     failures maps the index of every segment whose quadrature failed to
-    its ToleranceNotMet, and val and err_log mean nothing there. The
-    chunks of a segment are summed at the largest of their scales. Values
-    agree with integral_scaled_batch to rounding.
+    its ToleranceNotMet, and val and err_log mean nothing there. Segments
+    with a large phase swing are cut into chunks, the chunks of every
+    segment go to the quadrature together, and the chunks of a segment are
+    summed at the largest of their scales. A segment's result does not
+    depend on the rest of the batch beyond rounding: BLAS may sum one row
+    of a larger matrix product in a different order.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
@@ -481,18 +444,6 @@ def integral_raw_batch(F: PolyExpFunction, z0, z1, tol: float = 1e-12):
     return vals, m, err_log, failures
 
 
-def _sum_parts(parts: list):
-    """Sum of chunk results in order; the first failed chunk fails all."""
-    total = ScaledComplex.zero()
-    err_acc = -math.inf
-    for part in parts:
-        if isinstance(part, ToleranceNotMet):
-            return part
-        total = total.add(part[0])
-        err_acc = _logaddexp(err_acc, part[1])
-    return total, err_acc
-
-
 def _one_segment_parts(F: PolyExpFunction, z0: complex, z1: complex,
                        tol: float) -> tuple[ScaledComplex, float]:
     """integral_scaled_parts for one segment of nonzero length: a k = 1
@@ -503,40 +454,33 @@ def _one_segment_parts(F: PolyExpFunction, z0: complex, z1: complex,
     za = np.array([z0, z1])
     m, mag, swing = _segment_data(F.q, za[:1], za[1:] - za[:1])
     if swing[0] > 60.0:
-        part = integral_scaled_batch(F, za[:1], za[1:], tol)[0]
-        if isinstance(part, ToleranceNotMet):
-            raise part
-        return part
+        val, m, err_log, failures = integral_raw_batch(F, za[:1], za[1:], tol)
+        if failures:
+            raise failures[0]
+        return _scaled_part(complex(val[0]), float(m[0]), float(err_log[0]))
     mq = float(m[0])
     val, err = integrate_segment_err(
         lambda z: _scaled_integrand(F, z, mq), z0, z1, tol,
         noise=_phase_noise(float(mag[0])))
-    return _scaled_part(val, err, mq)
+    return _scaled_part(val, mq, mq + math.log(err) if err else -math.inf)
 
 
 def integral_scaled_parts(F: PolyExpFunction, z0: complex, z1: complex,
                           tol: float = 1e-12) -> tuple[ScaledComplex, float]:
-    """integral_scaled plus the log of its attained absolute error bound.
+    """int_{z0}^{z1} p exp(q) along the straight segment, in scaled form,
+    and the log of its attained absolute error bound.
 
-    The error bound covers quadrature truncation and the machine roundoff
-    floor of the samples, in the same (true, unscaled) units as the value.
+    The exponential is factored at the path maximum of Re q, so the working
+    integrand is bounded by |p| and the result keeps full relative accuracy
+    for arbitrarily large or small magnitudes. The error bound covers
+    quadrature truncation and the machine roundoff floor of the samples,
+    in the same (true, unscaled) units as the value.
     """
     z0 = complex(z0)
     z1 = complex(z1)
     if z0 == z1:
         return ScaledComplex.zero(), -math.inf
     return _one_segment_parts(F, z0, z1, tol)
-
-
-def integral_scaled(F: PolyExpFunction, z0: complex, z1: complex,
-                    tol: float = 1e-12) -> ScaledComplex:
-    """int_{z0}^{z1} p exp(q) along the straight segment, in scaled form.
-
-    The exponential is factored at the path maximum of Re q, so the working
-    integrand is bounded by |p| and the result keeps full relative accuracy
-    for arbitrarily large or small magnitudes.
-    """
-    return integral_scaled_parts(F, z0, z1, tol)[0]
 
 
 def eval_f(F: PolyExpFunction, z: complex, tol: float = 1e-12) -> complex:
@@ -548,11 +492,11 @@ def eval_f(F: PolyExpFunction, z: complex, tol: float = 1e-12) -> complex:
     z = complex(z)
     if z == 0:
         return complex(F.c)
-    m = segment_re_q_max(F.q, 0j, z)
+    m = segments_re_q_max(F.q, [0j], [z])[0]
     if m > OVERFLOW_LOG:
         raise OverflowRegion(
             f"Re q reaches {m:.1f} > {OVERFLOW_LOG:.0f} on [0, {z}]")
-    val = integral_scaled(F, 0j, z, tol)
+    val = integral_scaled_parts(F, 0j, z, tol)[0]
     return complex(F.c) + val.to_complex()
 
 
@@ -566,7 +510,7 @@ def eval_f_scaled(F: PolyExpFunction, z: complex, tol: float = 1e-12) -> ScaledC
     base = ScaledComplex.from_complex(complex(F.c))
     if z == 0:
         return base
-    return base.add(integral_scaled(F, 0j, z, tol))
+    return base.add(integral_scaled_parts(F, 0j, z, tol)[0])
 
 
 # ---------------------------------------------------------------------------

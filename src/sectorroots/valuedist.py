@@ -25,7 +25,7 @@ from .contour import Box, edge_points, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
                      ToleranceNotMet)
 from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
-from .polyexp import PolyExpFunction, ScaledComplex, integral_scaled_batch
+from .polyexp import PolyExpFunction, ScaledComplex, integral_raw_batch
 from .rootfinder import SearchResult, _build_model, search_region
 from .sectorgeom import RaySet
 
@@ -67,18 +67,20 @@ def _log_abs_f(model: PolyExpRootModel, z):
             errors[i] = exc
             # a zero-length stand-in; the error is raised in its place
             ends.append(w)
-    parts = integral_scaled_batch(F, starts, ends, model.tol)
+    val, m, _, failures = integral_raw_batch(F, starts, ends, model.tol)
     c = ScaledComplex.from_complex(complex(F.c))
     out = []
-    for i, (w, tail, part) in enumerate(zip(pts, rescue, parts)):
+    for i, (w, tail, v, mi) in enumerate(zip(pts, rescue, val.tolist(),
+                                             m.tolist())):
         if i in errors:
             raise errors[i]
-        if isinstance(part, ToleranceNotMet):
-            raise part
+        if i in failures:
+            raise failures[i]
+        part = ScaledComplex.from_complex(v).shift(mi)
         if tail:
-            out.append(model.rescued(w, 0j, part[0].neg()).logmag)
+            out.append(model.rescued(w, 0j, part.neg()).logmag)
         else:
-            out.append(c.add(part[0]).logmag)
+            out.append(c.add(part).logmag)
     return out if np.ndim(z) else out[0]
 
 
@@ -102,31 +104,39 @@ def _golden_max(g, lo: float, hi: float, iters: int = 48):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
-                    *, data=None) -> float:
-    """Natural log of max |f| on the circle |z| = r.
-
-    Scans `samples` equispaced directions, then polishes the best one with
-    a golden-section pass over the bracketing arc.
-    """
+def _check_circle(r: float, samples: int) -> None:
     if not 0.0 < r < math.inf:
         raise ValueError("r must be positive and finite")
     if samples < 64:
         raise ValueError("need at least 64 circle samples")
-    model = _build_model(F, data)
+
+
+def _circle_max(log_abs, r: float, samples: int) -> float:
+    """Max of log_abs on the circle |z| = r.
+
+    Scans `samples` equispaced directions, then polishes the best one with
+    a golden-section pass over the bracketing arc. log_abs takes a list of
+    points and returns their values: _CIRCLE_BLOCK points per call in the
+    scan, one in the polish.
+    """
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     pts = [r * cmath.exp(1j * t) for t in thetas]
     vals = []
     for lo in range(0, samples, _CIRCLE_BLOCK):
-        vals += _log_abs_f(model, pts[lo:lo + _CIRCLE_BLOCK])
+        vals += log_abs(pts[lo:lo + _CIRCLE_BLOCK])
     j = int(np.argmax(vals))
     step = 2.0 * math.pi / samples
-
-    def g(t: float) -> float:
-        return _log_abs_f(model, r * cmath.exp(1j * t))
-
-    _, polished = _golden_max(g, thetas[j] - step, thetas[j] + step)
+    _, polished = _golden_max(lambda t: log_abs([r * cmath.exp(1j * t)])[0],
+                              thetas[j] - step, thetas[j] + step)
     return max(float(vals[j]), float(polished))
+
+
+def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
+                    *, data=None) -> float:
+    """Natural log of max |f| on the circle |z| = r, by _circle_max."""
+    _check_circle(r, samples)
+    model = _build_model(F, data)
+    return _circle_max(lambda pts: _log_abs_f(model, pts), r, samples)
 
 
 def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
@@ -136,10 +146,7 @@ def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
     On the periodic circle the rectangle rule is spectrally accurate as
     long as no zero of f sits on (or hugs) the circle.
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
-    if samples < 64:
-        raise ValueError("need at least 64 circle samples")
+    _check_circle(r, samples)
     model = _build_model(F, data)
     pts = [r * cmath.exp(1j * (2.0 * math.pi * k / samples))
            for k in range(samples)]
@@ -580,7 +587,8 @@ class CanonicalProductModel:
         if L == 0.0 or len(self._near) == 0:
             return 12
         t = ((self._near - z0.real) * d.real + (0.0 - z0.imag) * d.imag)
-        t = np.clip(t / (L * L), 0.0, 1.0)
+        # L * L underflows to 0 on edges shorter than about 1e-154
+        t = np.clip(t / L / L, 0.0, 1.0)
         px = z0.real + t * d.real
         py = z0.imag + t * d.imag
         dist = np.hypot(self._near - px, py)
@@ -655,21 +663,13 @@ class _ProductPath:
         return n
 
 
-def _product_log_max(P: CanonicalProduct, r: float, samples: int = 128,
-                     model: CanonicalProductModel | None = None) -> float:
-    """max log|P| on |z| = r by circle scan plus golden polish."""
-    if samples < 64:
-        raise ValueError("need at least 64 circle samples")
-    if model is None:
-        model = CanonicalProductModel(P, r)
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    vals = [model.log_abs(r * cmath.exp(1j * t)) for t in thetas]
-    j = int(np.argmax(vals))
-    step = 2.0 * math.pi / samples
-    _, polished = _golden_max(
-        lambda t: model.log_abs(r * cmath.exp(1j * t)),
-        thetas[j] - step, thetas[j] + step)
-    return max(float(vals[j]), float(polished))
+def _product_log_max(P: CanonicalProduct, r: float,
+                     samples: int = 128) -> float:
+    """max log|P| on |z| = r, by _circle_max."""
+    _check_circle(r, samples)
+    model = CanonicalProductModel(P, r)
+    return _circle_max(lambda pts: [model.log_abs(z) for z in pts], r,
+                       samples)
 
 
 def find_product_a_points(P: CanonicalProduct, a: complex, region: Box,

@@ -19,8 +19,7 @@ from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
                          square_minus_one)
 from sectorroots import ToleranceNotMet, polyexp
 from sectorroots.polyexp import (_logaddexp, eval_f_prime, eval_scaled_exp,
-                                 integral_raw_batch, integral_scaled_batch,
-                                 integral_scaled_parts, segment_re_q_max,
+                                 integral_raw_batch, integral_scaled_parts,
                                  segments_re_q_max)
 
 mp.mp.dps = 30
@@ -182,7 +181,7 @@ def test_segment_re_q_max_dense_oracle():
         z1 = complex(*rng.normal(size=2))
         ts = np.linspace(0.0, 1.0, 20001)
         dense = np.max(q(z0 + ts * (z1 - z0)).real)
-        exact = segment_re_q_max(q, z0, z1)
+        exact = segments_re_q_max(q, [z0], [z1])[0]
         assert exact >= dense - 1e-9
         assert exact <= dense + 1e-6
 
@@ -205,64 +204,50 @@ def test_segment_re_q_max_dense_oracle():
                 dense = np.max(poly(a[i] + ts * (b[i] - a[i])).real)
                 assert dense - 1e-9 <= got[i] <= dense + 1e-6, (deg, i)
                 # a row of a larger matrix product may round differently
-                alone = segment_re_q_max(poly, a[i], b[i])
+                alone = segments_re_q_max(poly, a[i:i + 1], b[i:i + 1])[0]
                 assert abs(got[i] - alone) <= 1e-14 * (1.0 + abs(alone))
 
 
-def test_integral_parts_error_bound_honest(ex2):
+def _ex2_integral(z0, z1):
+    """mpmath oracle: the integral of ex2's p exp(q) over [z0, z1]."""
     a = 1.0 / mp.gamma(mp.mpf(4) / 3)
     b = 1.0 / mp.gamma(mp.mpf(2) / 3)
+    g = lambda t: (a * t ** 3 + b * t) * mp.e ** (-t ** 3)
+    return complex(mp.quad(g, [mp.mpc(z0), mp.mpc(z1)]))
 
-    def oracle(z0, z1):
-        g = lambda t: (a * t ** 3 + b * t) * mp.e ** (-t ** 3)
-        return complex(mp.quad(g, [mp.mpc(z0), mp.mpc(z1)]))
 
+def test_integral_parts_error_bound_honest(ex2):
     for (z0, z1) in [(0, 3 + 1j), (0, 7.5), (1 + 1j, 5 + 2j),
                      (0, 11 * cmath.exp(0.35j))]:
         got, err_log = integral_scaled_parts(ex2, complex(z0), complex(z1),
                                              1e-13)
-        want = oracle(z0, z1)
+        want = _ex2_integral(z0, z1)
         assert abs(got.to_complex() - want) <= max(math.exp(err_log), 1e-14)
-
-    # one batch mixing long chunked paths, multi-panel and single-panel
-    # steps and a zero-length segment: each entry within its bound of
-    # mpmath and of the same segment integrated alone
-    segs = [(0, 3 + 1j), (0, 7.5), (1 + 1j, 5 + 2j),
-            (0, 11 * cmath.exp(0.35j)), (2 - 1j, 2.05 - 0.98j),
-            (-1.5 + 0.5j, -1.45 + 0.5j), (4j, 4j), (0.3, 2.9 - 2.2j)]
-    parts = integral_scaled_batch(ex2, [complex(z0) for z0, _ in segs],
-                                  [complex(z1) for _, z1 in segs], 1e-13)
-    assert len(parts) == len(segs)
-    for (z0, z1), (got, err_log) in zip(segs, parts):
-        bound = max(math.exp(err_log), 1e-14)
-        assert abs(got.to_complex() - oracle(z0, z1)) <= bound
-        alone, _ = integral_scaled_parts(ex2, complex(z0), complex(z1), 1e-13)
-        assert abs(got.to_complex() - alone.to_complex()) <= bound
-    assert parts[6] == (ScaledComplex.zero(), -math.inf)
 
 
 @pytest.mark.parametrize("chunked", [False, True])
 def test_raw_batch_matches_list_batch(ex2, chunked, monkeypatch):
     # short steps, one of zero length; with chunked, also segments cut
-    # into 3, 7, 75 and 24 chunks
+    # into 3, 7, 75, 2 and 24 chunks
     segs = [(2 - 1j, 2.05 - 0.98j), (-1.5 + 0.5j, -1.45 + 0.5j), (4j, 4j),
             (0.3, 0.5 - 0.1j)]
     if chunked:
         segs += [(0.3, 2.9 - 2.2j), (1 + 1j, 5 + 2j),
-                 (0, 11 * cmath.exp(0.35j)), (0, 7.5)]
+                 (0, 11 * cmath.exp(0.35j)), (0, 3 + 1j), (0, 7.5)]
     z0 = [complex(a) for a, _ in segs]
     z1 = [complex(b) for _, b in segs]
-    parts = integral_scaled_batch(ex2, z0, z1, 1e-13)
     val, m, err_log, failures = integral_raw_batch(ex2, z0, z1, 1e-13)
     assert len(val) == len(m) == len(err_log) == len(segs)
     assert failures == {}
-    for i, (want, want_err) in enumerate(parts):
-        got = val[i] * np.exp(m[i] - want.logmag) if not want.is_zero else 0
-        if want.is_zero:
-            assert val[i] == 0
-        else:
-            assert abs(got - cmath.rect(1.0, want.phase)) <= 1e-14
-        assert err_log[i] == want_err or abs(err_log[i] - want_err) <= 1e-12
+    # each entry within its bound of mpmath and of the same segment
+    # integrated alone
+    for i, (a, b) in enumerate(segs):
+        got = complex(val[i] * np.exp(m[i]))
+        bound = max(math.exp(err_log[i]), 1e-14)
+        assert abs(got - _ex2_integral(a, b)) <= bound
+        alone, _ = integral_scaled_parts(ex2, complex(a), complex(b), 1e-13)
+        assert abs(got - alone.to_complex()) <= bound
+    assert val[2] == 0 and err_log[2] == -math.inf
 
     # a failed quadrature (the last chunk but one) fails its own segment
     # only: the last but one, or the last, whose chunks end the batch
@@ -273,10 +258,27 @@ def test_raw_batch_matches_list_batch(ex2, chunked, monkeypatch):
         return v, b, {**f, len(a) - 2: ToleranceNotMet("planted")}
 
     monkeypatch.setattr(polyexp, "_quadrature", failing)
-    parts = integral_scaled_batch(ex2, z0, z1, 1e-13)
     _, _, _, failures = integral_raw_batch(ex2, z0, z1, 1e-13)
-    failed = [i for i, p in enumerate(parts) if isinstance(p, ToleranceNotMet)]
-    assert failed == sorted(failures) == [len(segs) - 2 + chunked]
+    assert sorted(failures) == [len(segs) - 2 + chunked]
+    assert str(failures[len(segs) - 2 + chunked]) == "planted"
+
+
+def test_chunked_segment_raises_chunk_failure(ex2, monkeypatch):
+    # 11 e^{0.35i} swings far past 60 radians, so integral_scaled_parts
+    # integrates it as one batch of chunks; a failure planted in one chunk
+    # is raised
+    quadrature = polyexp._quadrature
+    calls = []
+
+    def failing(F, a, d, mm, mag, tol):
+        calls.append(len(a))
+        v, b, f = quadrature(F, a, d, mm, mag, tol)
+        return v, b, {**f, 3: ToleranceNotMet("planted chunk")}
+
+    monkeypatch.setattr(polyexp, "_quadrature", failing)
+    with pytest.raises(ToleranceNotMet, match="planted chunk"):
+        integral_scaled_parts(ex2, 0j, 11 * cmath.exp(0.35j), 1e-13)
+    assert calls and calls[0] > 3
 
 
 def test_json_roundtrip(ex1):

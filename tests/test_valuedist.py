@@ -166,21 +166,21 @@ def test_log_abs_f_batch_raises_first_failure(monkeypatch, ex1, data1):
     model = _build_model(ex1, data1)
     pts = _circle(6.0, 64)
     rescue = [k for k, z in enumerate(pts) if model.in_rescue_zone(z)]
-    batch = valuedist.integral_scaled_batch
+    batch = valuedist.integral_raw_batch
     tail_end = valuedist.tail_end
 
     def failing(quad_at, tail_at):
         def quad(F, z0, z1, tol):
-            parts = batch(F, z0, z1, tol)
-            parts[quad_at] = ToleranceNotMet(f"quadrature at {quad_at}")
-            return parts
+            val, m, err_log, failures = batch(F, z0, z1, tol)
+            failures[quad_at] = ToleranceNotMet(f"quadrature at {quad_at}")
+            return val, m, err_log, failures
 
         def end(F, z):
             if z == pts[tail_at]:
                 raise ValueError(f"tail at {tail_at}")
             return tail_end(F, z)
 
-        monkeypatch.setattr(valuedist, "integral_scaled_batch", quad)
+        monkeypatch.setattr(valuedist, "integral_raw_batch", quad)
         monkeypatch.setattr(valuedist, "tail_end", end)
         with pytest.raises((ToleranceNotMet, ValueError)) as info:
             valuedist._log_abs_f(model, pts)
@@ -404,6 +404,16 @@ def test_product_root_search_small_box():
     res = find_product_a_points(P, 1.0 + 0j, Box(-5.0, -5.0, 5.0, 5.0))
     assert res.total_multiplicity == res.winding_total == 1
     assert abs(res[0].location) < 1e-9  # P(0) = 1
+
+
+@pytest.mark.parametrize("height", [1e-170, 5e-324])
+def test_product_search_tiny_box_edge(height):
+    # the short edges once divided by an underflowed L * L and raised a
+    # bare ValueError on a NaN sample count
+    P = CanonicalProduct(0.5, 64)
+    res = find_product_a_points(P, 0j, Box(2.0, 0.0, 3.0, height))
+    assert len(res) == res.winding_total == 0
+    assert not res.clipped
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
