@@ -427,7 +427,14 @@ def integral_raw_batch(F: PolyExpFunction, z0, z1, tol: float = 1e-12):
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
-    m, mag, swing = _segment_data(F.q, z0, z1 - z0)
+    return _raw_batch(F, z0, z1, _segment_data(F.q, z0, z1 - z0), tol)
+
+
+def _raw_batch(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
+               data: tuple, tol: float):
+    """integral_raw_batch on complex arrays, with the segments'
+    _segment_data already computed."""
+    m, mag, swing = data
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not (swing > 60.0).any():
             vals, bounds, failures = _quadrature(F, z0, z1 - z0, m, mag, tol)
@@ -452,9 +459,10 @@ def _one_segment_parts(F: PolyExpFunction, z0: complex, z1: complex,
     from .contour import integrate_segment_err
 
     za = np.array([z0, z1])
-    m, mag, swing = _segment_data(F.q, za[:1], za[1:] - za[:1])
+    data = _segment_data(F.q, za[:1], za[1:] - za[:1])
+    m, mag, swing = data
     if swing[0] > 60.0:
-        val, m, err_log, failures = integral_raw_batch(F, za[:1], za[1:], tol)
+        val, m, err_log, failures = _raw_batch(F, za[:1], za[1:], data, tol)
         if failures:
             raise failures[0]
         return _scaled_part(complex(val[0]), float(m[0]), float(err_log[0]))

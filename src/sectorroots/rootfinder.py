@@ -6,6 +6,12 @@ isolation size) on a quadtree, and polishes each isolated root by Newton's
 method with the exact derivative p e^q. Winding counts certify completeness:
 the multiplicities returned sum to the winding number of the whole region.
 
+Newton starts from the root moment of the walk that counted the box: for a
+box that winds once, contour.winding_count's root_sum estimates the
+enclosed root from the continuous logarithm of f - a the walk already
+carries. The search keeps that estimate until the box is isolated, and
+starts from the box centre when the estimate lies outside the box.
+
 Boxes whose entire boundary lies beyond the overflow guard in a growth
 sector are not searched; they are reported as clipped in the result so the
 omission is visible. Boundary walks that pass too close to an a-point are
@@ -244,9 +250,15 @@ class _Search:
         self.tol = tol
         self.clipped: list[Box] = []
         self.path = _SharedWalk(model.path_evaluator(a))
+        # the walk's root estimate of every box that wound once and is not
+        # yet isolated (contour.WindingResult.root_sum)
+        self.guesses: dict[Box, complex] = {}
 
     def wind(self, box: Box) -> int:
-        return winding_count(self.path, box).count
+        result = winding_count(self.path, box)
+        if result.count == 1:
+            self.guesses[box] = result.root_sum
+        return result.count
 
     def descend(self, box: Box, count: int, depth: int) -> list[RootRecord]:
         if count == 0:
@@ -289,12 +301,15 @@ class _Search:
                         counts.append(0)
                     else:
                         counts.append(self.wind(ch))
+                if sum(counts) != count and not skipped:
+                    raise ToleranceNotMet(
+                        f"child winding sum {sum(counts)} != parent {count} "
+                        f"in {box}")
             except (BoundaryTooClose, ToleranceNotMet) as exc:
                 last = exc
-                continue
-            if sum(counts) != count and not skipped:
-                last = ToleranceNotMet(
-                    f"child winding sum {sum(counts)} != parent {count} in {box}")
+                # these children are dropped with their estimates
+                for ch in children:
+                    self.guesses.pop(ch, None)
                 continue
             self.clipped.extend(skipped)
             return children, counts
@@ -303,10 +318,14 @@ class _Search:
             f"retries: {last}")
 
     def _isolate(self, box: Box) -> RootRecord | None:
-        """Newton from the center of a winding-1 box, certified by a small
-        winding box around the refined point. None falls back to splitting."""
+        """Newton from the root moment of the walk, else the centre, of a
+        winding-1 box, certified by a small winding box around the refined
+        point. None falls back to splitting."""
+        guess = self.guesses.pop(box, None)
+        if guess is None or not box.contains(guess):
+            guess = box.center
         try:
-            z, res = _newton(self.model, self.a, box.center, self.tol, maxit=24)
+            z, res = _newton(self.model, self.a, guess, self.tol, maxit=24)
         except (NoConvergence, DerivativeVanishes, BoundaryTooClose,
                 ToleranceNotMet):
             return None
@@ -320,7 +339,7 @@ class _Search:
             cert = Box(z.real - side + dx * side, z.imag - side + dy * side,
                        z.real + side + dx * side, z.imag + side + dy * side)
             try:
-                if self.wind(cert) == 1:
+                if winding_count(self.path, cert).count == 1:
                     return RootRecord(z, self.a, res, 1, cert)
             except (BoundaryTooClose, ToleranceNotMet):
                 continue

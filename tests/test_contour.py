@@ -250,10 +250,11 @@ def test_winding_against_target():
 
 
 def test_winding_exp_periodic():
-    # e^z = 1 at 2 pi i k
+    # e^z = 1 at 2 pi i k: 0, 2 pi i and 4 pi i inside this box
     F = exp_function()
     w = _winding_number(F, 1.0 + 0j, Box(-1.0, -1.0, 1.0, 13.0))
     assert w.count == 3
+    assert abs(w.root_sum - 6j * math.pi) <= 1e-2 * 2.0
 
 
 def test_winding_count_roundoff_field():
@@ -263,6 +264,18 @@ def test_winding_count_roundoff_field():
     res = winding_count(model.path_evaluator(0j), box)
     assert res.count == 1
     assert abs(res.raw - res.count) <= res.roundoff + 0.2
+
+
+@pytest.mark.parametrize("box, count, zeros_sum", [
+    (Box(0.95, -0.04, 1.07, 0.05), 1, 1.0),  # around the zero at 1
+    (Box(0.4, -0.3, 1.3, 0.6), 1, 1.0),      # the zero far off centre
+    (Box(-1.5, -0.5, 1.6, 0.7), 2, 0.0),     # around both zeros
+    (Box(2.0, 2.0, 3.0, 3.0), 0, 0.0),       # around neither
+])
+def test_root_sum_square_minus_one(box, count, zeros_sum):
+    w = _winding_number(square_minus_one(), 0j, box)
+    assert w.count == count
+    assert abs(w.root_sum - zeros_sum) <= 1e-2 * box.width
 
 
 @pytest.mark.parametrize("box", [

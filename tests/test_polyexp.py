@@ -281,6 +281,23 @@ def test_chunked_segment_raises_chunk_failure(ex2, monkeypatch):
     assert calls and calls[0] > 3
 
 
+def test_chunked_segment_data_computed_once(ex2, monkeypatch):
+    # one _segment_data pass for the segment's swing and one for its
+    # chunks; the batch core reuses the segment's own
+    segment_data = polyexp._segment_data
+    rows = []
+
+    def counted(q, z0, delta):
+        rows.append(len(z0))
+        return segment_data(q, z0, delta)
+
+    monkeypatch.setattr(polyexp, "_segment_data", counted)
+    got, err_log = integral_scaled_parts(ex2, 0j, 7.5 + 0j, 1e-13)
+    assert rows[0] == 1 and rows[1] > 1 and len(rows) == 2
+    assert abs(got.to_complex() - _ex2_integral(0, 7.5)) <= max(
+        math.exp(err_log), 1e-14)
+
+
 def test_json_roundtrip(ex1):
     text = function_to_json(ex1)
     G = function_from_json(text)

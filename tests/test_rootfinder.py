@@ -10,7 +10,8 @@ import pytest
 
 from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f, example,
                          exp_function, find_a_points, newton_refine,
-                         square_minus_one)
+                         rootfinder, square_minus_one)
+from sectorroots.contour import winding_count
 from sectorroots.funcmodel import PolyExpRootModel
 from sectorroots.rootfinder import (RootRecord, _build_model, _newton,
                                     roots_to_csv, sort_records)
@@ -201,9 +202,17 @@ def test_newton_integrates_from_zero_three_times(monkeypatch, ex1, case):
 
 
 def test_sorted_by_modulus(ex1_zeros):
+    # the sort_records contract: neighbours ascend in |z|, or their moduli
+    # tie to a relative 1e-12 and they ascend in arg in [0, 2 pi)
     result, _ = ex1_zeros
-    mods = [abs(r.location) for r in result]
-    assert mods == sorted(mods)
+    for p, q in zip(result, result[1:]):
+        r0, r1 = abs(p.location), abs(q.location)
+        if abs(r1 - r0) <= 1e-12 * max(r0, r1):
+            arg0, arg1 = (math.atan2(z.imag, z.real) % (2 * math.pi)
+                          for z in (p.location, q.location))
+            assert arg0 <= arg1
+        else:
+            assert r0 < r1
 
 
 def test_sort_records_conjugate_pair_order_is_stable():
@@ -222,3 +231,82 @@ def test_sort_records_conjugate_pair_order_is_stable():
     far = [RootRecord(complex(3.0, 4.0 + 1e-9), 0j, 0.0, 1, box),
            RootRecord(complex(3.0, -4.0), 0j, 0.0, 1, box)]
     assert [r.location.imag < 0 for r in sort_records(far)] == [True, False]
+
+
+# -- Newton starts from the walk's root estimate --------------------------
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_walk_root_estimate_near_located_roots(name, request):
+    # a box around each located zero, off centre and smaller than the gap
+    # to its nearest neighbour, estimates that zero to 1e-2 of its side
+    F = request.getfixturevalue(name)
+    data = request.getfixturevalue("data" + name[-1])
+    result, _ = request.getfixturevalue(name + "_zeros")
+    zs = [r.location for r in result]
+    model = _build_model(F, data)
+    for z in zs:
+        side = min(0.1, 0.4 * min(abs(z - y) for y in zs if y != z))
+        c = z + complex(0.3, -0.2) * side
+        box = Box(c.real - side / 2, c.imag - side / 2,
+                  c.real + side / 2, c.imag + side / 2)
+        w = winding_count(model.path_evaluator(0j), box)
+        assert w.count == 1
+        assert abs(w.root_sum - z) <= 1e-2 * side
+
+
+def test_isolate_starts_from_estimate_inside_box(monkeypatch):
+    search = rootfinder._Search(PolyExpRootModel(square_minus_one()), 0j,
+                                1e-12)
+    box = Box(0.5, -0.5, 1.5, 0.5)
+    assert search.wind(box) == 1
+    starts = []
+    newton = rootfinder._newton
+
+    def recorded(model, a, z0, tol, maxit=50):
+        starts.append(z0)
+        return newton(model, a, z0, tol, maxit)
+
+    monkeypatch.setattr(rootfinder, "_newton", recorded)
+    guess = search.guesses[box]
+    assert guess != box.center and abs(guess - 1) < 1e-2
+    assert abs(search._isolate(box).location - 1) < 1e-12
+    assert starts == [guess]
+    assert box not in search.guesses
+    # an estimate outside the box gives way to the centre
+    search.guesses[box] = 1.7 + 0j
+    assert abs(search._isolate(box).location - 1) < 1e-12
+    assert starts[1:] == [box.center]
+    assert box not in search.guesses
+
+
+def test_search_keeps_no_estimate_after_descent():
+    search = rootfinder._Search(PolyExpRootModel(square_minus_one()), 0j,
+                                1e-12)
+    box = Box(-2, -1, 2, 1)
+    records = search.descend(box, search.wind(box), 0)
+    assert sorted(r.location.real for r in records) == pytest.approx([-1, 1])
+    assert search.guesses == {}
+
+
+# Newton iterations of whole searches, one derivative each (802 and 582
+# when every run started from its box centre)
+@pytest.mark.parametrize("name, half, iterations", [
+    ("ex1", 8, 122),
+    ("ex2", 4, 100),
+])
+def test_search_newton_iterations_pinned(name, half, iterations, request,
+                                         monkeypatch):
+    F = request.getfixturevalue(name)
+    data = request.getfixturevalue("data" + name[-1])
+    calls = []
+    derivative = PolyExpRootModel.derivative_scaled
+
+    def counted(self, z):
+        calls.append(z)
+        return derivative(self, z)
+
+    monkeypatch.setattr(PolyExpRootModel, "derivative_scaled", counted)
+    result = find_a_points(F, 0j, Box(-half, -half, half, half), tol=1e-9,
+                           data=data)
+    assert result.total_multiplicity == result.winding_total
+    assert len(calls) == iterations

@@ -104,11 +104,13 @@ def test_pinned_windings(case, request, monkeypatch):
 
 # walk starts and re-anchors of a whole search; the search's shared walk
 # serves every corner and edge an earlier walk evaluated (314, 48 and 365,
-# 77 without it)
+# 77 without it). Newton starts from the walk's root estimate, so the
+# search walks fewer and other boxes than from box centres (95, 28 and
+# 147, 59 then)
 @pytest.mark.parametrize("name, box, near, anchored", [
-    ("ex1", (-8, -8, 8, 8), 95, 28),
-    ("ex2", (-4, -4, 4, 4), 147, 59),
-])
+    ("ex1", (-8, -8, 8, 8), 93, 28),
+    ("ex2", (-4, -4, 4, 4), 147, 60),
+], ids=["ex1", "ex2"])
 def test_search_anchor_calls_pinned(name, box, near, anchored, request,
                                     monkeypatch):
     F = request.getfixturevalue(name)
@@ -131,6 +133,8 @@ def test_search_anchor_calls_pinned(name, box, near, anchored, request,
 
 
 def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
+    # the 1-points wind more boxes than the zeros on this square (225
+    # against 165), which keeps the recheck over a few hundred walks
     wound = []
     walk = rootfinder.winding_count
 
@@ -140,12 +144,13 @@ def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
         return result
 
     monkeypatch.setattr(rootfinder, "winding_count", recorded)
-    result = find_a_points(ex2, 0j, Box(-4, -4, 4, 4), tol=1e-9, data=data2)
-    assert result.total_multiplicity == result.winding_total == 32
+    result = find_a_points(ex2, 1 + 0j, Box(-4, -4, 4, 4), tol=1e-9,
+                           data=data2)
+    assert result.total_multiplicity == result.winding_total == 51
     assert len(wound) > 200
     model = rootfinder._build_model(ex2, data2)
     for box, count in wound:
-        assert walk(model.path_evaluator(0j), box).count == count
+        assert walk(model.path_evaluator(1 + 0j), box).count == count
 
 
 @pytest.mark.parametrize("box, stored", [
