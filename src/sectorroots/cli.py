@@ -282,7 +282,8 @@ def cmd_counting(args) -> int:
 
 def cmd_product(args) -> int:
     z = _parse_complex(args.eval)
-    nterms = args.nterms or core_terms(args.rho, abs(z))
+    nterms = (core_terms(args.rho, abs(z)) if args.nterms is None
+              else args.nterms)
     P = CanonicalProduct(args.rho, nterms)
     value = canonical_product_eval(P, z)
     rays = canonical_one_point_rays(args.rho)

@@ -42,7 +42,8 @@ from .asymptotics import (AsymptoticData, asymptotic_values, in_decay_interior,
 from .contour import edge_points, edge_reversed
 from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
-                      eval_f_prime, integral_raw_batch, integral_scaled_parts)
+                      eval_scaled_exp, integral_raw_batch,
+                      integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
 _HEADROOM_LOG = math.log(1e4)
@@ -136,7 +137,11 @@ class PolyExpRootModel:
     # -- scalar evaluations -------------------------------------------------
 
     def derivative_scaled(self, z: complex) -> ScaledComplex:
-        return eval_f_prime(self.F, z)
+        """f'(z) = p(z) exp(q(z)), never overflowing."""
+        pz = self.F.p(complex(z))
+        if pz == 0:
+            return ScaledComplex.zero()
+        return ScaledComplex.from_complex(pz).mul(eval_scaled_exp(self.F.q, z))
 
     def anchored_f(self, z: complex) -> tuple[ScaledComplex, float]:
         """f(z) by a fresh integral from 0, with the log error bound. The

@@ -8,7 +8,6 @@ gamma = (1+delta)/2; the module cross-validates it by adaptive quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -165,7 +164,3 @@ def kernel_grid_report(eps_values=(0.2, 0.5, 1.0, 1.4),
     """Cross-check over the (eps, delta) grid; one dict per pair."""
     return [kernel_report(KernelParams(e, d), tol)
             for e in eps_values for d in delta_values]
-
-
-def grid_report_json(reports: list[dict]) -> str:
-    return json.dumps(reports, indent=1)

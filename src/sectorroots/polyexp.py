@@ -239,15 +239,6 @@ def eval_scaled_exp(q: Polynomial, z: complex) -> ScaledComplex:
     return ScaledComplex(w.real, _wrap_phase(w.imag))
 
 
-def eval_f_prime(F: PolyExpFunction, z: complex) -> ScaledComplex:
-    """f'(z) = p(z) exp(q(z)), never overflowing."""
-    pz = F.p(complex(z))
-    e = eval_scaled_exp(F.q, z)
-    if pz == 0:
-        return ScaledComplex.zero()
-    return ScaledComplex.from_complex(pz).mul(e)
-
-
 @functools.lru_cache(maxsize=64)
 def _segment_tables(coeffs: tuple) -> tuple[np.ndarray, ...]:
     """Constant matrices for a polynomial with these coefficients.

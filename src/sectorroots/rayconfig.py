@@ -13,7 +13,6 @@ functions out.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -159,9 +158,6 @@ class EnumerationReport:
     def to_dict(self) -> dict:
         return {"dmax": self.dmax, "configs_checked": self.configs_checked,
                 "violations": list(self.violations)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def enumerate_configs(dmax: int, arg_samples: int = 16) -> EnumerationReport:

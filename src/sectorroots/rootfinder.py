@@ -138,9 +138,6 @@ def roots_to_csv(records) -> str:
 
 def _boundary_min_re_q(q: Polynomial, box: Box) -> float:
     """Exact minimum of Re q over the four box edges."""
-    if q.degree < 1:
-        z = complex(box.x0, box.y0)
-        return q(z).real
     neg = Polynomial(tuple(-c for c in q.coeffs))
     corners = box.corners()
     return -float(segments_re_q_max(neg, corners, corners[1:] + corners[:1]).max())
@@ -433,6 +430,8 @@ def search_region(model, a: complex, region: Box,
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     a = complex(a)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise ValueError("target must be finite")
     search = _Search(model, a, tol)
     searched = region
     top_count = None

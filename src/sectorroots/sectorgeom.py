@@ -7,7 +7,6 @@ Angular comparisons use an absolute tolerance of 1e-12 throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,14 +74,6 @@ class Sector:
 
     def to_dict(self) -> dict:
         return {"bisector": self.bisector, "half_opening": self.half_opening}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Sector":
-        obj = json.loads(text)
-        return cls(float(obj["bisector"]), float(obj["half_opening"]))
 
 
 class RaySet:
@@ -180,9 +171,6 @@ class SectorReport:
         return {"sector": self.sector.to_dict(), "r0": self.r0,
                 "small": enc(self.small), "inside": enc(self.inside),
                 "outside": enc(self.outside), "holds": self.holds}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def sector_report(points, s: Sector, r0: float) -> SectorReport:

@@ -44,9 +44,8 @@ _EM_COEFFS = tuple((-1) ** (m + 1) * 2.0 * float(zeta(2.0 * m))
                    / (2.0 * math.pi) ** (2 * m) for m in range(1, 13))
 
 
-def _log_abs_f(model: PolyExpRootModel, z):
-    """log|f(z)| via the scaled evaluator; z may also be a list of points,
-    which gives the list of their log|f|.
+def _log_abs_f(model: PolyExpRootModel, z: list) -> list:
+    """log|f| at each point of the list z via the scaled evaluator.
 
     Decay interiors go through the tail rescue (f = a_k + remainder), which
     keeps log|f| exact even where the anchored integral would return the
@@ -54,7 +53,7 @@ def _log_abs_f(model: PolyExpRootModel, z):
     [z, tail_end(z)], goes into one quadrature batch. The error raised is
     that of the first point that fails, in list order.
     """
-    pts = [complex(w) for w in z] if np.ndim(z) else [complex(z)]
+    pts = [complex(w) for w in z]
     F = model.F
     rescue = [model.in_rescue_zone(w) for w in pts]
     starts = [w if tail else 0j for w, tail in zip(pts, rescue)]
@@ -81,7 +80,7 @@ def _log_abs_f(model: PolyExpRootModel, z):
             out.append(model.rescued(w, 0j, part.neg()).logmag)
         else:
             out.append(c.add(part).logmag)
-    return out if np.ndim(z) else out[0]
+    return out
 
 
 def _golden_max(g, lo: float, hi: float, iters: int = 48):
@@ -319,6 +318,8 @@ def core_terms(rho: float, radius: float) -> int:
     Then a_{N+1} >= 4 radius, so the zeta tail converges at least like
     4^-j there. Raises TailTooLarge when N would pass 2^24 factors.
     """
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
     x = (4.0 * float(radius)) ** rho
     if not x <= _MAX_CORE - 8:
         raise TailTooLarge(
@@ -450,9 +451,11 @@ def canonical_product_eval(P: CanonicalProduct, z: complex) -> complex:
 
     T is the zeta series of the remaining factors (see _ZetaTail), exact to
     rounding for |z| < P.max_radius; beyond it TailTooLarge names the
-    n_terms that admits z.
+    n_terms that admits z, and a point that is not finite is a ValueError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("evaluation point must be finite")
     tail = P.tail.log(z)
     s = 1.0 / P.rho
     core = 1.0 + 0.0j
@@ -496,20 +499,17 @@ class CanonicalProductModel:
     def __init__(self, P: CanonicalProduct, r_max: float):
         if not r_max > 0.0:
             raise ValueError("r_max must be positive")
-        self.P = P
         self.r_max = float(r_max)
-        core = CanonicalProduct(P.rho, core_terms(P.rho, r_max))
-        self.n_core = core.n_terms
-        self.a = core.zeros
-        self.tail = core.tail
+        self.core = CanonicalProduct(P.rho, core_terms(P.rho, r_max))
+        self.n_core = self.core.n_terms
+        self.a = self.core.zeros
+        self.tail = self.core.tail
         # rounding grows with the factor count and the size of log(tail)
         self.rel_err = (self.n_core + 16 + abs(self.tail.log(r_max))) * 1e-16
         self._near = self.a[self.a <= 4.0 * r_max]
 
     def value(self, z: complex) -> complex:
-        z = complex(z)
-        tail = self.tail.log(z)
-        return complex(np.prod(1.0 - z / self.a)) * cmath.exp(-tail)
+        return canonical_product_eval(self.core, z)
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """value at every point of z, NaN where the tail does not admit
@@ -533,13 +533,6 @@ class CanonicalProductModel:
             s = float(np.sum(np.log(w)))
         return s - tail.real
 
-    def value_and_logderiv(self, z: complex):
-        z = complex(z)
-        val = self.value(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dlog = complex(np.sum(1.0 / (z - self.a)))
-        return val, dlog - self.tail.dlog(z)
-
     # --- sample protocol -------------------------------------------------
 
     def diff_sample(self, z: complex, a: complex) -> PathSample:
@@ -552,7 +545,7 @@ class CanonicalProductModel:
                           math.log(err))
 
     def diff_scaled(self, z: complex, a: complex) -> ScaledComplex:
-        return ScaledComplex.from_complex(self.value(z) - complex(a))
+        return self.diff_sample(z, a).w
 
     def diff_near(self, held: PathSample, z: complex) -> None:
         """Direct evaluation is absolute, so no value is carried from a
@@ -569,7 +562,9 @@ class CanonicalProductModel:
             tail = cmath.exp(-self.tail.log(z))
             return ScaledComplex.from_complex(
                 complex(np.prod(rest)) * tail * (-1.0 / self.a[k]))
-        val, dlog = self.value_and_logderiv(z)
+        val = self.value(z)
+        # P' = P (log P)', the core's log-derivative less the tail's
+        dlog = complex(np.sum(1.0 / diffs)) - self.tail.dlog(z)
         return ScaledComplex.from_complex(val * dlog)
 
     def path_evaluator(self, a: complex) -> "_ProductPath":
@@ -618,37 +613,31 @@ class _ProductPath:
         self._planned: tuple = ([], [], [])
         self._next = 0
 
-    def _checked(self, z: complex, ws: ScaledComplex,
-                 err_log: float) -> PathSample:
-        if ws.is_zero or ws.logmag < self.floor_log:
+    def _checked(self, s: PathSample) -> PathSample:
+        if s.w.is_zero or s.w.logmag < self.floor_log:
             raise BoundaryTooClose(
-                f"|P - a| = {ws.abs_value():.3e} under the proximity floor "
-                f"at {z}")
-        if ws.logmag - err_log < _HEADROOM_LOG:
+                f"|P - a| = {s.w.abs_value():.3e} under the proximity floor "
+                f"at {s.z}")
+        if s.w.logmag - s.err_log < _HEADROOM_LOG:
             raise BoundaryTooClose(
-                f"|P - a| at {z} inside evaluation noise "
-                f"({ws.abs_value():.3e} vs err {math.exp(err_log):.3e})")
-        return PathSample(complex(z), ws, err_log)
-
-    def _sample(self, z: complex) -> PathSample:
-        val = self.model.value(z)
-        err = self.model.rel_err * (abs(val) + abs(self.a)) + 1e-300
-        return self._checked(z, ScaledComplex.from_complex(val - self.a),
-                             math.log(err))
+                f"|P - a| at {s.z} inside evaluation noise "
+                f"({s.w.abs_value():.3e} vs err {math.exp(s.err_log):.3e})")
+        return s
 
     def start(self, z: complex) -> PathSample:
-        return self._sample(z)
+        return self._checked(self.model.diff_sample(z, self.a))
 
     def extend(self, prev: PathSample, z: complex) -> PathSample:
         i = self._next
         if i < len(self._pts) and z == self._pts[i]:
             self._next = i + 1
             logmag, phase, err_log = self._planned
-            # NaN where the tail does not admit z: _sample raises there
+            # NaN where the tail does not admit z: start raises there
             if logmag[i] == logmag[i]:
-                return self._checked(z, ScaledComplex(logmag[i], phase[i]),
-                                     err_log[i])
-        return self._sample(z)
+                return self._checked(PathSample(
+                    complex(z), ScaledComplex(logmag[i], phase[i]),
+                    err_log[i]))
+        return self.start(z)
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         n = self.model.min_samples(z0, z1)

@@ -173,6 +173,20 @@ def test_bad_tolerance_errors(square_spec, capsys, argv):
     assert "tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "--example", "1", "--target", "nan"], "target must be finite"),
+    (["roots", "--example", "2", "--target", "inf"], "target must be finite"),
+    (["product", "--rho", "0.5", "--nterms", "64", "--eval=nan"],
+     "evaluation point must be finite"),
+    (["product", "--rho", "0.5", "--eval=nan"], "radius must be finite"),
+    (["product", "--rho", "0.5", "--nterms", "0", "--eval=-1"],
+     "n_terms must be positive"),
+])
+def test_nonfinite_input_and_zero_terms_errors(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_product_auto_terms(capsys):
     code = main(["product", "--rho", "0.3333333333333333",
                  "--eval=-0.5", "--json"])

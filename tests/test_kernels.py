@@ -2,7 +2,6 @@
 cross-check against an independent high-precision oracle, pointwise
 bound reports."""
 
-import json
 import math
 
 import mpmath as mp
@@ -12,7 +11,7 @@ import pytest
 from sectorroots import (BoundViolated, KernelParams, kernel_K,
                          kernel_bounds_check, kernel_grid_report,
                          kernel_integral_quadrature, kernel_integral_residue)
-from sectorroots.kernels import grid_report_json, kernel_report
+from sectorroots.kernels import kernel_report
 
 mp.mp.dps = 30
 
@@ -96,8 +95,6 @@ def test_quadrature_matches_residue_on_grid():
     assert len(reports) == 16
     worst = max(rep["abs_diff"] for rep in reports)
     assert worst < 1e-8
-    text = grid_report_json(reports)
-    assert json.loads(text)[0]["eps"] == pytest.approx(0.2)
 
 
 def test_kernel_report_keys():

@@ -18,7 +18,8 @@ from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
                          exp_function, function_from_json, function_to_json,
                          square_minus_one)
 from sectorroots import ToleranceNotMet, polyexp
-from sectorroots.polyexp import (_logaddexp, eval_f_prime, eval_scaled_exp,
+from sectorroots.funcmodel import PolyExpRootModel
+from sectorroots.polyexp import (_logaddexp, eval_scaled_exp,
                                  integral_raw_batch, integral_scaled_parts,
                                  segments_re_q_max)
 
@@ -154,8 +155,8 @@ def test_eval_f_prime(ex1):
     # f' = p e^q exactly
     z = 1.2 - 0.7j
     want = ex1.p(z) * cmath.exp(ex1.q(z))
-    assert cmath.isclose(eval_f_prime(ex1, z).to_complex(), want,
-                         rel_tol=1e-12)
+    got = PolyExpRootModel(ex1).derivative_scaled(z).to_complex()
+    assert cmath.isclose(got, want, rel_tol=1e-12)
 
 
 def test_eval_f_overflow_raises(ex1):

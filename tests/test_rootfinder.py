@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from sectorroots import (Box, PolyExpFunction, Polynomial, eval_f, example,
-                         exp_function, find_a_points, newton_refine,
-                         rootfinder, square_minus_one)
+from sectorroots import (Box, CanonicalProduct, PolyExpFunction, Polynomial,
+                         eval_f, example, exp_function, find_a_points,
+                         find_product_a_points, newton_refine, rootfinder,
+                         square_minus_one)
 from sectorroots.contour import winding_count
 from sectorroots.funcmodel import PolyExpRootModel
 from sectorroots.rootfinder import (RootRecord, _build_model, _newton,
@@ -101,6 +102,22 @@ def test_csv_schema():
 def test_bad_tolerance_rejected(tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
         find_a_points(square_minus_one(), 0j, Box(-2, -1, 2, 1), tol=tol)
+
+
+@pytest.mark.parametrize("family", ["polyexp", "product"])
+@pytest.mark.parametrize("target", [math.inf, math.nan,
+                                    complex(0.0, -math.inf)])
+def test_nonfinite_target_rejected(monkeypatch, family, target):
+    def walked(*args, **kwargs):
+        raise AssertionError("a non-finite target reached a walk")
+
+    monkeypatch.setattr(rootfinder, "winding_count", walked)
+    region = Box(-2, -2, 2, 2)
+    with pytest.raises(ValueError, match="target must be finite"):
+        if family == "polyexp":
+            find_a_points(example(2), target, region)
+        else:
+            find_product_a_points(CanonicalProduct(0.5, 64), target, region)
 
 
 def test_determinism_between_runs():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sectorroots import (EmptyRaySet, RaySet, Sector, angle_distance,
                          minimal_cone, sector_report, separated, wrap_angle)
+from sectorroots.cli import canonical_json
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -58,8 +59,10 @@ def test_sector_full_plane():
 
 
 def test_sector_json_roundtrip():
+    # the CLI writes a sector as to_dict() through canonical_json
     s = Sector(2.25, 0.75)
-    t = Sector.from_json(s.to_json())
+    obj = json.loads(canonical_json(s.to_dict()))
+    t = Sector(obj["bisector"], obj["half_opening"])
     assert t.bisector == pytest.approx(s.bisector)
     assert t.half_opening == pytest.approx(s.half_opening)
 
@@ -127,7 +130,7 @@ def test_sector_report_holds_and_json():
     pts = [4.0 + 0.2j, 5.0 * cmath.exp(0.1j), 0.2j]
     rep = sector_report(pts, Sector(0.0, 0.3), r0=1.0)
     assert rep.holds
-    blob = json.loads(rep.to_json())
+    blob = json.loads(canonical_json(rep.to_dict()))
     assert blob["holds"] is True
 
 

@@ -20,7 +20,7 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
 from sectorroots.cli import main
 from sectorroots.rootfinder import _build_model
 from sectorroots.valuedist import (CanonicalProductModel, CountingTable,
-                                   _scaled_hurwitz)
+                                   _scaled_hurwitz, core_terms)
 
 mp.mp.dps = 30
 
@@ -159,7 +159,7 @@ def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
         want = _log_abs_pointwise(model, z)
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
     for z, got in zip(pts[::n // 8], batched[::n // 8]):
-        assert valuedist._log_abs_f(model, z) == got
+        assert valuedist._log_abs_f(model, [z]) == [got]
 
 
 def test_log_abs_f_batch_raises_first_failure(monkeypatch, ex1, data1):
@@ -283,6 +283,18 @@ def test_product_eval_tail_guard():
             canonical_product_eval(P, inside * (1.0 + 2e-9))
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, -math.inf),
+                               complex(math.nan, 0.0)])
+def test_product_eval_rejects_nonfinite_point(z):
+    P = CanonicalProduct(0.5, 64)
+    with pytest.raises(ValueError, match="evaluation point must be finite"):
+        canonical_product_eval(P, z)
+    with pytest.raises(ValueError, match="evaluation point must be finite"):
+        CanonicalProductModel(P, 2.0).value(z)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        core_terms(0.5, abs(z))
+
+
 def test_product_eval_mpmath_oracle():
     # second-order oracle at 30 digits; z kept inside the tail bound
     P = CanonicalProduct(1.0 / 3.0, 2000)
@@ -394,9 +406,23 @@ def test_product_order_estimate():
 def test_product_model_matches_contracted_eval():
     P = CanonicalProduct(1.0 / 3.0, 30_000)
     model = CanonicalProductModel(P, r_max=8.0)
+    core = CanonicalProduct(P.rho, model.n_core)
     for z in (0.5 + 0.5j, -3.0 + 2.0j, 7.0 + 0j):
         direct = canonical_product_eval(P, z)
         assert abs(model.value(z) - direct) < 1e-9 * max(1.0, abs(direct))
+        # the model's value is the scalar evaluator on its own core
+        assert model.value(z) == canonical_product_eval(core, z)
+
+
+@pytest.mark.parametrize("family", ["polyexp", "product"])
+def test_diff_scaled_is_diff_sample_value(family, ex1, data1):
+    if family == "polyexp":
+        model = _build_model(ex1, data1)
+    else:
+        model = CanonicalProductModel(CanonicalProduct(0.5, 64), 8.0)
+    # a growth point, a point in the rescue cone and one near the origin
+    for z, a in ((1.0 + 2.0j, 0j), (5.0 + 0.3j, 1.0 + 0j), (0.2 - 0.1j, 0.5j)):
+        assert model.diff_scaled(z, a) == model.diff_sample(z, a).w
 
 
 def test_product_root_search_small_box():

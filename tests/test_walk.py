@@ -314,7 +314,7 @@ def test_planned_product_samples_match_pointwise(rho, a, box):
         prev = None
         for z in pts:
             planned = path.extend(prev, z)
-            alone = path._sample(z)
+            alone = path.start(z)
             assert planned.z == z
             assert abs(planned.w.logmag - alone.w.logmag) <= 1e-12
             assert abs(cmath.phase(cmath.rect(
