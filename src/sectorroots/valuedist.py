@@ -83,24 +83,47 @@ def _log_abs_f(model: PolyExpRootModel, z: list) -> list:
     return out
 
 
-def _golden_max(g, lo: float, hi: float, iters: int = 48):
-    """Plain golden-section maximization on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = g(x1), g(x2)
+def _golden_maxima(log_abs, radii, los, his, iters: int = 48) -> list:
+    """Golden-section maximization of log_abs(r e^{it}) over t in
+    [los[k], his[k]] for every radius radii[k], in lockstep.
+
+    Each round is one log_abs call with one point for every radius whose
+    arc is still 1e-9 or longer; the first call carries both initial
+    points of every radius. Per radius the steps are those of a plain
+    golden-section search run alone.
+    """
+    n = len(radii)
+    a = [float(x) for x in los]
+    b = [float(x) for x in his]
+    x1 = [bk - _GOLDEN * (bk - ak) for ak, bk in zip(a, b)]
+    x2 = [ak + _GOLDEN * (bk - ak) for ak, bk in zip(a, b)]
+    owners = list(range(n))
+    f = log_abs([r * cmath.exp(1j * t) for r, t in zip(radii * 2, x1 + x2)],
+                owners * 2)
+    f1, f2 = f[:n], f[n:]
     for _ in range(iters):
-        if b - a < 1e-9:
+        owners = [k for k in owners if not b[k] - a[k] < 1e-9]
+        if not owners:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = g(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = g(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        right = [f1[k] < f2[k] for k in owners]
+        ts = []
+        for k, up in zip(owners, right):
+            if up:
+                a[k], x1[k], f1[k] = x1[k], x2[k], f2[k]
+                x2[k] = a[k] + _GOLDEN * (b[k] - a[k])
+                ts.append(x2[k])
+            else:
+                b[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
+                x1[k] = b[k] - _GOLDEN * (b[k] - a[k])
+                ts.append(x1[k])
+        vals = log_abs([radii[k] * cmath.exp(1j * t)
+                        for k, t in zip(owners, ts)], owners)
+        for k, up, v in zip(owners, right, vals):
+            if up:
+                f2[k] = v
+            else:
+                f1[k] = v
+    return [u if u >= v else v for u, v in zip(f1, f2)]
 
 
 def _check_circle(r: float, samples: int) -> None:
@@ -110,32 +133,41 @@ def _check_circle(r: float, samples: int) -> None:
         raise ValueError("need at least 64 circle samples")
 
 
-def _circle_max(log_abs, r: float, samples: int) -> float:
-    """Max of log_abs on the circle |z| = r.
+def _circle_maxima(log_abs, radii, samples: int) -> list:
+    """Max of log_abs on each circle |z| = r of radii.
 
-    Scans `samples` equispaced directions, then polishes the best one with
-    a golden-section pass over the bracketing arc. log_abs takes a list of
-    points and returns their values: _CIRCLE_BLOCK points per call in the
-    scan, one in the polish.
+    Scans `samples` equispaced directions per radius, _CIRCLE_BLOCK points
+    of one radius per log_abs call, then polishes the best direction of
+    every radius with a golden-section pass over its bracketing arc, all
+    radii in lockstep (_golden_maxima). log_abs(pts, owners) takes a list
+    of points and the index in radii of each, and returns their values.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    pts = [r * cmath.exp(1j * t) for t in thetas]
-    vals = []
-    for lo in range(0, samples, _CIRCLE_BLOCK):
-        vals += log_abs(pts[lo:lo + _CIRCLE_BLOCK])
-    j = int(np.argmax(vals))
     step = 2.0 * math.pi / samples
-    _, polished = _golden_max(lambda t: log_abs([r * cmath.exp(1j * t)])[0],
-                              thetas[j] - step, thetas[j] + step)
-    return max(float(vals[j]), float(polished))
+    scanned = []
+    centres = []
+    for k, r in enumerate(radii):
+        pts = [r * cmath.exp(1j * t) for t in thetas]
+        vals = []
+        for lo in range(0, samples, _CIRCLE_BLOCK):
+            block = pts[lo:lo + _CIRCLE_BLOCK]
+            vals += log_abs(block, [k] * len(block))
+        j = int(np.argmax(vals))
+        scanned.append(float(vals[j]))
+        centres.append(thetas[j])
+    polished = _golden_maxima(log_abs, list(radii),
+                              [t - step for t in centres],
+                              [t + step for t in centres])
+    return [max(v, float(p)) for v, p in zip(scanned, polished)]
 
 
 def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
                     *, data=None) -> float:
-    """Natural log of max |f| on the circle |z| = r, by _circle_max."""
+    """Natural log of max |f| on the circle |z| = r, by _circle_maxima."""
     _check_circle(r, samples)
     model = _build_model(F, data)
-    return _circle_max(lambda pts: _log_abs_f(model, pts), r, samples)
+    return _circle_maxima(lambda pts, _: _log_abs_f(model, pts), [r],
+                          samples)[0]
 
 
 def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
@@ -200,14 +232,14 @@ def order_estimate(F_or_product, rgrid, *, samples: int = 128,
         raise ValueError("all radii must exceed 2")
     if not all(math.isfinite(r) for r in radii):
         raise ValueError("all radii must be finite")
+    for r in radii:
+        _check_circle(r, samples)
     if isinstance(F_or_product, CanonicalProduct):
-        logm = [_product_log_max(F_or_product, r, samples) for r in radii]
+        logm = _product_log_max(F_or_product, radii, samples)
     else:
-        model_data = data
-        if model_data is None:
-            model_data = _build_model(F_or_product).data
-        logm = [log_max_modulus(F_or_product, r, samples, data=model_data)
-                for r in radii]
+        model = _build_model(F_or_product, data)
+        logm = _circle_maxima(lambda pts, _: _log_abs_f(model, pts), radii,
+                              samples)
     bad = [r for r, m in zip(radii, logm) if m <= 1.0]
     if bad:
         raise NonPositiveLogM(
@@ -652,13 +684,12 @@ class _ProductPath:
         return n
 
 
-def _product_log_max(P: CanonicalProduct, r: float,
-                     samples: int = 128) -> float:
-    """max log|P| on |z| = r, by _circle_max."""
-    _check_circle(r, samples)
-    model = CanonicalProductModel(P, r)
-    return _circle_max(lambda pts: [model.log_abs(z) for z in pts], r,
-                       samples)
+def _product_log_max(P: CanonicalProduct, radii, samples: int) -> list:
+    """max log|P| on each circle |z| = r of radii, by _circle_maxima."""
+    models = [CanonicalProductModel(P, r) for r in radii]
+    return _circle_maxima(
+        lambda pts, owners: [models[k].log_abs(z)
+                             for z, k in zip(pts, owners)], radii, samples)
 
 
 def find_product_a_points(P: CanonicalProduct, a: complex, region: Box,

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sectorroots import Box, BoundaryTooClose, ToleranceNotMet, example2
-from sectorroots import funcmodel
+from sectorroots import contour, funcmodel
 from sectorroots.contour import (_PASS_ROWS, edge_points,
                                  integrate_segment_err, integrate_segments,
                                  winding_count)
@@ -106,23 +106,31 @@ def test_panel_counts_pinned_alone_and_batched():
         assert _panels_spent(_cubic_exp, z0, z1) == panels
     assert _panels_spent(lambda z: np.exp(80j * z), 0j, 1.0 + 0j) == 63
 
-    # the same segments in one batch: each gets its own worst-first
-    # schedule, so its panel count and value are those it gets alone
-    z0 = np.array([a for (a, _), _ in _PINNED_PANELS], dtype=complex)
-    z1 = np.array([b for (_, b), _ in _PINNED_PANELS], dtype=complex)
-    rows = np.zeros(len(z0), dtype=int)
+    # the same segments in one batch, and four copies of them (20 to
+    # refine, a group wide enough for the panel arrays): each gets its own
+    # worst-first schedule, so its panel count and value are those it gets
+    # alone
+    assert 4 * 5 >= contour._WIDE_GROUP
+    for copies in (1, 4):
+        z0 = np.array([a for (a, _), _ in _PINNED_PANELS] * copies,
+                      dtype=complex)
+        z1 = np.array([b for (_, b), _ in _PINNED_PANELS] * copies,
+                      dtype=complex)
+        rows = np.zeros(len(z0), dtype=int)
 
-    def g(z, seg):
-        np.add.at(rows, np.arange(len(z0))[seg], 1)
-        return _cubic_exp(z)
+        def g(z, seg):
+            np.add.at(rows, np.arange(len(z0))[seg], 1)
+            return _cubic_exp(z)
 
-    vals, bounds, failures = integrate_segments(
-        g, z0, z1 - z0, 1e-13, np.full(len(z0), 5e-15))
-    assert not failures
-    assert rows.tolist() == [panels for _, panels in _PINNED_PANELS]
-    for i in range(len(z0)):
-        alone, _ = integrate_segment_err(_cubic_exp, z0[i], z1[i], tol=1e-13)
-        assert abs(vals[i] - alone) <= bounds[i]
+        vals, bounds, failures = integrate_segments(
+            g, z0, z1 - z0, 1e-13, np.full(len(z0), 5e-15))
+        assert not failures
+        assert rows.tolist() == [panels for _, panels in _PINNED_PANELS
+                                 ] * copies
+        for i in range(len(z0)):
+            alone, _ = integrate_segment_err(_cubic_exp, z0[i], z1[i],
+                                             tol=1e-13)
+            assert abs(vals[i] - alone) <= bounds[i]
 
 
 def test_refinement_in_groups_matches_segments_alone():
@@ -167,6 +175,64 @@ def test_refinement_in_groups_matches_segments_alone():
         # a bound is |Kronrod - Gauss| summed, a difference of nearly equal
         # sums that a one-row and a many-row matrix product round apart
         assert abs(bounds[i] - bound) <= 0.01 * bound
+
+
+def _tied(z):
+    # on [0, 1]: a panel wider than 0.4 or centred right of 1/2 is one fixed
+    # row of values (1 on the Kronrod-only nodes, 0 on the Gauss nodes),
+    # any other panel is 0. The first panel's two children tie exactly; at
+    # tol 0.3 splitting the left one (the smaller heap counter) converges
+    # after 5 panels, where splitting the right one first would take 7
+    s = z.real
+    wide = (s[:, 7] > 0.5) | (s[:, 14] - s[:, 0] > 0.4)
+    return wide[:, None] * (np.arange(15) % 2 == 0).astype(complex)
+
+
+@pytest.mark.parametrize("case", ["depth", "panels", "tie"])
+def test_array_and_heap_kernels_agree_bit_for_bit(monkeypatch, case):
+    if case == "tie":
+        segs, f, tol, want = [(0j, 1 + 0j)] * 20, _tied, 0.3, [5] * 20
+    else:
+        segs = [seg for seg, _ in _PINNED_PANELS] * 4
+        f, tol = _cubic_exp, 1e-13
+        want = [panels for _, panels in _PINNED_PANELS] * 4
+    max_depth = 4 if case == "depth" else 50
+    if case == "panels":
+        monkeypatch.setattr(contour, "_MAX_PANELS", 16)
+    z0 = np.array([a for a, _ in segs], dtype=complex)
+    delta = np.array([b for _, b in segs], dtype=complex) - z0
+    runs = []
+    for kernel, wide in (("_refine_panels", 1), ("_refine_segments", 10 ** 9)):
+        monkeypatch.setattr(contour, "_WIDE_GROUP", wide)
+        ran = []
+        real = getattr(contour, kernel)
+        monkeypatch.setattr(contour, kernel,
+                            lambda *args: ran.append(kernel) or real(*args))
+        rows = np.zeros(len(z0), dtype=int)
+
+        def g(z, seg):
+            np.add.at(rows, np.arange(len(z0))[seg], 1)
+            return f(z)
+
+        vals, bounds, failures = integrate_segments(
+            g, z0, delta, tol, np.full(len(z0), 5e-15), max_depth)
+        assert ran == [kernel]
+        runs.append((vals.tobytes(), bounds.tobytes(), rows.tolist(),
+                     {i: str(exc) for i, exc in failures.items()}))
+    assert runs[0] == runs[1]
+    rows, failures = runs[0][2], runs[0][3]
+    if case == "depth":
+        # only the 47-panel segment needs a fifth level
+        assert list(failures) == [0, 6, 12, 18]
+        assert all("depth 4 reached" in msg for msg in failures.values())
+    elif case == "panels":
+        # a segment holding 15 panels still splits, so 17 fit the budget
+        assert list(failures) == [i for i in range(24) if want[i] > 17]
+        assert all(msg.startswith("segment quadrature: 16 panels exhausted")
+                   for msg in failures.values())
+        assert rows == [17 if i in failures else n for i, n in enumerate(want)]
+    else:
+        assert not failures and rows == want
 
 
 def test_batched_failure_stays_with_its_segment():

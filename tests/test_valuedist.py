@@ -104,6 +104,79 @@ def test_order_estimate_exp():
     assert est == pytest.approx(1.0, abs=0.05)
 
 
+# criterion 7's grid as the benchmark builds it, 3 (11/3)^(k/4); the fourth
+# radius is an ulp below np.geomspace(3, 11, 5)'s
+_ORDER_GRID = tuple(3.0 * (11.0 / 3.0) ** (k / 4.0) for k in range(5))
+
+# log M(r) on _ORDER_GRID with 128 samples, each radius scanned and polished
+# alone, before the polish ran in lockstep
+_PINNED_LOG_M = {
+    "ex2": [27.172926421568896, 72.01423030133762, 190.35149012741664,
+            503.4104596826375, 1332.4176619898913],
+    "exp": [2.9999999999999973, 4.151347725692713, 5.744562646538026,
+            7.9492256926016545, 10.999999999999996],
+    "product": [3.054196103249618, 3.851353573330137, 4.817707620546587,
+                5.98310860397433, 7.382659372395041],
+}
+
+
+@pytest.mark.parametrize("which", list(_PINNED_LOG_M))
+def test_lockstep_maxima_match_each_radius_alone(request, which):
+    calls = []
+    if which == "product":
+        P = CanonicalProduct(0.5, 64)
+
+        def maxima(radii):
+            return valuedist._product_log_max(P, radii, 128)
+    else:
+        F, data = ((request.getfixturevalue("ex2"),
+                    request.getfixturevalue("data2")) if which == "ex2"
+                   else (exp_function(), None))
+        model = _build_model(F, data)
+
+        def log_abs(pts, owners):
+            calls.append(len(pts))
+            return valuedist._log_abs_f(model, pts)
+
+        def maxima(radii):
+            calls.clear()
+            return valuedist._circle_maxima(log_abs, radii, 128)
+
+    alone = [maxima([r])[0] for r in _ORDER_GRID]
+    together = maxima(list(_ORDER_GRID))
+    assert alone == together == _PINNED_LOG_M[which]
+    if which != "product":
+        # two scan blocks per radius, then one call per polish round for
+        # all five radii, the first with both starting points of each
+        assert calls == [64] * 10 + [10] + [5] * 39
+    if which == "ex2":
+        est = order_estimate(F, _ORDER_GRID, data=data)
+        assert est == 2.9953753600779742
+
+
+def test_golden_maxima_radii_stop_on_their_own():
+    # arcs of widths 0.5, 1e-3 and 2 need about 42, 29 and 45 rounds to
+    # shrink below 1e-9; in lockstep each radius still takes its own steps
+    sizes = []
+
+    def log_abs(pts, owners):
+        sizes.append(len(pts))
+        return [-(cmath.phase(z) - 0.1 * abs(z)) ** 2 for z in pts]
+
+    radii, his = [1.0, 2.0, 3.0], [0.5, 1e-3, 2.0]
+    alone = []
+    rounds = []
+    for r, hi in zip(radii, his):
+        sizes.clear()
+        alone += valuedist._golden_maxima(log_abs, [r], [0.0], [hi])
+        rounds.append(len(sizes))
+    sizes.clear()
+    assert valuedist._golden_maxima(log_abs, radii, [0.0] * 3, his) == alone
+    r1, r2, r3 = sorted(rounds)
+    assert r1 < r2 < r3
+    assert sizes == [6] + [3] * (r1 - 1) + [2] * (r2 - r1) + [1] * (r3 - r2)
+
+
 def test_order_estimate_validates():
     with pytest.raises(ValueError):
         order_estimate(exp_function(), (4.0, 6.0, 9.0))  # too few radii
