@@ -122,32 +122,40 @@ def kernel_bounds_check(P: KernelParams, grid) -> KernelBoundsReport:
     The second bound controls the deviation of K from its limit 1 at
     infinity (K itself tends to 1, so no decaying bound on |K| can hold
     there; the deviation version is provable for every beta in [-1, 1]).
-    Raises BoundViolated naming the witness point; a violation would mean
-    the kernel implementation is broken.
+    Raises BoundViolated naming the first witness point in grid order; a
+    violation would mean the kernel implementation is broken. Grid points
+    must be finite and nonnegative, and small enough (below about 1.16e77)
+    that x^4 and so K do not overflow; ValueError otherwise.
     """
-    pts = [float(x) for x in grid]
-    if any(x < 0.0 for x in pts):
-        raise ValueError("grid points must be nonnegative")
-    quad_slack = -math.inf
-    tail_slack = None
-    for x in pts:
-        k = kernel_K(x, P)
-        qb = P.c1 * x * x if math.isfinite(P.c1) else math.inf
-        if abs(k) > qb + 1e-12:
+    xs = np.fromiter(grid, dtype=np.float64)
+    if not (np.isfinite(xs) & (xs >= 0.0)).all():
+        raise ValueError("grid points must be finite and nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = kernel_K(xs, P)
+        tb = 4.0 * xs * xs / (2.0 + xs ** 4)
+    huge = np.flatnonzero(~np.isfinite(k))
+    if huge.size:
+        raise ValueError(f"K overflows at grid point {float(xs[huge[0]])}")
+    absk = np.abs(k)
+    qb = (P.c1 * xs * xs if math.isfinite(P.c1)
+          else np.full_like(xs, math.inf))
+    tail = xs >= 2.0
+    dev = np.abs(k - 1.0)
+    over_quad = absk > qb + 1e-12
+    over_tail = tail & (dev > tb + 1e-12)
+    bad = np.flatnonzero(over_quad | over_tail)
+    if bad.size:
+        i = bad[0]
+        x = float(xs[i])
+        if over_quad[i]:
             raise BoundViolated(
-                f"|K({x})| = {abs(k):.6e} exceeds c1 x^2 = {qb:.6e}")
-        quad_slack = max(quad_slack, (qb - abs(k)) if math.isfinite(qb)
-                         else math.inf)
-        if x >= 2.0:
-            tb = 4.0 * x * x / (2.0 + x ** 4)
-            dev = abs(k - 1.0)
-            if dev > tb + 1e-12:
-                raise BoundViolated(
-                    f"|K({x}) - 1| = {dev:.6e} exceeds 4x^2/(2+x^4) = "
-                    f"{tb:.6e}")
-            tail_slack = tb - dev if tail_slack is None else max(tail_slack,
-                                                                 tb - dev)
-    return KernelBoundsReport(P, tuple(pts), quad_slack, tail_slack)
+                f"|K({x})| = {absk[i]:.6e} exceeds c1 x^2 = {qb[i]:.6e}")
+        raise BoundViolated(
+            f"|K({x}) - 1| = {dev[i]:.6e} exceeds 4x^2/(2+x^4) = "
+            f"{tb[i]:.6e}")
+    quad_slack = float(np.max(qb - absk, initial=-math.inf))
+    tail_slack = float(np.max((tb - dev)[tail])) if tail.any() else None
+    return KernelBoundsReport(P, tuple(xs.tolist()), quad_slack, tail_slack)
 
 
 def kernel_report(P: KernelParams, tol: float = 1e-9) -> dict:

@@ -12,13 +12,23 @@ functions out.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CounterexampleFound
-from .sectorgeom import (ANGLE_TOL, RaySet, Sector, TWO_PI, angle_distance,
-                         minimal_cone, separated, wrap_angle)
+from .sectorgeom import (ANGLE_TOL, ConeRows, RaySet, Sector, TWO_PI,
+                         bisector_distance, cone_rows, separated_rows,
+                         wrap_angles)
+
+# rows per array pass of enumerate_configs (2d ray columns each): the
+# temporaries of a pass stay under a megabyte, and larger passes ran no faster
+_PASS_ROWS = 512
+# largest argA grid enumerate_configs accepts: 8,386,560 rows at dmax 12
+MAX_ARG_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,8 @@ class AccumulationConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be at least 1")
+        if not math.isfinite(self.argA):
+            raise ValueError("argA must be finite")
         assignment = tuple(int(v) for v in self.assignment)
         if len(assignment) != self.d:
             raise ValueError("assignment length must equal d")
@@ -45,27 +57,48 @@ class AccumulationConfig:
 
     def ray_pair(self, k: int) -> tuple:
         """Boundary rays of decay sector k (0-based), phi_k +- pi/(2d)."""
-        phi = ((2 * (k + 1) - 1) * math.pi - self.argA) / self.d
-        half = 0.5 * math.pi / self.d
-        return (wrap_angle(phi - half), wrap_angle(phi + half))
+        if not 0 <= k < self.d:
+            raise ValueError(f"sector index {k} outside 0..{self.d - 1}")
+        lo, hi = _boundary_rays(self.d, np.array([self.argA]))[0, k]
+        return (float(lo), float(hi))
+
+
+def _boundary_rays(d: int, arg_a: np.ndarray) -> np.ndarray:
+    """(rows, d, 2) boundary rays phi_k -+ pi/(2d), one row per argA."""
+    k = np.arange(d)
+    phi = ((2 * (k + 1) - 1) * math.pi - arg_a[:, None]) / d
+    half = 0.5 * math.pi / d
+    return wrap_angles(np.stack([phi - half, phi + half], axis=-1))
+
+
+def _config_cones(d: int, arg_a: np.ndarray,
+                  values: np.ndarray) -> tuple[ConeRows, ConeRows]:
+    """Zero-ray and one-ray sets with their cones, one row per config.
+
+    Zeros accumulate on rays bordering sectors with value 1 (0 differs
+    from the sector value there); 1-points on rays bordering value-0
+    sectors. values is (rows, d) of 0/1.
+    """
+    rays = _boundary_rays(d, arg_a).reshape(len(arg_a), 2 * d)
+    on_zero = np.repeat(values == 1, 2, axis=1)
+    return (cone_rows(np.where(on_zero, rays, math.nan)),
+            cone_rows(np.where(on_zero, math.nan, rays)))
+
+
+def _one_config(cfg: AccumulationConfig) -> tuple[ConeRows, ConeRows]:
+    return _config_cones(cfg.d, np.array([cfg.argA], dtype=np.float64),
+                         np.array([cfg.assignment]))
 
 
 def config_rays(cfg: AccumulationConfig) -> tuple:
     """(zero_rays, one_rays) induced by the sector values.
 
-    Zeros accumulate on rays bordering sectors with value 1 (0 differs
-    from the sector value there); 1-points on rays bordering value-0
-    sectors. A constant assignment leaves one set empty.
+    Zeros accumulate on rays bordering sectors with value 1; 1-points on
+    rays bordering value-0 sectors. A constant assignment leaves one set
+    empty.
     """
-    zero: list[float] = []
-    one: list[float] = []
-    for k, v in enumerate(cfg.assignment):
-        pair = cfg.ray_pair(k)
-        if v == 1:
-            zero.extend(pair)
-        else:
-            one.extend(pair)
-    return RaySet(zero), RaySet(one)
+    zero, one = _one_config(cfg)
+    return zero.ray_set(0), one.ray_set(0)
 
 
 @dataclass(frozen=True)
@@ -90,35 +123,50 @@ class FeasibilityVerdict:
     halfplane_hypothesis_met: bool
 
 
-def _cone(rays: RaySet) -> Sector | None:
-    return minimal_cone(rays) if len(rays) else None
+class _Verdicts(NamedTuple):
+    """FeasibilityVerdict's openings and flags, one entry per config."""
+
+    zero_opening: np.ndarray
+    one_opening: np.ndarray
+    disjoint: np.ndarray
+    disjoint_cone: np.ndarray
+    halfplane: np.ndarray
 
 
-def _disjoint(c0: Sector | None, c1: Sector | None) -> bool:
-    if c0 is not None and c1 is not None:
-        return separated(c0, c1)
-    other = c0 if c1 is None else c1
-    if other is None:
-        return True
+def _verdict_rows(zero: ConeRows, one: ConeRows) -> _Verdicts:
+    """Openings, disjointness and both sector hypotheses, elementwise.
+
+    An empty ray set has opening 0 and no cone; it is disjoint from the
+    other cone unless that one covers the plane. The half-plane test asks
+    whether some closed half-plane can contain the 1-point cone while
+    staying angularly disjoint from the zero cone.
+    """
+    has0 = zero.count > 0
+    has1 = one.count > 0
+    h0 = zero.half_opening
+    h1 = one.half_opening
+    th0 = np.where(has0, 2.0 * h0, 0.0)
+    th1 = np.where(has1, 2.0 * h1, 0.0)
+    dist = bisector_distance(zero.bisector, one.bisector)
     # a degenerate sector fits anywhere the other cone leaves a gap
-    return other.half_opening < math.pi - ANGLE_TOL
-
-
-def _halfplane_separates(zero_cone: Sector | None,
-                         one_cone: Sector | None) -> bool:
-    """Can some closed half-plane contain the 1-point cone while staying
-    angularly disjoint from the zero cone?"""
-    if one_cone is not None and one_cone.half_opening > 0.5 * math.pi + ANGLE_TOL:
-        return False
-    if one_cone is None:
-        # half-plane free; only the zero cone must leave room
-        return zero_cone is None or zero_cone.half_opening < 0.5 * math.pi - ANGLE_TOL
-    if zero_cone is None:
-        return True
-    slack = 0.5 * math.pi - one_cone.half_opening
-    reach = min(math.pi,
-                angle_distance(zero_cone.bisector, one_cone.bisector) + slack)
-    return reach > 0.5 * math.pi + zero_cone.half_opening + ANGLE_TOL
+    disjoint = np.where(
+        has0 & has1, separated_rows(zero.bisector, h0, one.bisector, h1),
+        np.where(has0, h0 < math.pi - ANGLE_TOL,
+                 ~has1 | (h1 < math.pi - ANGLE_TOL)))
+    disjoint_cone = (disjoint
+                     & (np.minimum(th0, th1) < 0.5 * math.pi - ANGLE_TOL)
+                     & (np.maximum(th0, th1) < math.pi - ANGLE_TOL))
+    # with no 1-point cone the half-plane is free and only the zero cone
+    # must leave room; otherwise the half-plane's slack around the 1-point
+    # cone has to reach past the zero cone
+    reach = np.minimum(math.pi, dist + (0.5 * math.pi - h1))
+    halfplane = np.where(
+        has1,
+        (h1 <= 0.5 * math.pi + ANGLE_TOL)
+        & (~has0 | (reach > 0.5 * math.pi + h0 + ANGLE_TOL)),
+        ~has0 | (h0 < 0.5 * math.pi - ANGLE_TOL))
+    halfplane &= th0 < math.pi / 3.0 - ANGLE_TOL
+    return _Verdicts(th0, th1, disjoint, disjoint_cone, halfplane)
 
 
 def assess(cfg: AccumulationConfig) -> FeasibilityVerdict:
@@ -129,19 +177,13 @@ def assess(cfg: AccumulationConfig) -> FeasibilityVerdict:
     under pi/3 and a closed half-plane holding the 1-point cone while
     meeting the zero cone only in 0.
     """
-    zero_rays, one_rays = config_rays(cfg)
-    c0 = _cone(zero_rays)
-    c1 = _cone(one_rays)
-    th0 = c0.opening if c0 is not None else 0.0
-    th1 = c1.opening if c1 is not None else 0.0
-    disjoint = _disjoint(c0, c1)
-    thm1 = (disjoint
-            and min(th0, th1) < 0.5 * math.pi - ANGLE_TOL
-            and max(th0, th1) < math.pi - ANGLE_TOL)
-    thm3 = (th0 < math.pi / 3.0 - ANGLE_TOL
-            and _halfplane_separates(c0, c1))
-    return FeasibilityVerdict(cfg, zero_rays, one_rays, c0, c1, th0, th1,
-                              disjoint, thm1, thm3)
+    zero, one = _one_config(cfg)
+    v = _verdict_rows(zero, one)
+    return FeasibilityVerdict(
+        cfg, zero.ray_set(0), one.ray_set(0), zero.sector(0), one.sector(0),
+        float(v.zero_opening[0]), float(v.one_opening[0]),
+        bool(v.disjoint[0]), bool(v.disjoint_cone[0]),
+        bool(v.halfplane[0]))
 
 
 @dataclass(frozen=True)
@@ -160,6 +202,29 @@ class EnumerationReport:
                 "violations": list(self.violations)}
 
 
+_VIOLATION = ("disjoint-cone hypothesis met: {cfg}",
+              "odd-degree parity violated: {cfg}",
+              "half-plane hypothesis met at d = {d}: {cfg}")
+
+
+def _is_count(n) -> bool:
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
+def _sweep_passes(dmax: int, arg_samples: int):
+    """(d, code, values, arg_a) per pass of at most _PASS_ROWS configs, in
+    sweep order: row code * arg_samples + j holds the code-th assignment
+    of itertools.product((0, 1), repeat=d) at argA = 2 pi j / arg_samples."""
+    for d in range(1, dmax + 1):
+        n = arg_samples << d
+        bits = np.arange(d - 1, -1, -1)
+        for lo in range(0, n, _PASS_ROWS):
+            code, j = np.divmod(np.arange(lo, min(n, lo + _PASS_ROWS)),
+                                arg_samples)
+            values = (code[:, None] >> bits) & 1
+            yield d, code, values, TWO_PI * j / arg_samples
+
+
 def enumerate_configs(dmax: int, arg_samples: int = 16) -> EnumerationReport:
     """Sweep every configuration with d <= dmax over an argA grid.
 
@@ -167,35 +232,40 @@ def enumerate_configs(dmax: int, arg_samples: int = 16) -> EnumerationReport:
     disjoint-cone hypothesis; (ii) for odd d and mixed values, cones of
     opening < pi cannot coexist on both sides (the parity step: d would
     have to be even); (iii) the half-plane hypothesis is met only at
-    d = 1. Any hit raises CounterexampleFound carrying the config.
+    d = 1. Any hit raises CounterexampleFound naming the first three
+    offending configs in sweep order (degree, then assignment in
+    lexicographic order, then argA = 2 pi j / arg_samples).
+
+    dmax is an integer in 1..12 and arg_samples one in
+    1..MAX_ARG_SAMPLES. The 2^d * arg_samples configs of each degree are
+    assessed as arrays, at most _PASS_ROWS at a time.
     """
-    if not 1 <= dmax <= 12:
-        raise ValueError("dmax must lie in 1..12")
-    if arg_samples < 1:
-        raise ValueError("arg_samples must be positive")
+    if not _is_count(dmax) or not 1 <= dmax <= 12:
+        raise ValueError("dmax must be an integer in 1..12")
+    if not _is_count(arg_samples) or not 1 <= arg_samples <= MAX_ARG_SAMPLES:
+        raise ValueError(
+            f"arg_samples must be an integer in 1..{MAX_ARG_SAMPLES}")
     checked = 0
     met3: set[int] = set()
     violations: list[str] = []
-    for d in range(1, dmax + 1):
-        for assignment in itertools.product((0, 1), repeat=d):
-            for j in range(arg_samples):
-                arg_a = TWO_PI * j / arg_samples
-                cfg = AccumulationConfig(d, arg_a, assignment)
-                v = assess(cfg)
-                checked += 1
-                if v.disjoint_cone_hypothesis_met and cfg.mixed:
-                    violations.append(
-                        f"disjoint-cone hypothesis met: {cfg}")
-                if (cfg.mixed and d % 2 == 1
-                        and v.zero_cone_opening < math.pi - 1e-9
-                        and v.one_cone_opening < math.pi - 1e-9):
-                    violations.append(
-                        f"odd-degree parity violated: {cfg}")
-                if v.halfplane_hypothesis_met:
-                    met3.add(d)
-                    if d >= 3:
-                        violations.append(
-                            f"half-plane hypothesis met at d = {d}: {cfg}")
+    for d, code, values, arg_a in _sweep_passes(dmax, arg_samples):
+        v = _verdict_rows(*_config_cones(d, arg_a, values))
+        checked += len(code)
+        mixed = (code > 0) & (code < (1 << d) - 1)
+        parity = (mixed & (d % 2 == 1)
+                  & (v.zero_opening < math.pi - 1e-9)
+                  & (v.one_opening < math.pi - 1e-9))
+        if v.halfplane.any():
+            met3.add(d)
+        hits = np.stack([v.disjoint_cone & mixed, parity,
+                         v.halfplane & (d >= 3)], axis=1)
+        for row, kind in zip(*np.nonzero(hits)):
+            cfg = AccumulationConfig(d, float(arg_a[row]),
+                                     tuple(values[row].tolist()))
+            violations.append(_VIOLATION[kind].format(d=d, cfg=cfg))
+        # later passes cannot change the first three
+        if len(violations) >= 3:
+            break
     if violations:
         raise CounterexampleFound("; ".join(violations[:3]))
     return EnumerationReport(dmax, arg_samples, checked,

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sectorroots import (BoundViolated, KernelParams, kernel_K,
+from sectorroots import (BoundViolated, KernelParams, kernel_K, kernels,
                          kernel_bounds_check, kernel_grid_report,
                          kernel_integral_quadrature, kernel_integral_residue)
 from sectorroots.kernels import kernel_report
@@ -136,3 +136,40 @@ def test_bounds_check_small_grid():
     assert rep.tail_slack is None  # nothing at or past x = 2
     with pytest.raises(ValueError):
         kernel_bounds_check(KernelParams(0.5, 0.5), [-1.0])
+
+
+def test_bounds_check_rejects_non_finite_points():
+    # nan used to pass with quad_slack = inf, and inf gave tail_slack = nan
+    P = KernelParams(0.5, 0.5)
+    for grid in ([0.5, math.nan, 3.0], [math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            kernel_bounds_check(P, grid)
+    # past x = 1e77, x^4 overflows and K is nan: no bound can be checked
+    with pytest.raises(ValueError, match=r"overflows at grid point 1e\+100"):
+        kernel_bounds_check(P, [3.0, 1e100])
+    assert kernel_bounds_check(P, [1e76]).tail_slack >= 0.0
+
+
+def test_bounds_check_names_first_witness(monkeypatch):
+    P = KernelParams(0.5, 0.5)
+    # the tail bound fails past x = 3, the quadratic one at x = 0.25
+    monkeypatch.setattr(kernels, "kernel_K",
+                        lambda x, P: np.where(x > 3.0, 5.0, 0.0)
+                        + np.where(x == 0.25, 1.0, 0.0))
+    with pytest.raises(BoundViolated, match=r"\|K\(3\.5\) - 1\|"):
+        kernel_bounds_check(P, [0.0, 1.0, 3.5, 4.0])
+    with pytest.raises(BoundViolated, match=r"\|K\(0\.25\)\| = 1"):
+        kernel_bounds_check(P, [0.0, 0.25, 3.5])
+
+
+def test_bounds_report_matches_pointwise_rule():
+    P = KernelParams(0.7, 0.5)
+    grid = np.concatenate([np.linspace(0.0, 12.0, 241),
+                           np.geomspace(12.0, 1e4, 40)])
+    rep = kernel_bounds_check(P, grid)
+    quad = [P.c1 * x * x - abs(kernel_K(x, P)) for x in grid]
+    tail = [4.0 * x * x / (2.0 + x ** 4) - abs(kernel_K(x, P) - 1.0)
+            for x in grid if x >= 2.0]
+    assert rep.points == tuple(float(x) for x in grid)
+    assert rep.quad_slack == max(quad)
+    assert rep.tail_slack == max(tail)
