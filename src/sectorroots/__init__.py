@@ -19,13 +19,10 @@ from .kernels import (KernelBoundsReport, KernelParams, kernel_K,
                       kernel_integral_quadrature, kernel_integral_residue,
                       kernel_report)
 from .polyexp import (PolyExpFunction, Polynomial, ScaledComplex, eval_f,
-                      eval_f_scaled, function_from_json, function_to_json,
-                      load_function, save_function)
+                      function_from_json, function_to_json, load_function)
 from .rayconfig import (AccumulationConfig, EnumerationReport,
-                        FeasibilityVerdict, assess, config_rays,
                         enumerate_configs)
-from .rootfinder import (RootRecord, SearchResult, find_a_points,
-                         newton_refine, roots_to_csv)
+from .rootfinder import RootRecord, SearchResult, find_a_points, roots_to_csv
 from .sectorgeom import (RaySet, Sector, SectorReport, angle_distance,
                          minimal_cone, sector_report, separated, wrap_angle)
 from .valuedist import (CanonicalProduct, CountingTable,
@@ -39,23 +36,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulationConfig", "AsymptoticData", "BoundViolated",
     "BoundaryTooClose", "Box", "CanonicalProduct", "CountingTable",
-    "CounterexampleFound", "DegreeZero", "DerivativeVanishes",
-    "EmptyRaySet", "EnumerationReport", "FeasibilityVerdict",
-    "KernelBoundsReport", "KernelParams",
+    "CounterexampleFound", "DegreeZero", "DerivativeVanishes", "EmptyRaySet",
+    "EnumerationReport", "KernelBoundsReport", "KernelParams",
     "NearCriticalZero", "NoConvergence", "NonPositiveLogM", "OverflowRegion",
     "PolyExpFunction", "Polynomial", "RaySet", "RootRecord", "ScaledComplex",
     "SearchResult", "Sector", "SectorReport", "SectorRootsError",
     "TailTooLarge", "ToleranceNotMet", "WindingResult",
-    "accumulation_rays_analytic", "angle_distance", "assess",
-    "asymptotic_values", "canonical_one_point_rays",
-    "canonical_product_eval", "circle_log_mean", "config_rays",
+    "accumulation_rays_analytic", "angle_distance", "asymptotic_values",
+    "canonical_one_point_rays", "canonical_product_eval", "circle_log_mean",
     "counting_functions", "critical_rays", "enumerate_configs", "eval_f",
-    "eval_f_scaled", "example", "example1", "example2", "example_region",
-    "exp_function", "find_a_points", "find_product_a_points",
-    "function_from_json", "function_to_json", "gamma_quadrature",
-    "jensen_defect", "kernel_K", "kernel_bounds_check", "kernel_grid_report",
-    "kernel_integral_quadrature", "kernel_integral_residue", "kernel_report",
-    "load_function", "log_max_modulus", "minimal_cone", "newton_refine",
-    "order_estimate", "roots_to_csv", "save_function", "sector_report",
-    "separated", "square_minus_one", "wrap_angle",
+    "example", "example1", "example2", "example_region", "exp_function",
+    "find_a_points", "find_product_a_points", "function_from_json",
+    "function_to_json", "gamma_quadrature", "jensen_defect", "kernel_K",
+    "kernel_bounds_check", "kernel_grid_report", "kernel_integral_quadrature",
+    "kernel_integral_residue", "kernel_report", "load_function",
+    "log_max_modulus", "minimal_cone", "order_estimate", "roots_to_csv",
+    "sector_report", "separated", "square_minus_one", "wrap_angle",
 ]

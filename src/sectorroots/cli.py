@@ -23,7 +23,7 @@ from .contour import Box
 from .errors import (BoundViolated, CounterexampleFound, DegreeZero,
                      SectorRootsError)
 from .kernels import KernelParams, kernel_bounds_check, kernel_grid_report
-from .polyexp import PolyExpFunction, load_function
+from .polyexp import PolyExpFunction, _pair, load_function
 from .rayconfig import enumerate_configs
 from .rootfinder import find_a_points
 from .sectorgeom import RaySet, Sector, minimal_cone, sector_report
@@ -88,10 +88,6 @@ def _emit(args, name: str, payload: dict, csv_text: str | None = None,
                 fh.write(csv_text)
     if getattr(args, "json", False):
         sys.stdout.write(canonical_json(payload))
-
-
-def _pair(w: complex) -> list:
-    return [w.real, w.imag]
 
 
 def _default_sector(data, target: complex, margin: float = 0.05) -> Sector:

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (AsymptoticData, asymptotic_values, in_decay_interior,
-                          sector_remainder, tail_remainder)
+from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
+                          in_decay_interior, sector_remainder, tail_remainder)
 from .contour import edge_points, edge_reversed
 from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
@@ -123,16 +124,8 @@ class PolyExpRootModel:
         self.tol = tol
         self.log_tol = math.log(tol)
         self.data = data
-        # (z, f, err_log) of recent anchored points, newest last. Replaced
-        # whole on every insert, so a reader never sees it half updated;
-        # an insert lost to a concurrent one only costs a later integral
-        # from 0
-        self._anchors: tuple = ()
-
-    def ensure_data(self) -> AsymptoticData | None:
-        if self.data is None and self.F.q.degree >= 1 and not self.F.p.is_zero:
-            self.data = asymptotic_values(self.F, tol=1e-10)
-        return self.data
+        # (z, f, err_log) of recent anchored points, newest last
+        self._anchors: deque = deque(maxlen=_ANCHOR_MEMORY)
 
     # -- scalar evaluations -------------------------------------------------
 
@@ -156,8 +149,7 @@ class PolyExpRootModel:
         err_log = _logaddexp(int_err_log,
                              _LOG_EPS + max(fs.logmag, c_sc.logmag))
         if _clears_headroom(fs, err_log):
-            self._anchors = (self._anchors
-                             + ((z, fs, err_log),))[-_ANCHOR_MEMORY:]
+            self._anchors.append((z, fs, err_log))
         return fs, err_log
 
     def near_f(self, z: complex) -> tuple[ScaledComplex, float] | None:
@@ -247,6 +239,19 @@ class PolyExpRootModel:
         swing = abs(z1 - z0) * 1.5 * qmax
         n = 8 + int(swing / (0.5 * math.pi)) + 4 * (self.F.p.degree + 1)
         return min(n, 20000)
+
+
+def build_model(F: PolyExpFunction,
+                data: AsymptoticData | None = None) -> PolyExpRootModel:
+    """A model of F with data, or else with F's asymptotic data at tol
+    1e-10; without any when F has no critical rays (constant q or p = 0)
+    or their limits miss that tolerance."""
+    if data is None and F.q.degree >= 1 and not F.p.is_zero:
+        try:
+            data = asymptotic_values(F, tol=1e-10)
+        except (DegreeZero, ToleranceNotMet):
+            data = None
+    return PolyExpRootModel(F, data=data)
 
 
 def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,

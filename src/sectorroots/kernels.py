@@ -55,11 +55,20 @@ class KernelParams:
         return math.inf if s == 0.0 else 1.0 / s
 
 
+# past this x (x^4 overflows near 1.16e77), K is divided through by x^4
+_X4_SAFE = 1e77
+
+
 def kernel_K(x, P: KernelParams):
     """K(x); accepts scalars or numpy arrays, x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    x2 = x * x
-    val = x2 * (P.beta + x2) / (1.0 + 2.0 * P.beta * x2 + x2 * x2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x2 = x * x
+        y2 = 1.0 / x2
+        val = np.where(
+            x > _X4_SAFE,
+            (P.beta * y2 + 1.0) / (y2 * y2 + 2.0 * P.beta * y2 + 1.0),
+            x2 * (P.beta + x2) / (1.0 + 2.0 * P.beta * x2 + x2 * x2))
     return float(val) if val.ndim == 0 else val
 
 
@@ -124,21 +133,20 @@ def kernel_bounds_check(P: KernelParams, grid) -> KernelBoundsReport:
     there; the deviation version is provable for every beta in [-1, 1]).
     Raises BoundViolated naming the first witness point in grid order; a
     violation would mean the kernel implementation is broken. Grid points
-    must be finite and nonnegative, and small enough (below about 1.16e77)
-    that x^4 and so K do not overflow; ValueError otherwise.
+    must be finite and nonnegative; ValueError otherwise. Past x = 1e154,
+    c1 x^2 exceeds double range and quad_slack is inf.
     """
     xs = np.fromiter(grid, dtype=np.float64)
     if not (np.isfinite(xs) & (xs >= 0.0)).all():
         raise ValueError("grid points must be finite and nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = kernel_K(xs, P)
-        tb = 4.0 * xs * xs / (2.0 + xs ** 4)
-    huge = np.flatnonzero(~np.isfinite(k))
-    if huge.size:
-        raise ValueError(f"K overflows at grid point {float(xs[huge[0]])}")
+    k = kernel_K(xs, P)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y2 = 1.0 / (xs * xs)
+        tb = np.where(xs > _X4_SAFE, 4.0 * y2 / (2.0 * y2 * y2 + 1.0),
+                      4.0 * xs * xs / (2.0 + xs ** 4))
+        qb = (P.c1 * xs * xs if math.isfinite(P.c1)
+              else np.full_like(xs, math.inf))
     absk = np.abs(k)
-    qb = (P.c1 * xs * xs if math.isfinite(P.c1)
-          else np.full_like(xs, math.inf))
     tail = xs >= 2.0
     dev = np.abs(k - 1.0)
     over_quad = absk > qb + 1e-12

@@ -499,19 +499,6 @@ def eval_f(F: PolyExpFunction, z: complex, tol: float = 1e-12) -> complex:
     return complex(F.c) + val.to_complex()
 
 
-def eval_f_scaled(F: PolyExpFunction, z: complex, tol: float = 1e-12) -> ScaledComplex:
-    """f(z) in scaled form; works in growth sectors where eval_f overflows.
-
-    When the integral dwarfs c the constant is absorbed at full relative
-    precision of the scaled sum.
-    """
-    z = complex(z)
-    base = ScaledComplex.from_complex(complex(F.c))
-    if z == 0:
-        return base
-    return base.add(integral_scaled_parts(F, 0j, z, tol)[0])
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding of function specifications
 
@@ -546,7 +533,3 @@ def load_function(path) -> PolyExpFunction:
     with open(path, "r", encoding="utf-8") as fh:
         return function_from_json(fh.read())
 
-
-def save_function(F: PolyExpFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(function_to_json(F) + "\n")

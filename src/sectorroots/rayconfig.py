@@ -20,9 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CounterexampleFound
-from .sectorgeom import (ANGLE_TOL, ConeRows, RaySet, Sector, TWO_PI,
-                         bisector_distance, cone_rows, separated_rows,
-                         wrap_angles)
+from .sectorgeom import (ANGLE_TOL, ConeRows, TWO_PI, bisector_distance,
+                         cone_rows, separated_rows, wrap_angles)
 
 # rows per array pass of enumerate_configs (2d ray columns each): the
 # temporaries of a pass stay under a megabyte, and larger passes ran no faster
@@ -55,13 +54,6 @@ class AccumulationConfig:
     def mixed(self) -> bool:
         return len(set(self.assignment)) == 2
 
-    def ray_pair(self, k: int) -> tuple:
-        """Boundary rays of decay sector k (0-based), phi_k +- pi/(2d)."""
-        if not 0 <= k < self.d:
-            raise ValueError(f"sector index {k} outside 0..{self.d - 1}")
-        lo, hi = _boundary_rays(self.d, np.array([self.argA]))[0, k]
-        return (float(lo), float(hi))
-
 
 def _boundary_rays(d: int, arg_a: np.ndarray) -> np.ndarray:
     """(rows, d, 2) boundary rays phi_k -+ pi/(2d), one row per argA."""
@@ -85,46 +77,11 @@ def _config_cones(d: int, arg_a: np.ndarray,
             cone_rows(np.where(on_zero, math.nan, rays)))
 
 
-def _one_config(cfg: AccumulationConfig) -> tuple[ConeRows, ConeRows]:
-    return _config_cones(cfg.d, np.array([cfg.argA], dtype=np.float64),
-                         np.array([cfg.assignment]))
-
-
-def config_rays(cfg: AccumulationConfig) -> tuple:
-    """(zero_rays, one_rays) induced by the sector values.
-
-    Zeros accumulate on rays bordering sectors with value 1; 1-points on
-    rays bordering value-0 sectors. A constant assignment leaves one set
-    empty.
-    """
-    zero, one = _one_config(cfg)
-    return zero.ray_set(0), one.ray_set(0)
-
-
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Cone geometry of one configuration against the sector hypotheses.
-
-    Openings are full opening angles (2 * half_opening); an empty ray set
-    has opening 0 and no cone. disjoint reports whether the two minimal
-    cones meet only in 0 (an empty set counts as disjoint unless the other
-    cone covers the plane).
-    """
-
-    config: AccumulationConfig
-    zero_rays: RaySet
-    one_rays: RaySet
-    zero_cone: Sector | None
-    one_cone: Sector | None
-    zero_cone_opening: float
-    one_cone_opening: float
-    disjoint: bool
-    disjoint_cone_hypothesis_met: bool
-    halfplane_hypothesis_met: bool
-
-
 class _Verdicts(NamedTuple):
-    """FeasibilityVerdict's openings and flags, one entry per config."""
+    """Full cone openings (0 for an empty set) and flags, one entry per
+    config. disjoint_cone: disjoint cones, min opening < pi/2, max < pi.
+    halfplane: a zero cone under pi/3 and a closed half-plane holding the
+    1-point cone while meeting the zero cone only in 0."""
 
     zero_opening: np.ndarray
     one_opening: np.ndarray
@@ -167,23 +124,6 @@ def _verdict_rows(zero: ConeRows, one: ConeRows) -> _Verdicts:
         ~has0 | (h0 < 0.5 * math.pi - ANGLE_TOL))
     halfplane &= th0 < math.pi / 3.0 - ANGLE_TOL
     return _Verdicts(th0, th1, disjoint, disjoint_cone, halfplane)
-
-
-def assess(cfg: AccumulationConfig) -> FeasibilityVerdict:
-    """Build both minimal cones and test the two sector hypotheses.
-
-    The first hypothesis asks for disjoint cones with min opening < pi/2
-    and max opening < pi. The second asks for a zero cone of opening
-    under pi/3 and a closed half-plane holding the 1-point cone while
-    meeting the zero cone only in 0.
-    """
-    zero, one = _one_config(cfg)
-    v = _verdict_rows(zero, one)
-    return FeasibilityVerdict(
-        cfg, zero.ray_set(0), one.ray_set(0), zero.sector(0), one.sector(0),
-        float(v.zero_opening[0]), float(v.one_opening[0]),
-        bool(v.disjoint[0]), bool(v.disjoint_cone[0]),
-        bool(v.halfplane[0]))
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import DegreeZero
 from .contour import Box, edge_points, edge_reversed, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
-from .funcmodel import PathSample, PolyExpRootModel
+from .funcmodel import PathSample, build_model
 from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction,
                       ScaledComplex, segments_re_q_max)
 
@@ -407,16 +406,6 @@ def _newton(model, a: complex, z0: complex, tol: float,
         f"best |f-a| = {best_res:.2e}")
 
 
-def _build_model(F: PolyExpFunction, data=None) -> PolyExpRootModel:
-    model = PolyExpRootModel(F, data=data)
-    if data is None:
-        try:
-            model.ensure_data()
-        except (DegreeZero, ToleranceNotMet):
-            model.data = None
-    return model
-
-
 def search_region(model, a: complex, region: Box,
                   tol: float) -> SearchResult:
     """Locate every a-point of model's function inside region.
@@ -464,7 +453,7 @@ def search_region(model, a: complex, region: Box,
 def find_a_points(F: PolyExpFunction, a: complex, region: Box,
                   tol: float = 1e-9, *, data=None) -> SearchResult:
     """Locate every a-point of f inside region; see search_region."""
-    return search_region(_build_model(F, data), a, region, tol)
+    return search_region(build_model(F, data), a, region, tol)
 
 
 def _dedup(records: list[RootRecord], diameter: float) -> list[RootRecord]:
@@ -491,36 +480,3 @@ def _dedup(records: list[RootRecord], diameter: float) -> list[RootRecord]:
         if not merged:
             out.append(rec)
     return out
-
-
-def newton_refine(F: PolyExpFunction, a: complex, z0: complex,
-                  tol: float = 1e-12, maxit: int = 50,
-                  *, data=None) -> RootRecord:
-    """Polish a seed to an a-point and certify it with a winding box.
-
-    The isolating box starts at twice the step scale and grows by factors
-    of 8 until it encloses winding exactly 1 (or gives up at moderate size,
-    returning the refined point with the smallest certified box attempted).
-    """
-    a = complex(a)
-    model = _build_model(F, data)
-    z, res = _newton(model, a, z0, tol, maxit)
-
-    side = max(1e-7, 1e-5 * abs(z))
-    box = None
-    count = 1
-    for _ in range(6):
-        cand = Box(z.real - side, z.imag - side, z.real + side, z.imag + side)
-        try:
-            count = winding_count(model.path_evaluator(a), cand).count
-        except (BoundaryTooClose, ToleranceNotMet):
-            side *= 8.0
-            continue
-        if count >= 1:
-            box = cand
-            break
-        side *= 8.0
-    if box is None:
-        box = Box(z.real - side, z.imag - side, z.real + side, z.imag + side)
-        count = 1
-    return RootRecord(z, a, res, count, box)

@@ -82,12 +82,6 @@ class Sector:
         return (angle_distance(math.atan2(z.imag, z.real), self.bisector)
                 <= self.half_opening + ANGLE_TOL)
 
-    def contains_angle(self, theta: float) -> bool:
-        return angle_distance(theta, self.bisector) <= self.half_opening + ANGLE_TOL
-
-    def rotated(self, theta: float) -> "Sector":
-        return Sector(self.bisector + theta, self.half_opening, self.full_plane)
-
     def to_dict(self) -> dict:
         return {"bisector": self.bisector, "half_opening": self.half_opening}
 
@@ -220,9 +214,6 @@ class RaySet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{t:.12g}" for t in self.angles)
         return f"RaySet([{inner}])"
-
-    def rotated(self, theta: float) -> "RaySet":
-        return RaySet(t + theta for t in self.angles)
 
 
 def minimal_cone(rays) -> Sector:

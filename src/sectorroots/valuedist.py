@@ -24,9 +24,9 @@ from .asymptotics import tail_end
 from .contour import Box, edge_points, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
                      ToleranceNotMet)
-from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG
+from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG, build_model
 from .polyexp import PolyExpFunction, ScaledComplex, integral_raw_batch
-from .rootfinder import SearchResult, _build_model, search_region
+from .rootfinder import SearchResult, search_region
 from .sectorgeom import RaySet
 
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -165,7 +165,7 @@ def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
                     *, data=None) -> float:
     """Natural log of max |f| on the circle |z| = r, by _circle_maxima."""
     _check_circle(r, samples)
-    model = _build_model(F, data)
+    model = build_model(F, data)
     return _circle_maxima(lambda pts, _: _log_abs_f(model, pts), [r],
                           samples)[0]
 
@@ -178,7 +178,7 @@ def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
     long as no zero of f sits on (or hugs) the circle.
     """
     _check_circle(r, samples)
-    model = _build_model(F, data)
+    model = build_model(F, data)
     pts = [r * cmath.exp(1j * (2.0 * math.pi * k / samples))
            for k in range(samples)]
     total = 0.0
@@ -237,7 +237,7 @@ def order_estimate(F_or_product, rgrid, *, samples: int = 128,
     if isinstance(F_or_product, CanonicalProduct):
         logm = _product_log_max(F_or_product, radii, samples)
     else:
-        model = _build_model(F_or_product, data)
+        model = build_model(F_or_product, data)
         logm = _circle_maxima(lambda pts, _: _log_abs_f(model, pts), radii,
                               samples)
     bad = [r for r, m in zip(radii, logm) if m <= 1.0]

@@ -29,13 +29,13 @@ from conftest import record_criterion
 
 from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
                          KernelParams, ScaledComplex, canonical_one_point_rays,
-                         canonical_product_eval, config_rays,
-                         enumerate_configs, eval_f_scaled, exp_function,
-                         find_product_a_points, jensen_defect,
+                         canonical_product_eval, enumerate_configs,
+                         exp_function, find_product_a_points, jensen_defect,
                          kernel_grid_report, kernel_integral_quadrature,
-                         kernel_integral_residue, order_estimate)
+                         kernel_integral_residue, order_estimate, rayconfig)
 from sectorroots.asymptotics import asymptotic_approx
 from sectorroots.catalog import gamma_quadrature
+from sectorroots.funcmodel import PolyExpRootModel
 from sectorroots.sectorgeom import angle_distance
 from sectorroots.valuedist import core_terms
 
@@ -144,7 +144,7 @@ def test_criterion_4_sector_approximation_decay(ex1, ex2, data1, data2):
                 approx, _ = asymptotic_approx(F, z, data)
                 if not isinstance(approx, ScaledComplex):
                     approx = ScaledComplex.from_complex(approx)
-                truth = eval_f_scaled(F, z)
+                truth = PolyExpRootModel(F, tol=1e-12).anchored_f(z)[0]
                 err = approx.add(truth.neg()).div(truth).abs_value()
                 errs.append(err)
                 quotients.append(err / _next_term(F, z))
@@ -263,7 +263,10 @@ def test_criterion_9_enumeration_and_ray_sets(data1, data2):
             cfg = AccumulationConfig(
                 data.d, cmath.phase(data.A) % (2 * PI),
                 tuple(int(round(v.real)) for v in data.values))
-            zero, one = config_rays(cfg)
+            # the ray sets the sweep itself builds for this configuration
+            cones = rayconfig._config_cones(cfg.d, np.array([cfg.argA]),
+                                            np.array([cfg.assignment]))
+            zero, one = (c.ray_set(0) for c in cones)
             want_zero, want_one = published[(data.d, cfg.assignment)]
             for got, want in ((zero, want_zero), (one, want_one)):
                 assert len(got) == len(want)

@@ -11,35 +11,38 @@ import os
 
 import pytest
 
-from sectorroots import PolyExpFunction, Polynomial, save_function
+import sectorroots
+from sectorroots import PolyExpFunction, Polynomial, function_to_json
 from sectorroots.cli import (_parse_complex, _parse_region, canonical_json,
                              main)
 
 PI = math.pi
 
 
+def _spec(path, F: PolyExpFunction) -> str:
+    path.write_text(function_to_json(F) + "\n", encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture
 def square_spec(tmp_path):
-    path = str(tmp_path / "square.json")
-    save_function(PolyExpFunction(Polynomial((0.0, 2.0)),
-                                  Polynomial((0.0,)), -1.0), path)
-    return path
+    return _spec(tmp_path / "square.json",
+                 PolyExpFunction(Polynomial((0.0, 2.0)),
+                                 Polynomial((0.0,)), -1.0))
 
 
 @pytest.fixture
 def exp_spec(tmp_path):
-    path = str(tmp_path / "exp.json")
-    save_function(PolyExpFunction(Polynomial((1.0,)),
-                                  Polynomial((0.0, 1.0)), 1.0), path)
-    return path
+    return _spec(tmp_path / "exp.json",
+                 PolyExpFunction(Polynomial((1.0,)),
+                                 Polynomial((0.0, 1.0)), 1.0))
 
 
 @pytest.fixture
 def const_spec(tmp_path):
-    path = str(tmp_path / "const.json")
-    save_function(PolyExpFunction(Polynomial(()),
-                                  Polynomial((0.0, 1.0)), 0.5), path)
-    return path
+    return _spec(tmp_path / "const.json",
+                 PolyExpFunction(Polynomial(()),
+                                 Polynomial((0.0, 1.0)), 0.5))
 
 
 def test_parse_helpers():
@@ -201,3 +204,46 @@ def test_canonical_json_stable():
     once = canonical_json(blob)
     assert canonical_json(json.loads(once)) == once
     assert once.endswith("\n")
+
+
+# the package's public names: what the CLI, the demos and the benchmark use
+_PUBLIC = [
+    "AccumulationConfig", "AsymptoticData", "BoundViolated",
+    "BoundaryTooClose", "Box", "CanonicalProduct", "CounterexampleFound",
+    "CountingTable", "DegreeZero", "DerivativeVanishes", "EmptyRaySet",
+    "EnumerationReport", "KernelBoundsReport", "KernelParams",
+    "NearCriticalZero", "NoConvergence", "NonPositiveLogM", "OverflowRegion",
+    "PolyExpFunction", "Polynomial", "RaySet", "RootRecord", "ScaledComplex",
+    "SearchResult", "Sector", "SectorReport", "SectorRootsError",
+    "TailTooLarge", "ToleranceNotMet", "WindingResult",
+    "accumulation_rays_analytic", "angle_distance", "asymptotic_values",
+    "canonical_one_point_rays", "canonical_product_eval", "circle_log_mean",
+    "counting_functions", "critical_rays", "enumerate_configs", "eval_f",
+    "example", "example1", "example2", "example_region", "exp_function",
+    "find_a_points", "find_product_a_points", "function_from_json",
+    "function_to_json", "gamma_quadrature", "jensen_defect", "kernel_K",
+    "kernel_bounds_check", "kernel_grid_report", "kernel_integral_quadrature",
+    "kernel_integral_residue", "kernel_report", "load_function",
+    "log_max_modulus", "minimal_cone", "order_estimate", "roots_to_csv",
+    "sector_report", "separated", "square_minus_one", "wrap_angle",
+]
+# wrappers that only their own tests called, by module or class
+_DELETED = {
+    "polyexp": ("eval_f_scaled", "save_function"),
+    "rayconfig": ("FeasibilityVerdict", "assess", "config_rays",
+                  "_one_config"),
+    "rootfinder": ("newton_refine",),
+    "AccumulationConfig": ("ray_pair",),
+    "Sector": ("contains_angle", "rotated"),
+    "RaySet": ("rotated",),
+}
+
+
+def test_public_api_is_pinned():
+    assert sorted(sectorroots.__all__) == _PUBLIC
+    for name in _PUBLIC:
+        assert getattr(sectorroots, name) is not None
+    for owner, names in _DELETED.items():
+        for name in names:
+            assert not hasattr(sectorroots, name)
+            assert not hasattr(getattr(sectorroots, owner), name)

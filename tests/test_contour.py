@@ -421,7 +421,8 @@ _PLAN_MODELS = (PolyExpRootModel(example2()),
 @example(x0=-0.3, y0=0.1, x1=0.9, y1=0.8, n=9)
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_edge_plans_are_canonical(x0, y0, x1, y1, n):
-    # down to sides below newton_refine's smallest certificate box (2e-7)
+    # down to sides far below the search's isolation certificate boxes
+    # (side about 6e-4)
     assume(x1 - x0 > 1e-8 and y1 - y0 > 1e-8)
     box = Box(x0, y0, x1, y1)
     corners = box.corners()

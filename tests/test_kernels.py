@@ -55,6 +55,23 @@ def test_kernel_limit_one():
         assert abs(kernel_K(x, P) - 1.0) <= 4.0 * x * x / (2.0 + x ** 4)
 
 
+def test_kernel_past_x4_overflow():
+    # x^4 overflows past about 1.16e77; K is taken divided through by x^4
+    # there, and tends to 1
+    P = KernelParams(0.5, 0.5)
+    assert kernel_K(1e78, P) == 1.0
+    b = mp.mpf(P.beta)
+    for x in (1e20, 3e77, 1e200):
+        X = mp.mpf(x)
+        want = X ** 2 * (b + X ** 2) / (1 + 2 * b * X ** 2 + X ** 4)
+        assert kernel_K(x, P) == pytest.approx(float(want), rel=1e-15)
+    # below the switch the direct formula is kept, bit for bit
+    xs = np.geomspace(1e-3, 1e76, 300)
+    x2 = xs * xs
+    direct = x2 * (P.beta + x2) / (1.0 + 2.0 * P.beta * x2 + x2 * x2)
+    assert np.array_equal(kernel_K(xs, P), direct)
+
+
 def test_kernel_array_input():
     P = KernelParams(0.7, 0.2)
     xs = np.linspace(0.0, 5.0, 11)
@@ -144,9 +161,9 @@ def test_bounds_check_rejects_non_finite_points():
     for grid in ([0.5, math.nan, 3.0], [math.inf], [-math.inf]):
         with pytest.raises(ValueError, match="finite"):
             kernel_bounds_check(P, grid)
-    # past x = 1e77, x^4 overflows and K is nan: no bound can be checked
-    with pytest.raises(ValueError, match=r"overflows at grid point 1e\+100"):
-        kernel_bounds_check(P, [3.0, 1e100])
+    # past x = 1e77, where x^4 overflows, both bounds are still checked
+    rep = kernel_bounds_check(P, [3.0, 1e100, 1e300])
+    assert math.isfinite(rep.tail_slack) and rep.tail_slack >= 0.0
     assert kernel_bounds_check(P, [1e76]).tail_slack >= 0.0
 
 

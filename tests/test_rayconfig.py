@@ -1,8 +1,9 @@
 """Feasibility engine: induced ray sets, cone verdicts, exhaustive sweep.
 
-The scalar ray, dedup, cone and hypothesis rules that the array core
-replaced are kept below (_ref_*) as the oracle the core must match bit for
-bit."""
+One configuration is checked as a one-row call of the array core that
+enumerate_configs runs. The scalar ray, dedup, cone and hypothesis rules
+that the array core replaced are kept below (_ref_*) as the oracle the core
+must match bit for bit."""
 
 import itertools
 import math
@@ -14,15 +15,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorroots import (AccumulationConfig, CounterexampleFound, RaySet,
-                         config_rays, enumerate_configs, minimal_cone,
-                         rayconfig, wrap_angle)
+                         enumerate_configs, minimal_cone, rayconfig,
+                         wrap_angle)
 from sectorroots.asymptotics import accumulation_rays_analytic
-from sectorroots.rayconfig import MAX_ARG_SAMPLES, assess
+from sectorroots.rayconfig import MAX_ARG_SAMPLES
 from sectorroots.sectorgeom import angle_distance
 
 PI = math.pi
 TWO_PI = 2.0 * PI
 TOL = 1e-12
+
+
+def _cones(cfg):
+    """Zero-ray and one-ray ConeRows of one configuration."""
+    return rayconfig._config_cones(
+        cfg.d, np.array([cfg.argA], dtype=np.float64),
+        np.array([cfg.assignment]))
+
+
+def _ray_sets(cfg):
+    """(zero_rays, one_rays) of one configuration, as RaySets."""
+    return tuple(c.ray_set(0) for c in _cones(cfg))
 
 
 def _close_sets(got, want, tol=1e-9):
@@ -48,27 +61,27 @@ def test_mixed_flag():
 
 def test_ray_pair_degree_two():
     # phi_0 = 0, so the pair is 0 -+ pi/4 wrapped into [0, 2pi)
-    lo, hi = AccumulationConfig(2, PI, (1, 0)).ray_pair(0)
+    lo, hi = rayconfig._boundary_rays(2, np.array([PI]))[0, 0]
     assert lo == pytest.approx(7 * PI / 4, abs=1e-12)
     assert hi == pytest.approx(PI / 4, abs=1e-12)
 
 
 def test_induced_sets_degree_two():
-    zero, one = config_rays(AccumulationConfig(2, PI, (1, 0)))
+    zero, one = _ray_sets(AccumulationConfig(2, PI, (1, 0)))
     _close_sets(zero, (PI / 4, 7 * PI / 4))
     _close_sets(one, (3 * PI / 4, 5 * PI / 4))
 
 
 def test_induced_sets_degree_three():
-    zero, one = config_rays(AccumulationConfig(3, PI, (1, 0, 0)))
+    zero, one = _ray_sets(AccumulationConfig(3, PI, (1, 0, 0)))
     _close_sets(zero, (PI / 6, 11 * PI / 6))
     _close_sets(one, (PI / 2, 5 * PI / 6, 7 * PI / 6, 3 * PI / 2))
 
 
 def test_constant_assignment_leaves_one_side_empty():
-    zero, one = config_rays(AccumulationConfig(3, 0.3, (1, 1, 1)))
+    zero, one = _ray_sets(AccumulationConfig(3, 0.3, (1, 1, 1)))
     assert len(zero) == 6 and len(one) == 0
-    zero, one = config_rays(AccumulationConfig(3, 0.3, (0, 0, 0)))
+    zero, one = _ray_sets(AccumulationConfig(3, 0.3, (0, 0, 0)))
     assert len(zero) == 0 and len(one) == 6
 
 
@@ -77,7 +90,7 @@ def test_constant_assignment_leaves_one_side_empty():
        bits=st.integers(0, 255))
 def test_union_covers_all_transition_rays(d, argA, bits):
     assignment = tuple((bits >> k) & 1 for k in range(d))
-    zero, one = config_rays(AccumulationConfig(d, argA, assignment))
+    zero, one = _ray_sets(AccumulationConfig(d, argA, assignment))
     merged = RaySet(list(zero) + list(one))
     assert len(merged) == 2 * d
 
@@ -87,37 +100,38 @@ def test_union_covers_all_transition_rays(d, argA, bits):
        theta=st.floats(-3.0, 3.0), bits=st.integers(0, 63))
 def test_rotation_equivariance(d, argA, theta, bits):
     assignment = tuple((bits >> k) & 1 for k in range(d))
-    base_z, base_o = config_rays(AccumulationConfig(d, argA, assignment))
-    rot_z, rot_o = config_rays(
+    base_z, base_o = _ray_sets(AccumulationConfig(d, argA, assignment))
+    rot_z, rot_o = _ray_sets(
         AccumulationConfig(d, argA - d * theta, assignment))
     _close_sets(rot_z, [wrap_angle(t + theta) for t in base_z], 1e-8)
     _close_sets(rot_o, [wrap_angle(t + theta) for t in base_o], 1e-8)
 
 
 def test_verdict_matches_erf_example():
-    v = assess(AccumulationConfig(2, PI, (1, 0)))
-    assert v.zero_cone_opening == pytest.approx(PI / 2, abs=1e-9)
-    assert v.one_cone_opening == pytest.approx(PI / 2, abs=1e-9)
-    assert v.disjoint
+    v = rayconfig._verdict_rows(*_cones(AccumulationConfig(2, PI, (1, 0))))
+    assert v.zero_opening[0] == pytest.approx(PI / 2, abs=1e-9)
+    assert v.one_opening[0] == pytest.approx(PI / 2, abs=1e-9)
+    assert v.disjoint[0]
     # opening sits exactly on the strict pi/2 threshold: hypothesis missed
-    assert not v.disjoint_cone_hypothesis_met
-    assert not v.halfplane_hypothesis_met
+    assert not v.disjoint_cone[0]
+    assert not v.halfplane[0]
 
 
 def test_verdict_matches_cubic_example():
-    v = assess(AccumulationConfig(3, PI, (1, 0, 0)))
-    assert v.zero_cone_opening == pytest.approx(PI / 3, abs=1e-9)
-    assert v.one_cone_opening == pytest.approx(PI, abs=1e-9)
-    assert v.disjoint
-    assert not v.disjoint_cone_hypothesis_met
-    assert not v.halfplane_hypothesis_met
+    v = rayconfig._verdict_rows(
+        *_cones(AccumulationConfig(3, PI, (1, 0, 0))))
+    assert v.zero_opening[0] == pytest.approx(PI / 3, abs=1e-9)
+    assert v.one_opening[0] == pytest.approx(PI, abs=1e-9)
+    assert v.disjoint[0]
+    assert not v.disjoint_cone[0]
+    assert not v.halfplane[0]
 
 
 def test_config_agrees_with_asymptotic_rays(data1, data2):
     for data in (data1, data2):
         argA = wrap_angle(PI - data.d * data.rays[0])
         assignment = tuple(int(round(v.real)) for v in data.values)
-        zero, one = config_rays(AccumulationConfig(data.d, argA, assignment))
+        zero, one = _ray_sets(AccumulationConfig(data.d, argA, assignment))
         _close_sets(zero, accumulation_rays_analytic(data, 0.0))
         _close_sets(one, accumulation_rays_analytic(data, 1.0))
 
@@ -146,13 +160,6 @@ def test_config_rejects_non_finite_arg():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="argA must be finite"):
             AccumulationConfig(3, bad, (1, 0, 0))
-
-
-def test_ray_pair_rejects_sector_outside_range():
-    cfg = AccumulationConfig(2, PI, (1, 0))
-    for k in (-1, 2):
-        with pytest.raises(ValueError):
-            cfg.ray_pair(k)
 
 
 # -- the scalar rules the array core replaced ----------------------------
@@ -328,20 +335,21 @@ def test_array_core_matches_scalar_rules_on_every_degree_eight_row():
        bits=st.integers(0, 4095))
 def test_assess_matches_scalar_rules(d, argA, bits):
     assignment = tuple((bits >> k) & 1 for k in range(d))
-    v = assess(AccumulationConfig(d, argA, assignment))
+    zero, one = _cones(AccumulationConfig(d, argA, assignment))
+    v = rayconfig._verdict_rows(zero, one)
     ref = _ref_assess(d, argA, assignment)
-    assert v.zero_rays.angles == ref.zero_rays
-    assert v.one_rays.angles == ref.one_rays
-    assert _cone_tuple(v.zero_cone) == ref.zero_cone
-    assert _cone_tuple(v.one_cone) == ref.one_cone
-    assert v.zero_cone_opening == ref.th0
-    assert v.one_cone_opening == ref.th1
-    assert v.disjoint == ref.disjoint
-    assert v.disjoint_cone_hypothesis_met == ref.thm1
-    assert v.halfplane_hypothesis_met == ref.thm3
+    assert zero.ray_set(0).angles == ref.zero_rays
+    assert one.ray_set(0).angles == ref.one_rays
+    assert _cone_tuple(zero.sector(0)) == ref.zero_cone
+    assert _cone_tuple(one.sector(0)) == ref.one_cone
+    assert v.zero_opening[0] == ref.th0
+    assert v.one_opening[0] == ref.th1
+    assert v.disjoint[0] == ref.disjoint
+    assert v.disjoint_cone[0] == ref.thm1
+    assert v.halfplane[0] == ref.thm3
+    rays = rayconfig._boundary_rays(d, np.array([argA], dtype=np.float64))
     for k in range(d):
-        assert (AccumulationConfig(d, argA, assignment).ray_pair(k)
-                == _ref_ray_pair(d, argA, k))
+        assert tuple(rays[0, k].tolist()) == _ref_ray_pair(d, argA, k)
 
 
 @pytest.mark.parametrize("arg_samples,pass_rows",

@@ -10,12 +10,11 @@ import pytest
 
 from sectorroots import (Box, CanonicalProduct, PolyExpFunction, Polynomial,
                          eval_f, example, exp_function, find_a_points,
-                         find_product_a_points, newton_refine, rootfinder,
-                         square_minus_one)
+                         find_product_a_points, rootfinder, square_minus_one)
 from sectorroots.contour import winding_count
-from sectorroots.funcmodel import PolyExpRootModel
-from sectorroots.rootfinder import (RootRecord, _build_model, _newton,
-                                    roots_to_csv, sort_records)
+from sectorroots.funcmodel import PolyExpRootModel, build_model
+from sectorroots.rootfinder import (RootRecord, _newton, roots_to_csv,
+                                    sort_records)
 
 # smallest zero pair of example 1, root of (2/sqrt(pi)) int t^2 e^{-t^2} = -1/2
 # refined with 50-digit mpmath Newton; frozen here as an independent oracle
@@ -80,13 +79,6 @@ def test_target_offset():
     got = sorted(r.location.real for r in res)
     rt2 = math.sqrt(2.0)
     assert got == pytest.approx([-rt2, rt2], abs=1e-12)
-
-
-def test_newton_refine():
-    rec = newton_refine(square_minus_one(), 0j, 1.2 + 0.1j, tol=1e-13)
-    assert rec.location == pytest.approx(1.0, abs=1e-12)
-    assert rec.residual < 1e-13
-    assert rec.box_certificate.contains(rec.location)
 
 
 def test_csv_schema():
@@ -168,7 +160,7 @@ def test_residuals_are_from_zero(case, ex1, data1, ex2, data2):
                      "ex2 ones": (ex2, data2, 1.0 + 0j, 3.0)}[case]
     result = find_a_points(F, a, Box(-r, -r, r, r), tol=1e-9, data=data)
     assert len(result) > 0
-    referee = _build_model(F, data)
+    referee = build_model(F, data)
     for rec in result:
         assert rec.residual == referee.diff_scaled(rec.location, a).abs_value()
         assert rec.residual < 1e-9
@@ -260,7 +252,7 @@ def test_walk_root_estimate_near_located_roots(name, request):
     data = request.getfixturevalue("data" + name[-1])
     result, _ = request.getfixturevalue(name + "_zeros")
     zs = [r.location for r in result]
-    model = _build_model(F, data)
+    model = build_model(F, data)
     for z in zs:
         side = min(0.1, 0.4 * min(abs(z - y) for y in zs if y != z))
         c = z + complex(0.3, -0.2) * side

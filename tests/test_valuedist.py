@@ -18,7 +18,7 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
                          log_max_modulus, order_estimate, square_minus_one,
                          valuedist)
 from sectorroots.cli import main
-from sectorroots.rootfinder import _build_model
+from sectorroots.funcmodel import build_model
 from sectorroots.valuedist import (CanonicalProductModel, CountingTable,
                                    _scaled_hurwitz, core_terms)
 
@@ -132,7 +132,7 @@ def test_lockstep_maxima_match_each_radius_alone(request, which):
         F, data = ((request.getfixturevalue("ex2"),
                     request.getfixturevalue("data2")) if which == "ex2"
                    else (exp_function(), None))
-        model = _build_model(F, data)
+        model = build_model(F, data)
 
         def log_abs(pts, owners):
             calls.append(len(pts))
@@ -221,7 +221,7 @@ def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
     # ex1 at r = 6 mixes anchored and rescued samples; ex2 at r = 11 cuts
     # its radial paths into up to 75 chunks
     F = request.getfixturevalue(f"ex{which}")
-    model = _build_model(F, request.getfixturevalue(f"data{which}"))
+    model = build_model(F, request.getfixturevalue(f"data{which}"))
     pts = _circle(r, n)
     if which == 1:
         assert 0 < sum(model.in_rescue_zone(z) for z in pts) < n
@@ -236,7 +236,7 @@ def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
 
 
 def test_log_abs_f_batch_raises_first_failure(monkeypatch, ex1, data1):
-    model = _build_model(ex1, data1)
+    model = build_model(ex1, data1)
     pts = _circle(6.0, 64)
     rescue = [k for k, z in enumerate(pts) if model.in_rescue_zone(z)]
     batch = valuedist.integral_raw_batch
@@ -490,7 +490,7 @@ def test_product_model_matches_contracted_eval():
 @pytest.mark.parametrize("family", ["polyexp", "product"])
 def test_diff_scaled_is_diff_sample_value(family, ex1, data1):
     if family == "polyexp":
-        model = _build_model(ex1, data1)
+        model = build_model(ex1, data1)
     else:
         model = CanonicalProductModel(CanonicalProduct(0.5, 64), 8.0)
     # a growth point, a point in the rescue cone and one near the origin

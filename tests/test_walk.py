@@ -148,7 +148,7 @@ def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
                            data=data2)
     assert result.total_multiplicity == result.winding_total == 51
     assert len(wound) > 200
-    model = rootfinder._build_model(ex2, data2)
+    model = funcmodel.build_model(ex2, data2)
     for box, count in wound:
         assert walk(model.path_evaluator(1 + 0j), box).count == count
 
@@ -191,7 +191,7 @@ class _Noted:
 
 
 def test_served_edge_is_popped(ex1, data1):
-    model = rootfinder._build_model(ex1, data1)
+    model = funcmodel.build_model(ex1, data1)
     path = rootfinder._SharedWalk(model.path_evaluator(0j))
     left, right = Box(-2, -2, 2, 2).split()[:2]
     spoke = (-2j, 0j)
