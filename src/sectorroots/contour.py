@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -425,7 +425,9 @@ def winding_count(pathval, box: Box) -> WindingResult:
     """Winding number of f - a around 0 along the box boundary (ccw).
 
     pathval provides start/extend evaluation of w = f - a in scaled form and
-    raises BoundaryTooClose itself when |w| drops below its safe floor.
+    raises BoundaryTooClose itself when a sample fails the headroom rule
+    (w = 0, or |w| under 1e4 times its error bound); a sample that clears
+    it has a correct phase however small |w| is.
     Each edge is announced by min_samples(z_from, z_to) just before it is
     walked; the walk then extends through edge_points(z_from, z_to, n), so
     an evaluator may plan the increments of the whole edge at that call.

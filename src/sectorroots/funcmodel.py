@@ -39,18 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
-                          in_decay_interior, sector_remainder, tail_remainder)
+                          in_decay_interior, tail_remainder)
 from .contour import edge_points, edge_reversed
-from .errors import BoundaryTooClose, NearCriticalZero, ToleranceNotMet
+from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
                       eval_scaled_exp, integral_raw_batch,
                       integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
 _HEADROOM_LOG = math.log(1e4)
-# relative floor under which a contour is declared too close to an a-point
-_PROXIMITY = 1e-9
-_LOG_PROX = math.log(_PROXIMITY)
 # Re q must be at least this negative before the tail rescue is worthwhile;
 # anchored evaluation keeps headroom down to about Re q = -20, so this
 # overlaps it with margin on both sides
@@ -102,13 +99,18 @@ def _less_target(f: ScaledComplex, f_err: float,
         f_err, _LOG_EPS + max(f.logmag, neg_a.logmag))
 
 
-def _clears_headroom(w: ScaledComplex, err_log: float) -> bool:
-    return not w.is_zero and w.logmag - err_log >= _HEADROOM_LOG
+def _clears_headroom(logmag, err_log):
+    """The one acceptance test of a boundary sample: w != 0 and
+    log|w| - err_log >= _HEADROOM_LOG, with logmag = log|w| (-inf at 0).
+    Elementwise on arrays. A sample that clears it has a phase error below
+    1e-4 radians however small |w| is, so no floor on |w| is needed."""
+    return logmag - err_log >= _HEADROOM_LOG
 
 
 def _try(z: complex, w: ScaledComplex, err_log: float) -> PathSample | None:
     """The sample, if w clears the headroom rule against its error."""
-    return PathSample(z, w, err_log) if _clears_headroom(w, err_log) else None
+    return (PathSample(z, w, err_log) if _clears_headroom(w.logmag, err_log)
+            else None)
 
 
 class PolyExpRootModel:
@@ -148,7 +150,7 @@ class PolyExpRootModel:
         fs = c_sc.add(val)
         err_log = _logaddexp(int_err_log,
                              _LOG_EPS + max(fs.logmag, c_sc.logmag))
-        if _clears_headroom(fs, err_log):
+        if _clears_headroom(fs.logmag, err_log):
             self._anchors.append((z, fs, err_log))
         return fs, err_log
 
@@ -180,12 +182,14 @@ class PolyExpRootModel:
                 and in_decay_interior(self.F, z)
                 and self.F.q(complex(z)).real <= _RESCUE_DEPTH)
 
-    def _rescue(self, z: complex, a: complex) -> ScaledComplex | None:
-        """f(z) - a through the scaled tail integral, if z sits deep in a
-        decay cone and the machinery applies; None otherwise."""
+    def _rescue(self, z: complex, a: complex) -> PathSample | None:
+        """f(z) - a through the scaled tail integral, with the log of its
+        error bound, if z sits deep in a decay cone and the machinery
+        applies; None otherwise."""
         if not self.in_rescue_zone(z):
             return None
-        return self.rescued(z, a, tail_remainder(self.F, z, self.tol))
+        w = self.rescued(z, a, tail_remainder(self.F, z, self.tol))
+        return PathSample(z, w, w.logmag + _RESCUE_REL_LOG)
 
     def rescued(self, z: complex, a: complex,
                 tail: ScaledComplex) -> ScaledComplex:
@@ -205,7 +209,7 @@ class PolyExpRootModel:
         z = complex(z)
         rescued = self._rescue(z, a)
         if rescued is not None:
-            return PathSample(z, rescued, rescued.logmag + _RESCUE_REL_LOG)
+            return rescued
         fs, f_err = self.anchored_f(z)
         return PathSample(z, *_less_target(
             fs, f_err, ScaledComplex.from_complex(-complex(a))))
@@ -287,7 +291,7 @@ def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,
     errs[1::2] = inc_err[:n]
     errs[2::2] = _LOG_EPS + logmag
     errs = np.logaddexp.accumulate(errs)[2::2]
-    ok = logmag - errs >= _HEADROOM_LOG
+    ok = _clears_headroom(logmag, errs)
     return (logmag.tolist(), np.angle(sums).tolist(), errs.tolist(),
             ok.tolist())
 
@@ -315,7 +319,6 @@ class _PolyExpPath:
         self.neg_a = ScaledComplex.from_complex(-a)
         self.F = model.F
         self.tol = model.tol
-        self.floor_log = _LOG_PROX + math.log(max(1.0, abs(a)))
         self._edge: list[complex] = []
         # the planned sample last returned, at self._edge[self._pos]
         self._last: PathSample | None = None
@@ -327,22 +330,6 @@ class _PolyExpPath:
         self._ahead_lo = 0
         self._ahead: tuple = ([], [], [], [])
 
-    def _check_floor(self, s: PathSample) -> PathSample:
-        if s.w.logmag >= self.floor_log:
-            return s
-        # deep decay: legitimate w values fall far below any absolute floor,
-        # so measure proximity against the local sector remainder scale
-        if self.model.in_rescue_zone(s.z):
-            try:
-                rem, _ = sector_remainder(self.F, s.z, self.model.data)
-            except NearCriticalZero:
-                rem = ScaledComplex.zero()
-            if not rem.is_zero and s.w.logmag >= rem.logmag + _LOG_PROX:
-                return s
-        raise BoundaryTooClose(
-            f"|f - a| below proximity floor at {s.z} "
-            f"(log|w| = {s.w.logmag:.2f}, floor log = {self.floor_log:.2f})")
-
     def _build(self, z: complex, prev: PathSample | None) -> PathSample:
         if prev is not None:
             # w obeys the same increments as f, so extending w directly
@@ -352,7 +339,7 @@ class _PolyExpPath:
             s = _try(z, *_add_increment(prev.w, prev.err_log, inc,
                                         inc_err_log))
             if s is not None:
-                return self._check_floor(s)
+                return s
         return self._anchor(z)
 
     def _anchor(self, z: complex) -> PathSample:
@@ -362,15 +349,14 @@ class _PolyExpPath:
         if near is not None:
             s = _try(z, *_less_target(*near, self.neg_a))
             if s is not None:
-                return self._check_floor(s)
+                return s
         w, err_log = _less_target(*self.model.anchored_f(z), self.neg_a)
         s = _try(z, w, err_log)
         if s is not None:
-            return self._check_floor(s)
-        rescued = self.model._rescue(z, self.a)
-        if rescued is not None and not rescued.is_zero:
-            s = PathSample(z, rescued, rescued.logmag + _RESCUE_REL_LOG)
-            return self._check_floor(s)
+            return s
+        s = self.model._rescue(z, self.a)
+        if s is not None and _clears_headroom(s.w.logmag, s.err_log):
+            return s
         raise BoundaryTooClose(
             f"cannot separate f - a from its error bound at {z} "
             f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
@@ -403,8 +389,7 @@ class _PolyExpPath:
         logmag, phase, err_log, ok = self._ahead
         z = self._edge[j]
         if ok[k]:
-            s = self._check_floor(
-                PathSample(z, ScaledComplex(logmag[k], phase[k]), err_log[k]))
+            s = PathSample(z, ScaledComplex(logmag[k], phase[k]), err_log[k])
         else:
             s = self._anchor(z)
             # the samples ahead were summed from the value replaced here

@@ -50,10 +50,6 @@ class AccumulationConfig:
             raise ValueError("assignment values must be 0 or 1")
         object.__setattr__(self, "assignment", assignment)
 
-    @property
-    def mixed(self) -> bool:
-        return len(set(self.assignment)) == 2
-
 
 def _boundary_rays(d: int, arg_a: np.ndarray) -> np.ndarray:
     """(rows, d, 2) boundary rays phi_k -+ pi/(2d), one row per argA."""

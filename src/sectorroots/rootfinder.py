@@ -273,8 +273,9 @@ class _Search:
             if box.diameter > _DIAM_STOP:
                 raise
             # multiple root: every jittered cut passes through the flat
-            # patch where |f - a| sits below the proximity floor, so no
-            # finer certificate exists; report the cell at the stop scale
+            # patch where |f - a| fails the headroom rule against its
+            # error bound, so no finer certificate exists; report the cell
+            # at the stop scale
             return [self._polish(box, count)]
         out: list[RootRecord] = []
         for ch, c in zip(children, counts):

@@ -71,10 +71,6 @@ class Sector:
         object.__setattr__(self, "half_opening",
                            min(max(self.half_opening, 0.0), math.pi))
 
-    @property
-    def opening(self) -> float:
-        return 2.0 * self.half_opening
-
     def contains(self, z: complex) -> bool:
         z = complex(z)
         if z == 0:

@@ -24,7 +24,8 @@ from .asymptotics import tail_end
 from .contour import Box, edge_points, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
                      ToleranceNotMet)
-from .funcmodel import PathSample, PolyExpRootModel, _HEADROOM_LOG, build_model
+from .funcmodel import (PathSample, PolyExpRootModel, _clears_headroom,
+                        build_model)
 from .polyexp import PolyExpFunction, ScaledComplex, integral_raw_batch
 from .rootfinder import SearchResult, search_region
 from .sectorgeom import RaySet
@@ -567,14 +568,18 @@ class CanonicalProductModel:
 
     # --- sample protocol -------------------------------------------------
 
+    def err_bound(self, abs_val, a: complex):
+        """Rounding bound of P - a from |P| (elementwise on arrays): the
+        factor-count noise of P and of the subtraction."""
+        return self.rel_err * (abs_val + abs(a)) + 1e-300
+
     def diff_sample(self, z: complex, a: complex) -> PathSample:
         """P(z) - a by direct evaluation, with the log of its rounding
         bound (the bound _ProductPath walks with)."""
         a = complex(a)
         val = self.value(z)
-        err = self.rel_err * (abs(val) + abs(a)) + 1e-300
         return PathSample(complex(z), ScaledComplex.from_complex(val - a),
-                          math.log(err))
+                          math.log(self.err_bound(abs(val), a)))
 
     def diff_scaled(self, z: complex, a: complex) -> ScaledComplex:
         return self.diff_sample(z, a).w
@@ -632,29 +637,27 @@ class _ProductPath:
     points of the edge about to be walked in one pass
     (CanonicalProductModel.values); extend takes the planned value when
     it steps to the next planned point, and evaluates any other point (a
-    bisection midpoint) alone. Every sample passes the same floor and
-    headroom checks.
+    bisection midpoint) alone. Every sample must clear the headroom rule
+    (funcmodel._clears_headroom) against its rounding bound, or the walk
+    raises BoundaryTooClose. There is no floor on |P - a| itself: P is
+    tiny along the positive axis, where its zeros lie, and a sample there
+    that clears the rule has a correct phase.
     """
 
     def __init__(self, model: CanonicalProductModel, a: complex):
         self.model = model
         self.a = complex(a)
-        self.floor_log = math.log(1e-9 * max(1.0, abs(self.a)))
         self._pts: list[complex] = []
         # (log|w|, arg w, error log) at the planned points
         self._planned: tuple = ([], [], [])
         self._next = 0
 
     def _checked(self, s: PathSample) -> PathSample:
-        if s.w.is_zero or s.w.logmag < self.floor_log:
-            raise BoundaryTooClose(
-                f"|P - a| = {s.w.abs_value():.3e} under the proximity floor "
-                f"at {s.z}")
-        if s.w.logmag - s.err_log < _HEADROOM_LOG:
-            raise BoundaryTooClose(
-                f"|P - a| at {s.z} inside evaluation noise "
-                f"({s.w.abs_value():.3e} vs err {math.exp(s.err_log):.3e})")
-        return s
+        if _clears_headroom(s.w.logmag, s.err_log):
+            return s
+        raise BoundaryTooClose(
+            f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the headroom "
+            f"rule against its error bound {math.exp(s.err_log):.3e}")
 
     def start(self, z: complex) -> PathSample:
         return self._checked(self.model.diff_sample(z, self.a))
@@ -676,7 +679,7 @@ class _ProductPath:
         self._pts = edge_points(complex(z0), complex(z1), n)
         val = self.model.values(np.array(self._pts))
         w = val - self.a
-        err = self.model.rel_err * (np.abs(val) + abs(self.a)) + 1e-300
+        err = self.model.err_bound(np.abs(val), self.a)
         with np.errstate(divide="ignore"):
             self._planned = (np.log(np.abs(w)).tolist(),
                              np.angle(w).tolist(), np.log(err).tolist())

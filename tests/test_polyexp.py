@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
-                         ScaledComplex, eval_f, example1,
+from sectorroots import (OverflowRegion, Polynomial, ScaledComplex, eval_f,
                          exp_function, function_from_json, function_to_json,
                          square_minus_one)
 from sectorroots import ToleranceNotMet, polyexp

@@ -53,12 +53,6 @@ def test_config_validates():
         AccumulationConfig(2, 0.0, (1, 2))
 
 
-def test_mixed_flag():
-    assert AccumulationConfig(2, 0.0, (0, 1)).mixed
-    assert not AccumulationConfig(2, 0.0, (1, 1)).mixed
-    assert not AccumulationConfig(1, 0.0, (0,)).mixed
-
-
 def test_ray_pair_degree_two():
     # phi_0 = 0, so the pair is 0 -+ pi/4 wrapped into [0, 2pi)
     lo, hi = rayconfig._boundary_rays(2, np.array([PI]))[0, 0]
@@ -269,9 +263,10 @@ def _ref_violations(dmax, arg_samples=16, shrink=1.0):
                 arg_a = TWO_PI * j / arg_samples
                 cfg = AccumulationConfig(d, arg_a, assignment)
                 v = _ref_assess(d, arg_a, assignment, shrink)
-                if v.thm1 and cfg.mixed:
+                mixed = len(set(assignment)) == 2
+                if v.thm1 and mixed:
                     out.append(f"disjoint-cone hypothesis met: {cfg}")
-                if (cfg.mixed and d % 2 == 1 and v.th0 < PI - 1e-9
+                if (mixed and d % 2 == 1 and v.th0 < PI - 1e-9
                         and v.th1 < PI - 1e-9):
                     out.append(f"odd-degree parity violated: {cfg}")
                 if v.thm3 and d >= 3:

@@ -43,6 +43,17 @@ def test_double_zero_reported_with_multiplicity():
     assert all(abs(r.location) < 1e-3 for r in res)
 
 
+def test_shifted_double_zero_reported_with_multiplicity():
+    # (z - c)^2 = c^2 + integral of 2(t - c) dt, with the double zero off
+    # every cut through the box centre
+    c = 0.1 + 0.05j
+    F = PolyExpFunction(Polynomial((-2.0 * c, 2.0)), Polynomial((0.0,)),
+                        c * c)
+    res = find_a_points(F, 0j, Box(-0.7, -0.6, 0.65, 0.62), tol=1e-9)
+    assert res.winding_total == res.total_multiplicity == 2
+    assert all(abs(r.location - c) < 1e-3 for r in res)
+
+
 def test_exp_one_points_periodic():
     res = find_a_points(exp_function(), 1.0 + 0j, Box(-1, -7, 1, 7),
                         tol=1e-10)

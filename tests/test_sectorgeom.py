@@ -46,7 +46,7 @@ def test_sector_membership_closed_boundary():
 
 def test_sector_opening_and_rotation():
     s = Sector(1.0, 0.5)
-    assert s.opening == pytest.approx(1.0)
+    assert 2 * s.half_opening == pytest.approx(1.0)
     r = Sector(s.bisector + 2.0, s.half_opening)
     assert r.bisector == pytest.approx(3.0)
     assert r.contains(cmath.rect(1.0, 3.0))

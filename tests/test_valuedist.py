@@ -19,8 +19,8 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
                          valuedist)
 from sectorroots.cli import main
 from sectorroots.funcmodel import build_model
-from sectorroots.valuedist import (CanonicalProductModel, CountingTable,
-                                   _scaled_hurwitz, core_terms)
+from sectorroots.valuedist import (CanonicalProductModel, _scaled_hurwitz,
+                                   core_terms)
 
 mp.mp.dps = 30
 
@@ -503,6 +503,30 @@ def test_product_root_search_small_box():
     res = find_product_a_points(P, 1.0 + 0j, Box(-5.0, -5.0, 5.0, 5.0))
     assert res.total_multiplicity == res.winding_total == 1
     assert abs(res[0].location) < 1e-9  # P(0) = 1
+
+
+def test_product_zero_search_where_p_decays():
+    # the rho = 3/4 zeros n^(4/3) lie on the positive axis, where |P| is
+    # about 4e-7 near n = 4: samples there are far below 1e-9 in |w| and
+    # still clear the headroom rule, so the search certifies the zero
+    P = CanonicalProduct(0.75, 64)
+    res = find_product_a_points(P, 0j, Box(5.9, -0.4, 6.9, 0.4))
+    assert res.winding_total == res.total_multiplicity == len(res) == 1
+    assert abs(res[0].location - 4.0 ** (4.0 / 3.0)) < 1e-8
+    assert res[0].residual < 1e-9
+
+
+def test_product_zero_search_along_the_zero_ray():
+    P = CanonicalProduct(0.75, 64)
+    res = find_product_a_points(P, 0j, Box(0.5, -0.4, 20.0, 0.4))
+    assert res.winding_total == len(res) == 9
+    # |P'| falls to about 1e-8 at the far zeros, so a residual of 1e-14
+    # leaves the location some 1e-5 off: the certificate box is the check
+    for n, rec in enumerate(res, start=1):
+        assert rec.multiplicity == 1
+        zn = n ** (4.0 / 3.0)
+        b = rec.box_certificate
+        assert b.x0 <= zn <= b.x1 and b.y0 <= 0.0 <= b.y1
 
 
 @pytest.mark.parametrize("height", [1e-170, 5e-324])

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from sectorroots import (Box, BoundaryTooClose, find_a_points, rootfinder,
+from sectorroots import (Box, BoundaryTooClose, ToleranceNotMet,
+                         find_a_points, find_product_a_points, rootfinder,
                          square_minus_one)
 from sectorroots import funcmodel
 from sectorroots.contour import edge_points, winding_count
@@ -260,13 +261,13 @@ def test_block_samples_match_sequential_adds():
     assert calls >= 1460 / funcmodel._SPAN_LOG
 
     fails = [j for j, (ws, e) in enumerate(want)
-             if not _clears_headroom(ws, e)]
+             if not _clears_headroom(ws.logmag, e)]
     assert fails == [150]
     # the two summation orders agree to a few ulps of the scaled form;
     # an ulp of logmag is itself a relative 1e-13 of |w| at logmag 600
     ulps = 64 * np.finfo(float).eps
     for (ws, e), (logmag, phase, err_log, ok) in zip(want, got):
-        assert ok == _clears_headroom(ws, e)
+        assert ok == _clears_headroom(ws.logmag, e)
         assert abs(err_log - e) <= ulps * max(1.0, abs(e))
         if ok:
             assert abs(logmag - ws.logmag) <= ulps * max(1.0, abs(logmag))
@@ -296,8 +297,26 @@ def test_planned_product_sample_on_a_point_raises():
     at = pts.index(4.0)
     for z in pts[:at]:
         prev = path.extend(prev, z)
-    with pytest.raises(BoundaryTooClose, match="proximity floor"):
+    with pytest.raises(BoundaryTooClose, match="headroom rule"):
         path.extend(prev, pts[at])
+
+
+def test_product_edge_through_a_point_between_samples():
+    # the rho = 1/2 product is real on y = 0, so its phase jumps by pi
+    # across the zero at 4 however close the bisection gets; every sample
+    # near 4 clears the headroom rule, and the walk stops at the bisection
+    # limit (or on a sample that lands on the zero)
+    P = CanonicalProduct(0.5, 64)
+    box = Box(2.1, 0.0, 6.3, 1.0)
+    path = CanonicalProductModel(P, 8.0).path_evaluator(0j)
+    assert 4.0 not in edge_points(box.x0 + 0j, box.x1 + 0j,
+                                  path.min_samples(box.x0, box.x1))
+    with pytest.raises((ToleranceNotMet, BoundaryTooClose)):
+        winding_count(path, box)
+    # the region search grows the box off the zero and finds it
+    res = find_product_a_points(P, 0j, box)
+    assert res.winding_total == len(res) == 1
+    assert abs(res[0].location - 4.0) < 1e-9
 
 
 @pytest.mark.parametrize("rho, a, box", [
