@@ -2,15 +2,16 @@
 
 The two worked examples plus two degenerate encodings used for
 calibration. Coefficients that equal reciprocal gamma values are
-computed by quadrature at first use, never pasted in as decimals.
+computed with `math.gamma`, never pasted in as decimals;
+`gamma_quadrature` computes the same Gamma values by QUADPACK as an
+independent check. It is the only part of the package that needs scipy,
+and imports it when called.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-from scipy.integrate import quad
 
 from .contour import Box
 from .polyexp import PolyExpFunction, Polynomial
@@ -25,6 +26,7 @@ def gamma_quadrature(s: float) -> float:
     """
     if s <= 0:
         raise ValueError("s must be positive")
+    from scipy.integrate import quad
     head, eh = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 0.0, 1.0,
                     epsabs=1e-13, epsrel=1e-13, limit=200)
     tail, et = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 1.0, math.inf,
@@ -40,7 +42,7 @@ def example1() -> PolyExpFunction:
     Degree 2; decay rays at 0 and pi carry asymptotic values 1 and 0, so
     zeros drift to +-pi/4 and 1-points to pi +- pi/4.
     """
-    coeff = 2.0 / gamma_quadrature(0.5)
+    coeff = 2.0 / math.gamma(0.5)
     return PolyExpFunction(p=Polynomial((0.0, 0.0, coeff)),
                            q=Polynomial((0.0, 0.0, -1.0)),
                            c=0.5)
@@ -52,8 +54,8 @@ def example2() -> PolyExpFunction:
     a = 1/Gamma(4/3), b = 1/Gamma(2/3) make the value along the positive
     real ray exactly 1; the other two decay rays carry 0.
     """
-    a = 1.0 / gamma_quadrature(4.0 / 3.0)
-    b = 1.0 / gamma_quadrature(2.0 / 3.0)
+    a = 1.0 / math.gamma(4.0 / 3.0)
+    b = 1.0 / math.gamma(2.0 / 3.0)
     return PolyExpFunction(p=Polynomial((0.0, b, 0.0, a)),
                            q=Polynomial((0.0, 0.0, 0.0, -1.0)),
                            c=1.0 / 3.0)

@@ -15,10 +15,10 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta
 
 from .asymptotics import tail_end
 from .contour import Box, edge_points, edge_reversed
@@ -40,9 +40,20 @@ _CIRCLE_BLOCK = 64
 _MAX_CORE = 1 << 24
 # a canonical-product tail term is kept while it can move log P this much
 _TAIL_EPS = 1e-18
-# Euler-Maclaurin weights B_2m/(2m)! = (-1)^(m+1) 2 zeta(2m)/(2 pi)^(2m)
-_EM_COEFFS = tuple((-1) ** (m + 1) * 2.0 * float(zeta(2.0 * m))
-                   / (2.0 * math.pi) ** (2 * m) for m in range(1, 13))
+
+
+def _bernoulli(n_max: int) -> list:
+    """Exact B_0..B_n_max from sum over k <= n of C(n+1, k) B_k = 0."""
+    B = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        B.append(-sum(math.comb(n + 1, k) * B[k] for k in range(n))
+                 / (n + 1))
+    return B
+
+
+# Euler-Maclaurin weights B_2m/(2m)!, m = 1..12, each rounded once
+_EM_COEFFS = tuple(float(b / math.factorial(2 * m)) for m, b in
+                   enumerate(_bernoulli(24)[2::2], start=1))
 
 
 def _log_abs_f(model: PolyExpRootModel, z: list) -> list:

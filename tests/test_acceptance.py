@@ -24,7 +24,6 @@ import cmath
 import math
 
 import numpy as np
-import scipy.special
 from conftest import record_criterion
 
 from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
@@ -86,22 +85,25 @@ def test_criterion_1_erf_example_geometry(ex1_zeros, ex1_ones):
               f"{winding_ok}; {seconds:.1f} s < 60 s")
 
 
-def test_criterion_2_asymptotic_values(data1, data2):
+def test_criterion_2_asymptotic_values(ex1, data1, ex2, data2):
     try:
         err1 = max(abs(data1.values[0] - 1.0), abs(data1.values[1]))
         err2 = max(abs(data2.values[0] - 1.0), abs(data2.values[1]),
                    abs(data2.values[2]))
-        gamma_err = max(
-            abs(gamma_quadrature(4.0 / 3.0) - scipy.special.gamma(4.0 / 3.0)),
-            abs(gamma_quadrature(2.0 / 3.0) - scipy.special.gamma(2.0 / 3.0)))
+        # the examples' math.gamma coefficients against QUADPACK
+        coeff_err = max(
+            abs(ex1.p.coeffs[2] - 2.0 / gamma_quadrature(0.5)),
+            abs(ex2.p.coeffs[3] - 1.0 / gamma_quadrature(4.0 / 3.0)),
+            abs(ex2.p.coeffs[1] - 1.0 / gamma_quadrature(2.0 / 3.0)))
     except Exception as exc:
         _crash(2, exc)
         raise
-    ok = err1 <= 1e-8 and err2 <= 1e-8 and gamma_err <= 1e-10
+    ok = err1 <= 1e-8 and err2 <= 1e-8 and coeff_err <= 1e-10
     _conclude(2, ok,
               f"limit errors {err1:.2e} (deg 2), {err2:.2e} (deg 3) <= 1e-8; "
-              f"quadrature Gamma coefficients within {gamma_err:.2e} <= "
-              f"1e-10 of the independent oracle")
+              f"coefficients 2/Gamma(1/2) (ex1), 1/Gamma(4/3) and "
+              f"1/Gamma(2/3) (ex2) from math.gamma within {coeff_err:.2e} "
+              f"<= 1e-10 of the QUADPACK Gamma integrals")
 
 
 def test_criterion_3_cubic_example_geometry(ex2_zeros, ex2_ones):

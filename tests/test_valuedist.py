@@ -19,8 +19,8 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
                          valuedist)
 from sectorroots.cli import main
 from sectorroots.funcmodel import build_model
-from sectorroots.valuedist import (CanonicalProductModel, _scaled_hurwitz,
-                                   core_terms)
+from sectorroots.valuedist import (CanonicalProductModel, _EM_COEFFS,
+                                   _scaled_hurwitz, core_terms)
 
 mp.mp.dps = 30
 
@@ -458,6 +458,15 @@ def test_scaled_hurwitz_mpmath_oracle():
         with mp.workdps(30 + int(x * math.log10(q))):
             want = mp.zeta(x, q) * mp.mpf(q) ** x
         assert abs(got - want) < 1e-15 * want, (q, x)
+
+
+def test_euler_maclaurin_weights_mpmath_oracle():
+    # B_2m/(2m)! from exact Bernoulli numbers, each correctly rounded
+    assert len(_EM_COEFFS) == 12
+    with mp.workdps(40):
+        for m in range(1, 13):
+            want = float(mp.bernoulli(2 * m) / mp.factorial(2 * m))
+            assert _EM_COEFFS[m - 1] == want, m
 
 
 def test_one_point_rays_formula():
