@@ -20,12 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .asymptotics import tail_end
+from .asymptotics import in_decay_interior, tail_remainder
 from .contour import Box, edge_points, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
                      ToleranceNotMet)
-from .funcmodel import (PathSample, PolyExpRootModel, _clears_headroom,
-                        build_model)
+from .funcmodel import (_RESCUE_REL_LOG, PathSample, PolyExpRootModel,
+                        _block_samples, _clears_headroom, build_model)
 from .polyexp import PolyExpFunction, ScaledComplex, integral_raw_batch
 from .rootfinder import SearchResult, search_region
 from .sectorgeom import RaySet
@@ -33,9 +33,13 @@ from .sectorgeom import RaySet
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 _CHUNK = 1 << 19
-# circle samples evaluated per quadrature batch; bounds the memory of the
-# chunks a batch holds on the long radial paths of growth sectors
-_CIRCLE_BLOCK = 64
+# chords of a circle walk integrated per quadrature batch; bounds the
+# memory a batch holds and the work left unused when a walk stops partway
+_CIRCLE_BLOCK = 256
+# a circle sample of log|f| is held when its error bound is at most this
+# share of |f|, about the error of log|f| it allows
+_ACCEPT = 1e-9
+_ACCEPT_LOG = math.log(_ACCEPT)
 # core factor counts above this are refused before anything is allocated
 _MAX_CORE = 1 << 24
 # a canonical-product tail term is kept while it can move log P this much
@@ -56,43 +60,172 @@ _EM_COEFFS = tuple(float(b / math.factorial(2 * m)) for m, b in
                    enumerate(_bernoulli(24)[2::2], start=1))
 
 
-def _log_abs_f(model: PolyExpRootModel, z: list) -> list:
-    """log|f| at each point of the list z via the scaled evaluator.
+def _circle_points(r: float, n: int) -> list:
+    """The n equispaced points r e^{2 pi i j/n} of |z| = r, j = 0 .. n-1."""
+    return [r * cmath.exp(1j * t)
+            for t in np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)]
 
-    Decay interiors go through the tail rescue (f = a_k + remainder), which
-    keeps log|f| exact even where the anchored integral would return the
-    asymptotic value plus noise. Every point's integral, [0, z] or the tail
-    [z, tail_end(z)], goes into one quadrature batch. The error raised is
-    that of the first point that fails, in list order.
+
+def _held(s: PathSample) -> bool:
+    """A circle sample is held when its relative error bound is at most
+    _ACCEPT."""
+    return s.err_log - s.w.logmag <= _ACCEPT_LOG
+
+
+class _Ring:
+    """The circle |z| = r of a model as n equispaced samples
+    (_circle_points), with the values of f it holds there, each with a
+    relative error bound of at most _ACCEPT: log|f|, arg f and the log
+    error bound, as arrays over the grid.
+
+    scan() fills them. Anchors at the local minima of Re q on the
+    ring get f by diff_sample (the tail rescue or an integral from 0).
+    Between two anchors the samples are carried from each anchor by chord
+    increments (walk), up to the maximum of Re q between them, so that
+    |f| grows along every carry. A sample whose value misses _ACCEPT is
+    carried from the other anchor, past the maximum, or else re-anchored
+    by diff_sample; if that misses too, ToleranceNotMet. A point off the
+    grid (off_grid) is carried from the nearest grid sample, then from the
+    one on its other side, then taken by diff_sample.
     """
-    pts = [complex(w) for w in z]
-    F = model.F
-    rescue = [model.in_rescue_zone(w) for w in pts]
-    starts = [w if tail else 0j for w, tail in zip(pts, rescue)]
-    ends = []
-    errors = {}
-    for i, (w, tail) in enumerate(zip(pts, rescue)):
-        try:
-            ends.append(tail_end(F, w) if tail else w)
-        except (ValueError, ToleranceNotMet) as exc:
-            errors[i] = exc
-            # a zero-length stand-in; the error is raised in its place
-            ends.append(w)
-    val, m, _, failures = integral_raw_batch(F, starts, ends, model.tol)
-    c = ScaledComplex.from_complex(complex(F.c))
+
+    def __init__(self, model: PolyExpRootModel, r: float, n: int):
+        self.model = model
+        self.points = _circle_points(r, n)
+        self.step = 2.0 * math.pi / n
+        self.logmag = self.phase = self.err_log = None
+
+    def sample(self, j: int) -> PathSample:
+        j %= len(self.points)
+        return PathSample(self.points[j],
+                          ScaledComplex(self.logmag[j], self.phase[j]),
+                          self.err_log[j])
+
+    def hold(self, j: int, s: PathSample) -> None:
+        j %= len(self.points)
+        self.logmag[j], self.phase[j], self.err_log[j] = (
+            s.w.logmag, s.w.phase, s.err_log)
+
+    def direct(self, z: complex) -> PathSample:
+        """f(z) by diff_sample; in a decay cone shallower than the rescue
+        zone, where the integral from 0 can miss _ACCEPT, by the tail."""
+        model = self.model
+        s = model.diff_sample(z, 0j)
+        if (not _held(s) and model.data is not None
+                and in_decay_interior(model.F, z)):
+            w = model.rescued(z, 0j, tail_remainder(model.F, z, model.tol))
+            s = PathSample(z, w, w.logmag + _RESCUE_REL_LOG)
+        if _held(s):
+            return s
+        raise ToleranceNotMet(
+            f"log|f| at {z} has relative error bound "
+            f"{math.exp(s.err_log - s.w.logmag):.1e} above {_ACCEPT:.0e}")
+
+    def scan(self) -> None:
+        points = self.points
+        n = len(points)
+        req = self.model.F.q(np.array(points)).real
+        low = (req <= np.roll(req, 1)) & (req < np.roll(req, -1))
+        anchors = np.flatnonzero(low).tolist() or [int(np.argmin(req))]
+        self.logmag, self.phase, self.err_log = np.full((3, n), np.nan)
+        for j in anchors:
+            self.hold(j, self.direct(points[j]))
+        for a, b in zip(anchors, anchors[1:] + [anchors[0] + n]):
+            # the samples a + 1 .. b - 1 (mod n) not held yet are u .. v
+            u, v = a + 1, b - 1
+            if u > v:
+                continue
+            peak = u + int(np.argmax(req[np.arange(u, v + 1) % n]))
+            u += self.walk(u - 1, range(u, peak + 1))
+            stuck = u <= peak
+            v -= self.walk(v + 1, range(v, u - 1, -1))
+            while u <= v:
+                if stuck:
+                    self.hold(u, self.direct(points[u % n]))
+                    u += 1
+                u += self.walk(u - 1, range(u, v + 1))
+                stuck = True
+
+    def walk(self, start: int, targets: range) -> int:
+        """Carry the sample held at grid index start through the grid
+        indices targets (mod n), each next to the one before, holding
+        every value up to the first that misses _ACCEPT; the count held.
+        The chords of each _CIRCLE_BLOCK targets go into one
+        integral_raw_batch call and are summed by the walks' own
+        funcmodel._block_samples; a chord whose quadrature failed ends
+        the walk."""
+        held = self.sample(start)
+        for lo in range(0, len(targets), _CIRCLE_BLOCK):
+            block = targets[lo:lo + _CIRCLE_BLOCK]
+            z1 = [self.points[j % len(self.points)] for j in block]
+            val, m, inc_err, failures = integral_raw_batch(
+                self.model.F, [held.z] + z1[:-1], z1, self.model.tol)
+            stop = min(failures, default=len(block))
+            k = 0
+            while k < stop:
+                # the sums stop early where the term scales span too wide
+                sums = _block_samples(held.w, held.err_log, val[k:stop],
+                                      m[k:stop], inc_err[k:stop])
+                for logmag, phase, err_log, _ in zip(*sums):
+                    s = PathSample(z1[k], ScaledComplex(logmag, phase),
+                                   err_log)
+                    if not _held(s):
+                        return lo + k
+                    self.hold(block[k], s)
+                    held = s
+                    k += 1
+            if stop < len(block):
+                return lo + k
+        return len(targets)
+
+    def off_grid(self, z: complex) -> PathSample:
+        t = math.atan2(z.imag, z.real) / self.step
+        j = math.floor(t)
+        for i in ((j, j + 1) if t - j <= 0.5 else (j + 1, j)):
+            held = self.sample(i)
+            carried = self.model._carry(held.z, held.w, held.err_log, z)
+            if carried is not None:
+                s = PathSample(z, *carried)
+                if _held(s):
+                    return s
+        return self.direct(z)
+
+
+def _log_abs_f(ring: _Ring, pts: list) -> list:
+    """log|f| at each point of pts, all on the circle of ring: a grid point
+    from the ring's scan (run on the first call), any other point carried
+    from the grid (_Ring.off_grid). Every value has a relative error bound
+    of at most _ACCEPT, or ToleranceNotMet is raised.
+    """
+    if ring.logmag is None:
+        ring.scan()
+    n = len(ring.points)
     out = []
-    for i, (w, tail, v, mi) in enumerate(zip(pts, rescue, val.tolist(),
-                                             m.tolist())):
-        if i in errors:
-            raise errors[i]
-        if i in failures:
-            raise failures[i]
-        part = ScaledComplex.from_complex(v).shift(mi)
-        if tail:
-            out.append(model.rescued(w, 0j, part.neg()).logmag)
+    for z in pts:
+        j = round(math.atan2(z.imag, z.real) / ring.step) % n
+        if z == ring.points[j]:
+            out.append(float(ring.logmag[j]))
         else:
-            out.append(c.add(part).logmag)
+            out.append(ring.off_grid(complex(z)).w.logmag)
     return out
+
+
+def _ring_log_abs(model: PolyExpRootModel, radii, samples: int):
+    """The log_abs(pts, owners) of _circle_maxima for a model: one _Ring
+    per radius, and one _log_abs_f call per radius a call names, in the
+    order the radii first appear. Each radius sees the calls it would see
+    alone, so lockstep equals alone."""
+    rings = [_Ring(model, r, samples) for r in radii]
+
+    def log_abs(pts, owners):
+        out = [0.0] * len(pts)
+        for k in dict.fromkeys(owners):
+            idx = [i for i, o in enumerate(owners) if o == k]
+            vals = _log_abs_f(rings[k], [pts[i] for i in idx])
+            for i, v in zip(idx, vals):
+                out[i] = v
+        return out
+    return log_abs
 
 
 def _golden_maxima(log_abs, radii, los, his, iters: int = 48) -> list:
@@ -148,22 +281,18 @@ def _check_circle(r: float, samples: int) -> None:
 def _circle_maxima(log_abs, radii, samples: int) -> list:
     """Max of log_abs on each circle |z| = r of radii.
 
-    Scans `samples` equispaced directions per radius, _CIRCLE_BLOCK points
-    of one radius per log_abs call, then polishes the best direction of
-    every radius with a golden-section pass over its bracketing arc, all
-    radii in lockstep (_golden_maxima). log_abs(pts, owners) takes a list
-    of points and the index in radii of each, and returns their values.
+    Scans the `samples` points of _circle_points per radius, one log_abs
+    call per radius, then polishes the best direction of every radius
+    with a golden-section pass over its bracketing arc, all radii in
+    lockstep (_golden_maxima). log_abs(pts, owners) takes a list of points
+    and the index in radii of each, and returns their values.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     step = 2.0 * math.pi / samples
     scanned = []
     centres = []
     for k, r in enumerate(radii):
-        pts = [r * cmath.exp(1j * t) for t in thetas]
-        vals = []
-        for lo in range(0, samples, _CIRCLE_BLOCK):
-            block = pts[lo:lo + _CIRCLE_BLOCK]
-            vals += log_abs(block, [k] * len(block))
+        vals = log_abs(_circle_points(r, samples), [k] * samples)
         j = int(np.argmax(vals))
         scanned.append(float(vals[j]))
         centres.append(thetas[j])
@@ -177,9 +306,8 @@ def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
                     *, data=None) -> float:
     """Natural log of max |f| on the circle |z| = r, by _circle_maxima."""
     _check_circle(r, samples)
-    model = build_model(F, data)
-    return _circle_maxima(lambda pts, _: _log_abs_f(model, pts), [r],
-                          samples)[0]
+    return _circle_maxima(_ring_log_abs(build_model(F, data), [r], samples),
+                          [r], samples)[0]
 
 
 def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
@@ -187,16 +315,14 @@ def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
     """Mean of log|f| over `samples` equispaced points of |z| = r.
 
     On the periodic circle the rectangle rule is spectrally accurate as
-    long as no zero of f sits on (or hugs) the circle.
+    long as no zero of f sits on (or hugs) the circle. The samples are
+    those of one _Ring scan.
     """
     _check_circle(r, samples)
-    model = build_model(F, data)
-    pts = [r * cmath.exp(1j * (2.0 * math.pi * k / samples))
-           for k in range(samples)]
+    ring = _Ring(build_model(F, data), r, samples)
     total = 0.0
-    for lo in range(0, samples, _CIRCLE_BLOCK):
-        for v in _log_abs_f(model, pts[lo:lo + _CIRCLE_BLOCK]):
-            total += v
+    for v in _log_abs_f(ring, ring.points):
+        total += v
     return total / samples
 
 
@@ -249,9 +375,9 @@ def order_estimate(F_or_product, rgrid, *, samples: int = 128,
     if isinstance(F_or_product, CanonicalProduct):
         logm = _product_log_max(F_or_product, radii, samples)
     else:
-        model = build_model(F_or_product, data)
-        logm = _circle_maxima(lambda pts, _: _log_abs_f(model, pts), radii,
-                              samples)
+        logm = _circle_maxima(
+            _ring_log_abs(build_model(F_or_product, data), radii, samples),
+            radii, samples)
     bad = [r for r, m in zip(radii, logm) if m <= 1.0]
     if bad:
         raise NonPositiveLogM(

@@ -108,20 +108,22 @@ def test_order_estimate_exp():
 # radius is an ulp below np.geomspace(3, 11, 5)'s
 _ORDER_GRID = tuple(3.0 * (11.0 / 3.0) ** (k / 4.0) for k in range(5))
 
-# log M(r) on _ORDER_GRID with 128 samples, each radius scanned and polished
-# alone, before the polish ran in lockstep
+# log M(r) on _ORDER_GRID with 128 samples. ex2: log|f| by _ex2_log_abs at
+# the polished argmax (the scan sample at arg z = pi on every radius);
+# exp: log M = r. The products' values are the scan's own, pinned bit for
+# bit since the polish ran radius by radius.
 _PINNED_LOG_M = {
-    "ex2": [27.172926421568896, 72.01423030133762, 190.35149012741664,
+    "ex2": [27.1729264215689, 72.01423030133763, 190.35149012741664,
             503.4104596826375, 1332.4176619898913],
-    "exp": [2.9999999999999973, 4.151347725692713, 5.744562646538026,
-            7.9492256926016545, 10.999999999999996],
+    "exp": list(_ORDER_GRID),
     "product": [3.054196103249618, 3.851353573330137, 4.817707620546587,
                 5.98310860397433, 7.382659372395041],
 }
 
 
 @pytest.mark.parametrize("which", list(_PINNED_LOG_M))
-def test_lockstep_maxima_match_each_radius_alone(request, which):
+def test_lockstep_maxima_match_each_radius_alone(request, monkeypatch,
+                                                 which):
     calls = []
     if which == "product":
         P = CanonicalProduct(0.5, 64)
@@ -133,25 +135,36 @@ def test_lockstep_maxima_match_each_radius_alone(request, which):
                     request.getfixturevalue("data2")) if which == "ex2"
                    else (exp_function(), None))
         model = build_model(F, data)
+        log_abs_f = valuedist._log_abs_f
 
-        def log_abs(pts, owners):
+        def counted(ring, pts):
             calls.append(len(pts))
-            return valuedist._log_abs_f(model, pts)
+            return log_abs_f(ring, pts)
+
+        monkeypatch.setattr(valuedist, "_log_abs_f", counted)
 
         def maxima(radii):
             calls.clear()
-            return valuedist._circle_maxima(log_abs, radii, 128)
+            return valuedist._circle_maxima(
+                valuedist._ring_log_abs(model, radii, 128), radii, 128)
 
     alone = [maxima([r])[0] for r in _ORDER_GRID]
     together = maxima(list(_ORDER_GRID))
-    assert alone == together == _PINNED_LOG_M[which]
-    if which != "product":
-        # two scan blocks per radius, then one call per polish round for
-        # all five radii, the first with both starting points of each
-        assert calls == [64] * 10 + [10] + [5] * 39
+    assert alone == together
+    pinned = _PINNED_LOG_M[which]
+    if which == "product":
+        assert together == pinned
+    else:
+        # a few ulps of log M: far inside the 1e-9 acceptance bound
+        for got, want in zip(together, pinned):
+            assert abs(got - want) <= 4e-15 * want
+        # one scan call per radius, then one call per radius and polish
+        # round, the first with both starting points
+        assert calls == [128] * 5 + [2] * 5 + [1] * (5 * 39)
     if which == "ex2":
         est = order_estimate(F, _ORDER_GRID, data=data)
-        assert est == 2.9953753600779742
+        want = np.polyfit(np.log(_ORDER_GRID), np.log(pinned), 1)[0]
+        assert abs(est - want) <= 1e-14
 
 
 def test_golden_maxima_radii_stop_on_their_own():
@@ -203,68 +216,125 @@ def test_order_estimate_small_function_guard():
         order_estimate(F, (2.1, 2.5, 3.0, 3.5))
 
 
-# -- batched circle samples ---------------------------------------------------
+# -- carried circle samples ---------------------------------------------------
 
-def _log_abs_pointwise(model, z):
-    """log|f(z)| one point at a time through the model's own evaluators."""
-    if model.in_rescue_zone(z):
-        return model.diff_scaled(z, 0j).logmag
-    return model.anchored_f(z)[0].logmag
+def _ex1_log_abs(z):
+    """log|f| of example 1 from f = 1/2 + erf(z)/2 - z e^(-z^2)/sqrt(pi),
+    with the digits that 1/2 + erf(z)/2 can cancel added."""
+    with mp.workdps(30 + int(abs((z * z).real) / 2.3)):
+        w = mp.mpc(z)
+        f = (mp.mpf(1) / 2 + mp.erf(w) / 2
+             - w * mp.exp(-w * w) / mp.sqrt(mp.pi))
+        return float(mp.log(abs(f)))
 
 
-def _circle(r, n):
-    return [r * cmath.exp(1j * (2.0 * math.pi * k / n)) for k in range(n)]
+def _ex2_log_abs(z):
+    """log|f| of example 2 from its incomplete-gamma closed form.
+
+    With y = z / omega^j, omega = e^(2 pi i/3) and arg y in (-pi/3, pi/3],
+    f = 1/3 + (a/3) omega^4j gamma(4/3, y^3) + (b/3) omega^2j gamma(2/3, y^3).
+    Writing gamma(s, x) = Gamma(s) - Gamma(s, x), with a Gamma(4/3) =
+    b Gamma(2/3) = 1 and 1 + omega^j + omega^2j = 0 for j != 0,
+    f = [j = 0] - (a/3) omega^4j Gamma(4/3, y^3) - (b/3) omega^2j
+    Gamma(2/3, y^3), which cancels only near a zero of f; the lower form
+    needs about |Re z^3|/2.3 more digits and seconds per point at r = 11.
+    """
+    with mp.workdps(40):
+        w = mp.mpc(z)
+        omega = mp.exp(2j * mp.pi / 3)
+        j = int(mp.nint(mp.arg(w) / (2 * mp.pi / 3)))
+        if mp.arg(w) - 2 * mp.pi * j / 3 <= -mp.pi / 3:
+            j -= 1
+        x = (w / omega ** j) ** 3
+        s1, s2 = mp.mpf(4) / 3, mp.mpf(2) / 3
+        f = ((1 if j == 0 else 0)
+             - omega ** (4 * j) * mp.gammainc(s1, x) / (3 * mp.gamma(s1))
+             - omega ** (2 * j) * mp.gammainc(s2, x) / (3 * mp.gamma(s2)))
+        return float(mp.log(abs(f)))
+
+
+def _ring_values(F, data, r, n):
+    ring = valuedist._Ring(build_model(F, data), r, n)
+    return ring, valuedist._log_abs_f(ring, ring.points)
+
+
+def test_carried_log_abs_f_matches_closed_forms(ex1, ex2, data1, data2):
+    # the three ex2 samples that the scan from 0 got wrong by 30.1 (r = 11),
+    # 4.7e-5 and 9.3e-9 in log|f|, with bounds of 375 relative, 1.5e-2 and
+    # none
+    for r, k in ((11.0, 75), (3.0 * (11.0 / 3.0) ** 0.75, 53), (3.0, 79)):
+        ring, vals = _ring_values(ex2, data2, r, 128)
+        assert abs(vals[k] - _ex2_log_abs(ring.points[k])) <= 1e-9, (r, k)
+    ring, vals = _ring_values(ex1, data1, 6.0, 4096)
+    for z, got in zip(ring.points[::256], vals[::256]):
+        assert abs(got - _ex1_log_abs(z)) <= 1e-9, z
 
 
 @pytest.mark.parametrize("which, r, n", [(1, 6.0, 4096), (2, 11.0, 128)])
 def test_log_abs_f_batch_matches_pointwise(request, which, r, n):
-    # ex1 at r = 6 mixes anchored and rescued samples; ex2 at r = 11 cuts
-    # its radial paths into up to 75 chunks
+    # every 16th sample of the ex1 ring, where anchors sit in both decay
+    # cones, and every sample of the ex2 ring, which spans |Re q| = 1331
     F = request.getfixturevalue(f"ex{which}")
-    model = build_model(F, request.getfixturevalue(f"data{which}"))
-    pts = _circle(r, n)
-    if which == 1:
-        assert 0 < sum(model.in_rescue_zone(z) for z in pts) < n
-    batched = []
-    for lo in range(0, n, 64):
-        batched += valuedist._log_abs_f(model, pts[lo:lo + 64])
-    for z, got in zip(pts, batched):
-        want = _log_abs_pointwise(model, z)
-        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
-    for z, got in zip(pts[::n // 8], batched[::n // 8]):
-        assert valuedist._log_abs_f(model, [z]) == [got]
+    ring, vals = _ring_values(F, request.getfixturevalue(f"data{which}"),
+                              r, n)
+    oracle, stride = (_ex1_log_abs, 16) if which == 1 else (_ex2_log_abs, 1)
+    for z, got in zip(ring.points[::stride], vals[::stride]):
+        assert abs(got - oracle(z)) <= 1e-10, z
+    # every sample holds a value within the acceptance bound
+    assert (ring.err_log - ring.logmag <= math.log(1e-9)).all()
 
 
-def test_log_abs_f_batch_raises_first_failure(monkeypatch, ex1, data1):
+def test_circle_scan_reanchors_planted_fault(monkeypatch, ex1, data1):
     model = build_model(ex1, data1)
-    pts = _circle(6.0, 64)
-    rescue = [k for k, z in enumerate(pts) if model.in_rescue_zone(z)]
+    points = valuedist._circle_points(2.0, 64)
+    clean = valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
     batch = valuedist.integral_raw_batch
-    tail_end = valuedist.tail_end
+    diff_sample = valuedist.PolyExpRootModel.diff_sample
+    direct = []
 
-    def failing(quad_at, tail_at):
-        def quad(F, z0, z1, tol):
+    def counted(self, z, a):
+        direct.append(z)
+        return diff_sample(self, z, a)
+
+    def inflated(ccw_only):
+        def chords(F, z0, z1, tol):
             val, m, err_log, failures = batch(F, z0, z1, tol)
-            failures[quad_at] = ToleranceNotMet(f"quadrature at {quad_at}")
-            return val, m, err_log, failures
+            ccw = (np.conj(np.asarray(z0)) * np.asarray(z1)).imag > 0
+            bad = ccw if ccw_only else True
+            return val, m, np.where(bad, err_log + 60.0, err_log), failures
+        return chords
 
-        def end(F, z):
-            if z == pts[tail_at]:
-                raise ValueError(f"tail at {tail_at}")
-            return tail_end(F, z)
+    monkeypatch.setattr(valuedist.PolyExpRootModel, "diff_sample", counted)
+    # the counterclockwise chords miss the bound: every sample is carried
+    # from the other side, past the maximum of Re q, and only the two
+    # anchors (arg z = 0, pi) are taken directly
+    monkeypatch.setattr(valuedist, "integral_raw_batch", inflated(True))
+    got = valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
+    assert len(direct) == 2
+    assert all(abs(u - v) <= 1e-9 for u, v in zip(got, clean))
+    # every chord misses: every sample is re-anchored by diff_sample
+    monkeypatch.setattr(valuedist, "integral_raw_batch", inflated(False))
+    got = valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
+    assert got == [diff_sample(model, z, 0j).w.logmag for z in points]
 
-        monkeypatch.setattr(valuedist, "integral_raw_batch", quad)
-        monkeypatch.setattr(valuedist, "tail_end", end)
-        with pytest.raises((ToleranceNotMet, ValueError)) as info:
-            valuedist._log_abs_f(model, pts)
-        return str(info.value)
+    # the direct paths inflated too (diff_sample and the tail): nothing
+    # meets the bound, so the scan raises instead of returning a value
+    def inflated_direct(self, z, a):
+        s = diff_sample(self, z, a)
+        return valuedist.PathSample(s.z, s.w, s.err_log + 60.0)
 
-    plain = [k for k in range(64) if k not in rescue]
-    assert rescue[0] < plain[-1] and plain[0] < rescue[-1]
-    assert failing(plain[0], rescue[-1]) == f"quadrature at {plain[0]}"
-    assert failing(plain[-1], rescue[0]) == f"tail at {rescue[0]}"
-    assert failing(rescue[1], rescue[2]) == f"quadrature at {rescue[1]}"
-    assert failing(rescue[2], rescue[1]) == f"tail at {rescue[1]}"
+    monkeypatch.setattr(valuedist.PolyExpRootModel, "diff_sample",
+                        inflated_direct)
+    monkeypatch.setattr(valuedist, "_RESCUE_REL_LOG", 60.0)
+    with pytest.raises(ToleranceNotMet):
+        valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
+
+
+def test_jensen_defect_ex1_within_benchmark_bound(ex1, data1, ex1_zeros):
+    # the benchmark's bound, five orders below criterion 6's
+    zeros, _ = ex1_zeros
+    for r in (2.0, 4.0, 6.0):
+        assert jensen_defect(ex1, zeros, r, 4096, data=data1) <= 1e-9, r
 
 
 # -- counting functions -------------------------------------------------------
