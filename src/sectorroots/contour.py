@@ -6,8 +6,8 @@ round; integrate_segment_err is its one-segment form. Winding numbers are
 computed by tracking the continuous argument of f - a along the box
 boundary, never by numerical integration of f'/(f - a), so the count is an
 exact integer with a measurable phase defect. The same walk gives, at no
-extra evaluation, an estimate of the sum of the enclosed zeros of f - a
-from the trapezoid sum of its continuous logarithm.
+extra evaluation, the first power sums of the enclosed zeros of f - a
+from trapezoid sums of its continuous logarithm.
 """
 
 from __future__ import annotations
@@ -369,35 +369,62 @@ class Box:
 
 @dataclass(frozen=True)
 class WindingResult:
-    """Integer count, the raw (unrounded) winding value, the defect, and
-    the walk's estimate of the sum of the enclosed zeros of f - a."""
+    """Integer count, the raw (unrounded) winding value, the defect, the
+    walk's estimate of the sum of the enclosed zeros of f - a, and their
+    centred power sums s_1 .. s_min(count, 4) (see winding_count)."""
 
     count: int
     raw: complex
     roundoff: float
     root_sum: complex
+    power_sums: tuple = ()
 
 
 _PHASE_STEP = 0.5 * math.pi
 _MAX_BISECT = 42
+# power sums a walk returns, at most: s_1 .. s_min(count, _POWER_SUMS)
+_POWER_SUMS = 4
 
 
-def _refine(pathval, s0, s1, depth: int) -> tuple[float, complex]:
+def _refine(pathval, s0, s1, depth: int, zs: list, steps: list) -> float:
     """Accumulated phase change from s0 to s1, bisecting until each step
-    moves the argument by less than pi/2, and the trapezoid sum of
-    (L - L(s0)) dz over the same steps, L = log|w| + i arg w continuous."""
+    moves the argument by less than pi/2. For every sample the accepted
+    steps end on, in walk order and s1 last, appends its z to zs and
+    complex(log|w|, phase change) to steps."""
     dphi = _wrap_phase(s1.w.phase - s0.w.phase)
     if abs(dphi) < _PHASE_STEP:
-        return dphi, 0.5 * complex(s1.w.logmag - s0.w.logmag, dphi) * (
-            s1.z - s0.z)
+        zs.append(s1.z)
+        steps.append(complex(s1.w.logmag, dphi))
+        return dphi
     if depth >= _MAX_BISECT:
         raise ToleranceNotMet("phase step would not settle under bisection")
     zm = 0.5 * (s0.z + s1.z)
     sm = pathval.extend(s0, zm)
-    d1, m1 = _refine(pathval, s0, sm, depth + 1)
-    d2, m2 = _refine(pathval, sm, s1, depth + 1)
-    return d1 + d2, m1 + m2 + complex(sm.w.logmag - s0.w.logmag, d1) * (
-        s1.z - sm.z)
+    d1 = _refine(pathval, s0, sm, depth + 1, zs, steps)
+    return d1 + _refine(pathval, sm, s1, depth + 1, zs, steps)
+
+
+def _power_sums(box: Box, first, zs: list, steps: list, count: int) -> tuple:
+    """s_k = count u_s^k - (k / 2 pi i) oint u^(k-1) L du, k = 1 ..
+    min(count, _POWER_SUMS), as trapezoid sums over the walk's samples:
+    u = (z - c) / rho with c the box centre and rho its half-diagonal, u_s
+    the walk's start, and L = log|w| + i arg w continuous, taken relative
+    to its value at the start."""
+    c, rho = box.center, 0.5 * box.diameter
+    u = (np.array([first.z] + zs) - c) / rho
+    walk = np.array(steps)
+    L = np.empty_like(u)
+    L[0] = 0.0
+    L[1:] = walk.real - first.w.logmag
+    L[1:] += 1j * np.cumsum(walk.imag)
+    du = np.diff(u)
+    term = L
+    sums = []
+    for k in range(1, min(count, _POWER_SUMS) + 1):
+        oint = 0.5 * complex(np.dot(term[:-1] + term[1:], du))
+        sums.append(complex(count * u[0] ** k - k * oint / (2j * math.pi)))
+        term = term * u
+    return tuple(sums)
 
 
 def edge_reversed(z0: complex, z1: complex) -> bool:
@@ -436,19 +463,23 @@ def winding_count(pathval, box: Box) -> WindingResult:
     same n both ways, so a shared edge can be served from the samples of
     the earlier walk.
 
-    root_sum estimates the sum of the zeros of w inside the box. With
-    L = log|w| + i arg w continuous along the walk, integrating the zeros'
-    sum (1/2 pi i) oint z w'/w dz by parts gives
-    count * z_start - (1/2 pi i) oint L dz, where z_start is the corner the
-    walk starts from. The walk takes oint L dz as the trapezoid sum over
-    the samples it visits, bisection midpoints included, so the estimate
-    needs no evaluation beyond the count.
+    The walk also gives the power sums of the zeros of w inside the box
+    (Delves & Lyness, Math. Comp. 21 (1967) 543-560). In the centred,
+    scaled variable u = (z - c) / rho, with c the box centre and rho its
+    half-diagonal, integrating s_k = (1/2 pi i) oint u^k w'/w dz by parts
+    gives s_k = count * u_s^k - (k/2 pi i) oint u^(k-1) L du, where
+    L = log|w| + i arg w is continuous along the walk and u_s is the corner
+    the walk starts from. The walk takes each integral as the trapezoid sum
+    over the samples it visits, bisection midpoints included, so the sums
+    need no evaluation beyond the count. power_sums holds s_1 ..
+    s_min(count, 4), and root_sum = count * c + rho * s_1 estimates the sum
+    of the enclosed zeros (0 when there are none).
     """
     corners = box.corners()
     first = pathval.start(corners[0])
-    lm0 = first.w.logmag
     total = 0.0
-    moment = 0j
+    zs: list = []
+    steps: list = []
     prev = first
     for i in range(4):
         z_from = corners[i]
@@ -459,10 +490,7 @@ def winding_count(pathval, box: Box) -> WindingResult:
             targets[-1] = None
         for z in targets:
             s = first if z is None else pathval.extend(prev, z)
-            dphi, dm = _refine(pathval, prev, s, 0)
-            # L is taken relative to its value at the start of the walk
-            moment += dm + complex(prev.w.logmag - lm0, total) * (s.z - prev.z)
-            total += dphi
+            total += _refine(pathval, prev, s, 0, zs, steps)
             prev = s
     raw = total / (2.0 * math.pi)
     count = int(round(raw))
@@ -470,7 +498,8 @@ def winding_count(pathval, box: Box) -> WindingResult:
     if roundoff > 0.25 or count < 0:
         raise ToleranceNotMet(
             f"winding phase defect {roundoff:.3f} too large (raw {raw:.6f})")
-    root_sum = count * first.z - moment / (2j * math.pi)
+    sums = _power_sums(box, first, zs, steps, count) if count else ()
+    root_sum = (count * box.center + 0.5 * box.diameter * sums[0]
+                if sums else 0j)
     return WindingResult(count=count, raw=complex(raw), roundoff=roundoff,
-                         root_sum=root_sum)
-
+                         root_sum=root_sum, power_sums=sums)

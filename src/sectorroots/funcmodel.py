@@ -43,7 +43,7 @@ from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
 from .contour import edge_points, edge_reversed
 from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
-                      eval_scaled_exp, integral_raw_batch,
+                      _segment_tables, eval_scaled_exp, integral_raw_batch,
                       integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
@@ -219,12 +219,30 @@ class PolyExpRootModel:
         return self.diff_sample(z, a).w
 
     def diff_near(self, held: PathSample, z: complex) -> PathSample | None:
-        """f(z) - a as held.w plus the integral over [held.z, z], or None
-        when the quadrature fails or the sum does not clear the headroom
-        rule."""
+        """f(z) - a as held.w plus the integral over [held.z, z], with its
+        log error bound; None when the quadrature fails. The caller judges
+        the headroom."""
         z = complex(z)
         carried = self._carry(held.z, held.w, held.err_log, z)
-        return None if carried is None else _try(z, *carried)
+        return None if carried is None else PathSample(z, *carried)
+
+    def curvature_log(self, z: complex, r: float) -> float:
+        """log of a bound on sup |w''| over the disc |zeta - z| <= r.
+
+        w'' = g e^q with g = p' + p q'. With g_k and q_k the Taylor
+        coefficients at z, |g| <= sum_k |g_k| r^k and
+        Re q <= Re q_0 + sum_{k>=1} |q_k| r^k on the disc (_disc_sizes).
+        """
+        F = self.F
+        g = np.convolve(F.p.coeffs or (0j,), F.q_prime.coeffs or (0j,))
+        dp = F.p.derivative().coeffs
+        g[:len(dp)] += dp
+        g0, g_tail = _disc_sizes(tuple(g.tolist()), complex(z), r)
+        q0, q_tail = _disc_sizes(F.q.coeffs, complex(z), r)
+        g_max = abs(g0) + g_tail
+        if g_max == 0.0:
+            return -math.inf
+        return math.log(g_max) + q0.real + q_tail
 
     # -- boundary-walk evaluation -------------------------------------------
 
@@ -243,6 +261,19 @@ class PolyExpRootModel:
         swing = abs(z1 - z0) * 1.5 * qmax
         n = 8 + int(swing / (0.5 * math.pi)) + 4 * (self.F.p.degree + 1)
         return min(n, 20000)
+
+
+def _disc_sizes(coeffs: tuple, z: complex, r: float) -> tuple:
+    """(c_0, sum_{k>=1} |c_k| r^k) for the Taylor coefficients c_k at z of
+    the polynomial with ascending coefficients coeffs. The sum is raised by
+    1e-13 sum_i |coeffs_i| (|z| + r)^i, which covers the rounding of every
+    c_k, c_0 included."""
+    coeffs = coeffs or (0j,)
+    powers = np.arange(len(coeffs))
+    c = (z ** powers) @ _segment_tables(coeffs)[0]
+    tail = float(np.abs(c[1:]) @ (r ** powers[1:]))
+    slack = 1e-13 * float(np.abs(coeffs) @ ((abs(z) + r) ** powers))
+    return complex(c[0]), tail + slack
 
 
 def build_model(F: PolyExpFunction,

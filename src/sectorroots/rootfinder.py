@@ -6,11 +6,25 @@ isolation size) on a quadtree, and polishes each isolated root by Newton's
 method with the exact derivative p e^q. Winding counts certify completeness:
 the multiplicities returned sum to the winding number of the whole region.
 
-Newton starts from the root moment of the walk that counted the box: for a
-box that winds once, contour.winding_count's root_sum estimates the
-enclosed root from the continuous logarithm of f - a the walk already
-carries. The search keeps that estimate until the box is isolated, and
-starts from the box centre when the estimate lies outside the box.
+Newton starts from seeds the walk that counted the box already gives: for
+a box that winds m <= 4 times, contour.winding_count returns the power sums
+s_1 .. s_m of the enclosed a-points about the box centre, and the seeds
+are the roots of the monic polynomial with those power sums (Newton's
+identities). A box that winds once keeps its seed until it is isolated,
+and starts from its centre when the seed lies outside it. A box that winds
+2 to 4 times, and whose count its parent's split confirmed, is solved
+from its m seeds without a split when Newton converges from each to m
+points inside it, more than two certificate half-sides apart, with
+certificate boxes inside it that do not overlap; otherwise it is split.
+Newton's first value is carried from the walk's sample at the box corner
+nearest the seed (_newton).
+
+Each point is certified by Kantorovich's theorem where the model bounds
+|f''| (polyexp; Ortega & Rheinboldt 1970, 12.6): from f - a and its error
+bound, f' and that bound, a ball proves that the certificate box holds
+exactly one a-point, and that it is simple. Where the ball test fails or
+the model gives no bound (canonical products), the certificate box is
+walked and must wind once.
 
 Boxes whose entire boundary lies beyond the overflow guard in a growth
 sector are not searched; they are reported as clipped in the result so the
@@ -37,12 +51,18 @@ import numpy as np
 from .contour import Box, edge_points, edge_reversed, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
-from .funcmodel import PathSample, build_model
+from .funcmodel import PathSample, _clears_headroom, build_model
 from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction,
-                      ScaledComplex, segments_re_q_max)
+                      ScaledComplex, _LOG2, _logaddexp, segments_re_q_max)
 
 # stop subdividing an isolated root below this box diameter
 _DIAM_STOP = 1e-3
+# half-side of a root's certificate box, whose diameter is 0.9 _DIAM_STOP,
+# and the radius of the disc that circumscribes it
+_CERT_SIDE = _DIAM_STOP / (2.0 * math.sqrt(2.0)) * 0.9
+_CERT_RADIUS = math.sqrt(2.0) * _CERT_SIDE
+_LOG_SIDE = math.log(_CERT_SIDE)
+_LOG_RADIUS = math.log(_CERT_RADIUS)
 _DEPTH_MAX = 40
 # crosshair / boundary offsets tried on BoundaryTooClose, in units of the
 # box side; first entry is the unperturbed attempt
@@ -238,7 +258,8 @@ class _SharedWalk:
 class _Search:
     """Recursive winding subdivision over any model exposing the sample
     protocol (path_evaluator/diff_sample/diff_near/diff_scaled/
-    derivative_scaled/min_samples). Its walks share one _SharedWalk."""
+    derivative_scaled/curvature_log/min_samples). Its walks share one
+    _SharedWalk."""
 
     def __init__(self, model, a: complex, tol: float):
         self.model = model
@@ -246,27 +267,34 @@ class _Search:
         self.tol = tol
         self.clipped: list[Box] = []
         self.path = _SharedWalk(model.path_evaluator(a))
-        # the walk's root estimate of every box that wound once and is not
-        # yet isolated (contour.WindingResult.root_sum)
-        self.guesses: dict[Box, complex] = {}
+        # Newton seeds of every box that wound 1 .. 4 times and is not yet
+        # descended: the points whose power sums are the walk's
+        self.seeds: dict[Box, list[complex]] = {}
 
     def wind(self, box: Box) -> int:
         result = winding_count(self.path, box)
-        if result.count == 1:
-            self.guesses[box] = result.root_sum
+        if result.count and len(result.power_sums) == result.count:
+            self.seeds[box] = _seeds(box, result)
         return result.count
 
     def descend(self, box: Box, count: int, depth: int) -> list[RootRecord]:
+        seeds = self.seeds.pop(box, None)
         if count == 0:
             return []
         if depth >= _DEPTH_MAX:
             return [self._cluster(box, count)]
         if count == 1:
-            rec = self._isolate(box)
+            rec = self._isolate(box, seeds)
             if rec is not None:
                 return [rec]
             if box.diameter <= _DIAM_STOP:
                 return [self._polish(box, count)]
+        elif seeds is not None and depth >= 1:
+            # the parent's child sum confirmed this count; the search
+            # region's own count is confirmed only by its split
+            records = self._solve(box, seeds)
+            if records is not None:
+                return records
         try:
             children, counts = self._split(box, count)
         except BoundaryTooClose:
@@ -304,9 +332,9 @@ class _Search:
                         f"in {box}")
             except (BoundaryTooClose, ToleranceNotMet) as exc:
                 last = exc
-                # these children are dropped with their estimates
+                # these children are dropped with their seeds
                 for ch in children:
-                    self.guesses.pop(ch, None)
+                    self.seeds.pop(ch, None)
                 continue
             self.clipped.extend(skipped)
             return children, counts
@@ -314,27 +342,86 @@ class _Search:
             f"subdivision of {box} failed after {len(_JITTER) - 1} jitter "
             f"retries: {last}")
 
-    def _isolate(self, box: Box) -> RootRecord | None:
-        """Newton from the root moment of the walk, else the centre, of a
-        winding-1 box, certified by a small winding box around the refined
-        point. None falls back to splitting."""
-        guess = self.guesses.pop(box, None)
-        if guess is None or not box.contains(guess):
-            guess = box.center
+    def _isolate(self, box: Box, seeds) -> RootRecord | None:
+        """Newton from the walk's seed, else the centre, of a winding-1
+        box, certified by a Kantorovich ball or else by a small winding box
+        around the refined point. None falls back to splitting."""
+        seed = seeds[0] if seeds and box.contains(seeds[0]) else box.center
+        s = self._converge(box, seed)
+        return None if s is None else self._certify(s)
+
+    def _solve(self, box: Box, seeds) -> list[RootRecord] | None:
+        """The m = len(seeds) a-points of a box that winds m times, by
+        Newton from the seeds, each certified inside the box. m distinct
+        certified a-points in a box that winds m times are all of them.
+        None falls back to splitting."""
+        if not all(_inside(box, z) for z in seeds):
+            return None
+        points = []
+        for seed in seeds:
+            s = self._converge(box, seed)
+            if s is None:
+                return None
+            points.append(s)
+        # points within two certificate half-sides could share one
+        # certificate's a-point; a cluster (a multiple root) fails here,
+        # before any certificate is walked
+        for i, s in enumerate(points):
+            if any(abs(s.z - t.z) <= 2.0 * _CERT_SIDE for t in points[:i]):
+                return None
+        records = []
+        for s in points:
+            rec = self._certify(s, box)
+            if rec is None:
+                return None
+            # a walked certificate places its a-point anywhere in its box,
+            # so two of them must not overlap
+            if any(_overlap(rec.box_certificate, r.box_certificate)
+                   for r in records):
+                return None
+            records.append(rec)
+        return records
+
+    def _converge(self, box: Box, seed: complex) -> PathSample | None:
+        """Newton from seed, carried from the corner of box nearest the
+        seed; the sample at the root when it lies strictly inside box,
+        else None."""
+        corners = self.path.corners
+        held = min((corners[c] for c in box.corners() if c in corners),
+                   key=lambda h: abs(h.z - seed), default=None)
         try:
-            z, res = _newton(self.model, self.a, guess, self.tol, maxit=24)
+            s = _newton(self.model, self.a, seed, self.tol, maxit=24,
+                        held=held)
         except (NoConvergence, DerivativeVanishes, BoundaryTooClose,
                 ToleranceNotMet):
             return None
-        margin = 1e-9 * (1.0 + box.diameter)
-        if not (box.x0 + margin < z.real < box.x1 - margin
-                and box.y0 + margin < z.imag < box.y1 - margin):
-            # converged outside (or on the skin of) this box: not our root
-            return None
-        side = _DIAM_STOP / (2.0 * math.sqrt(2.0)) * 0.9
-        for dx, dy in _JITTER:
-            cert = Box(z.real - side + dx * side, z.imag - side + dy * side,
-                       z.real + side + dx * side, z.imag + side + dy * side)
+        # converged outside (or on the skin of) this box: not our root
+        return s if _inside(box, s.z) else None
+
+    def _certify(self, s: PathSample, within: Box | None = None
+                 ) -> RootRecord | None:
+        """The record of the a-point Newton converged to at s.z, with a
+        certificate box of half-side _CERT_SIDE around it that holds
+        exactly one a-point: proved by a Kantorovich ball for the
+        unjittered box, or else by walking the jittered boxes in turn. With
+        within, only a certificate inside that box counts. None when no
+        certificate holds."""
+        z = s.z
+        res = s.w.abs_value()
+        for k, (dx, dy) in enumerate(_JITTER):
+            cert = Box(z.real - _CERT_SIDE + dx * _CERT_SIDE,
+                       z.imag - _CERT_SIDE + dy * _CERT_SIDE,
+                       z.real + _CERT_SIDE + dx * _CERT_SIDE,
+                       z.imag + _CERT_SIDE + dy * _CERT_SIDE)
+            if within is not None and not all(
+                    _inside(within, c) for c in cert.corners()):
+                continue
+            if k == 0:
+                ball = _ball(self.model, s)
+                # B(z, t*) inside the box, the box inside B(z, t**)
+                if (ball is not None and ball[0] < _LOG_SIDE
+                        and _LOG_RADIUS < ball[1]):
+                    return RootRecord(z, self.a, res, 1, cert)
             try:
                 if winding_count(self.path, cert).count == 1:
                     return RootRecord(z, self.a, res, 1, cert)
@@ -344,13 +431,13 @@ class _Search:
 
     def _polish(self, box: Box, count: int) -> RootRecord:
         try:
-            z, res = _newton(self.model, self.a, box.center, self.tol)
+            s = _newton(self.model, self.a, box.center, self.tol)
         except (NoConvergence, DerivativeVanishes):
             return self._cluster(box, count)
-        if not box.contains(z, pad=box.diameter):
+        if not box.contains(s.z, pad=box.diameter):
             # Newton escaped the certificate; fall back to the box center
             return self._cluster(box, count)
-        return RootRecord(z, self.a, res, count, box)
+        return RootRecord(s.z, self.a, s.w.abs_value(), count, box)
 
     def _cluster(self, box: Box, count: int) -> RootRecord:
         z = box.center
@@ -358,38 +445,128 @@ class _Search:
         return RootRecord(z, self.a, res, count, box, cluster=True)
 
 
-def _newton(model, a: complex, z0: complex, tol: float,
-            maxit: int = 50) -> tuple[complex, float]:
-    """Newton iteration for f(z) = a from z0. Returns (root, residual).
+def _inside(box: Box, z: complex) -> bool:
+    """z lies in box, at least 1e-9 (1 + diameter) from its edges."""
+    margin = 1e-9 * (1.0 + box.diameter)
+    return (box.x0 + margin < z.real < box.x1 - margin
+            and box.y0 + margin < z.imag < box.y1 - margin)
 
-    Each iterate takes f - a from the previous one by model.diff_near when
-    that value clears the walk's headroom rule and stays above the goal;
-    otherwise, and for the first iterate, from model.diff_sample. Every
-    convergence test, the polishing step and the returned residual
-    therefore use diff_sample's value, the same as diff_scaled.
+
+def _overlap(b: Box, c: Box) -> bool:
+    return b.x0 <= c.x1 and c.x0 <= b.x1 and b.y0 <= c.y1 and c.y0 <= b.y1
+
+
+def _seeds(box: Box, result) -> list[complex]:
+    """The m = result.count points whose centred power sums are the
+    walk's: the roots of the monic polynomial that Newton's identities
+    build from s_1 .. s_m, mapped back from u = (z - c) / rho."""
+    if result.count == 1:
+        return [result.root_sum]
+    # e_k, the elementary symmetric functions: k e_k =
+    # sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i
+    e = [1.0 + 0j]
+    for k in range(1, result.count + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * result.power_sums[i - 1]
+                     for i in range(1, k + 1)) / k)
+    c, rho = box.center, 0.5 * box.diameter
+    return [c + rho * u
+            for u in _roots([(-1) ** k * ek for k, ek in enumerate(e)])]
+
+
+def _roots(coeffs: list) -> list[complex]:
+    """Roots of the monic polynomial with descending coefficients coeffs,
+    by the Weierstrass (Durand-Kerner) iteration updated in place: to
+    1e-12, or after 64 sweeps where a cluster converges only linearly.
+    np.roots would give them too, but its eigenvalue routine pages about
+    1 MB of LAPACK code into the process."""
+    m = len(coeffs) - 1
+    u = [(0.4 + 0.9j) ** k for k in range(m)]
+    for _ in range(64):
+        moved = 0.0
+        for i, ui in enumerate(u):
+            p = 0j
+            for c in coeffs:
+                p = p * ui + c
+            d = 1.0 + 0j
+            for j, uj in enumerate(u):
+                if j != i:
+                    d *= ui - uj
+            if d == 0:
+                return u
+            step = p / d
+            u[i] = ui - step
+            moved = max(moved, abs(step))
+        if moved < 1e-12:
+            break
+    return u
+
+
+def _ball(model, s: PathSample) -> tuple[float, float] | None:
+    """Kantorovich's radii (log t*, log t**) for the zero of w = f - a
+    near s.z, or None when the theorem does not apply (Ortega & Rheinboldt
+    1970, 12.6).
+
+    With beta = 1/|w'(z)|, eta = beta (|w| + its error bound), K a bound
+    on |w''| over the disc of radius _CERT_RADIUS about z, and
+    h = beta K eta < 1/2, let t* = 2 eta / (1 + sqrt(1 - 2h)) and
+    t** = (1 + sqrt(1 - 2h)) / (beta K). When t* <= _CERT_RADIUS, w has
+    exactly one zero within t* of z, it is simple, and w has no other
+    zero within min(t**, _CERT_RADIUS) of z. None when h >= 1/2 or the model
+    gives no bound on |w''| (curvature_log is None). Computed in logs,
+    since |w'| spans hundreds of orders.
+    """
+    log_k = model.curvature_log(s.z, _CERT_RADIUS)
+    if log_k is None:
+        return None
+    fp = model.derivative_scaled(s.z)
+    if fp.is_zero:
+        return None
+    log_beta = -fp.logmag
+    log_eta = log_beta + _logaddexp(s.w.logmag, s.err_log)
+    log_h = log_beta + log_k + log_eta
+    if not log_h < -_LOG2:
+        return None
+    root = math.sqrt(1.0 - 2.0 * math.exp(log_h))
+    return (_LOG2 + log_eta - math.log1p(root),
+            math.log1p(root) - log_beta - log_k)
+
+
+def _newton(model, a: complex, z0: complex, tol: float, maxit: int = 50,
+            held: PathSample | None = None) -> PathSample:
+    """Newton iteration for f(z) = a from z0. Returns the sample of f - a
+    at the root by model.diff_sample: its |w| is the residual, and its
+    err_log the log of that value's error bound.
+
+    Each iterate carries f - a from the sample before it by
+    model.diff_near, the first from held when given (a sample of f - a
+    near z0). The carried value ends the iteration when |w| plus its
+    bound is at most the goal, which proves convergence. It is the
+    iterate's value when it clears the walk's headroom rule and |w| is
+    above the goal. Otherwise, and when nothing is carried, the iterate
+    takes diff_sample's value, and ends the iteration when that is at
+    most the goal. The polishing step carries its value from the
+    converged sample, and the returned sample is taken by diff_sample
+    unless it already is.
     """
     z = complex(z0)
     goal = tol * (1.0 + abs(a))
+    log_goal = math.log(goal)
     leash = 1e3 * (1.0 + abs(z0))
     best_res = math.inf
-    held = None
     for _ in range(maxit):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > leash:
             raise NoConvergence(f"iteration escaped to {z} from seed {z0}")
         s = None if held is None else model.diff_near(held, z)
-        if s is None or s.w.abs_value() <= goal:
+        if s is not None and _logaddexp(s.w.logmag, s.err_log) <= log_goal:
+            return _polished(model, a, s, False)
+        exact = s is None or not (_clears_headroom(s.w.logmag, s.err_log)
+                                  and s.w.abs_value() > goal)
+        if exact:
             s = model.diff_sample(z, a)
         w = s.w
         res = w.abs_value()
         if res <= goal:
-            # one polishing step for the quadratic gain, kept only if better
-            fp = model.derivative_scaled(z)
-            if not fp.is_zero and fp.logmag >= -OVERFLOW_LOG:
-                z2 = z - w.div(fp).to_complex()
-                res2 = model.diff_scaled(z2, a).abs_value()
-                if res2 < res:
-                    return z2, res2
-            return z, res
+            return _polished(model, a, s, exact)
         fp = model.derivative_scaled(z)
         if fp.is_zero or fp.logmag < -OVERFLOW_LOG:
             raise DerivativeVanishes(f"|f'| vanishes near {z}")
@@ -405,6 +582,23 @@ def _newton(model, a: complex, z0: complex, tol: float,
     raise NoConvergence(
         f"no root to residual {goal:.2e} within {maxit} iterations from {z0}; "
         f"best |f-a| = {best_res:.2e}")
+
+
+def _polished(model, a: complex, s: PathSample, exact: bool) -> PathSample:
+    """One Newton step from the converged sample s for the quadratic gain,
+    kept only if its |w|, carried from s (by diff_sample when nothing is
+    carried), is smaller; the kept point's sample by diff_sample. exact
+    tells whether s is diff_sample's already."""
+    fp = model.derivative_scaled(s.z)
+    if not fp.is_zero and fp.logmag >= -OVERFLOW_LOG:
+        z2 = s.z - s.w.div(fp).to_complex()
+        s2 = model.diff_near(s, z2)
+        exact2 = s2 is None
+        if exact2:
+            s2 = model.diff_sample(z2, a)
+        if s2.w.abs_value() < s.w.abs_value():
+            s, exact = s2, exact2
+    return s if exact else model.diff_sample(s.z, a)
 
 
 def search_region(model, a: complex, region: Box,

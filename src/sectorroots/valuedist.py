@@ -663,7 +663,7 @@ class CanonicalProductModel:
     zero up to 4 r_max; the rest is the zeta tail of that core, admitted
     out to at least 2 r_max. Works with the winding subdivision search
     (path_evaluator/diff_sample/diff_near/diff_scaled/derivative_scaled/
-    min_samples).
+    curvature_log/min_samples).
     """
 
     def __init__(self, P: CanonicalProduct, r_max: float):
@@ -724,6 +724,11 @@ class CanonicalProductModel:
     def diff_near(self, held: PathSample, z: complex) -> None:
         """Direct evaluation is absolute, so no value is carried from a
         nearby point: Newton evaluates every iterate by diff_sample."""
+        return None
+
+    def curvature_log(self, z: complex, r: float) -> None:
+        """No bound on |P''| is derived, so a root's certificate box is
+        walked."""
         return None
 
     def derivative_scaled(self, z: complex) -> ScaledComplex:

@@ -107,10 +107,12 @@ def test_pinned_windings(case, request, monkeypatch):
 # serves every corner and edge an earlier walk evaluated (314, 48 and 365,
 # 77 without it). Newton starts from the walk's root estimate, so the
 # search walks fewer and other boxes than from box centres (95, 28 and
-# 147, 59 then)
+# 147, 59 then). Boxes of 2 to 4 a-points are solved from their seeds
+# without a split, and Kantorovich balls replace the certificate walks, so
+# the search walks 106 boxes instead of 338 (93, 28 and 147, 60 before)
 @pytest.mark.parametrize("name, box, near, anchored", [
-    ("ex1", (-8, -8, 8, 8), 93, 28),
-    ("ex2", (-4, -4, 4, 4), 147, 60),
+    ("ex1", (-8, -8, 8, 8), 50, 28),
+    ("ex2", (-4, -4, 4, 4), 112, 59),
 ], ids=["ex1", "ex2"])
 def test_search_anchor_calls_pinned(name, box, near, anchored, request,
                                     monkeypatch):
@@ -134,8 +136,9 @@ def test_search_anchor_calls_pinned(name, box, near, anchored, request,
 
 
 def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
-    # the 1-points wind more boxes than the zeros on this square (225
-    # against 165), which keeps the recheck over a few hundred walks
+    # the 1-points on [-6, 6]^2 keep the recheck over a few hundred walks
+    # now that boxes of 2 to 4 a-points are solved without a split and
+    # balls replace certificate walks (78 walks on [-4, 4]^2, 225 before)
     wound = []
     walk = rootfinder.winding_count
 
@@ -145,9 +148,9 @@ def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
         return result
 
     monkeypatch.setattr(rootfinder, "winding_count", recorded)
-    result = find_a_points(ex2, 1 + 0j, Box(-4, -4, 4, 4), tol=1e-9,
+    result = find_a_points(ex2, 1 + 0j, Box(-6, -6, 6, 6), tol=1e-9,
                            data=data2)
-    assert result.total_multiplicity == result.winding_total == 51
+    assert result.total_multiplicity == result.winding_total == 177
     assert len(wound) > 200
     model = funcmodel.build_model(ex2, data2)
     for box, count in wound:
