@@ -7,7 +7,7 @@ feasibility sweep over accumulation-ray configurations."""
 from .asymptotics import (AsymptoticData, accumulation_rays_analytic,
                           asymptotic_values, critical_rays)
 from .catalog import (example, example1, example2, example_region,
-                      exp_function, gamma_quadrature, square_minus_one)
+                      exp_function, square_minus_one)
 from .contour import Box, WindingResult
 from .errors import (BoundViolated, BoundaryTooClose, CounterexampleFound,
                      DegreeZero, DerivativeVanishes, EmptyRaySet,
@@ -47,8 +47,8 @@ __all__ = [
     "counting_functions", "critical_rays", "enumerate_configs", "eval_f",
     "example", "example1", "example2", "example_region", "exp_function",
     "find_a_points", "find_product_a_points", "function_from_json",
-    "function_to_json", "gamma_quadrature", "jensen_defect", "kernel_K",
-    "kernel_bounds_check", "kernel_grid_report", "kernel_integral_quadrature",
+    "function_to_json", "jensen_defect", "kernel_K", "kernel_bounds_check",
+    "kernel_grid_report", "kernel_integral_quadrature",
     "kernel_integral_residue", "kernel_report", "load_function",
     "log_max_modulus", "minimal_cone", "order_estimate", "roots_to_csv",
     "sector_report", "separated", "square_minus_one", "wrap_angle",

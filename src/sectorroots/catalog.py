@@ -2,38 +2,16 @@
 
 The two worked examples plus two degenerate encodings used for
 calibration. Coefficients that equal reciprocal gamma values are
-computed with `math.gamma`, never pasted in as decimals;
-`gamma_quadrature` computes the same Gamma values by QUADPACK as an
-independent check. It is the only part of the package that needs scipy,
-and imports it when called.
+computed with `math.gamma`, never pasted in as decimals; the tests check
+them against the Gamma integrals by QUADPACK and against mpmath.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .contour import Box
 from .polyexp import PolyExpFunction, Polynomial
-
-
-@functools.lru_cache(maxsize=None)
-def gamma_quadrature(s: float) -> float:
-    """Gamma(s) as the integral of t^(s-1) e^(-t), s > 0.
-
-    Split at 1 so QUADPACK sees the endpoint singularity (s < 1) and the
-    infinite tail separately.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    from scipy.integrate import quad
-    head, eh = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 0.0, 1.0,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    tail, et = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 1.0, math.inf,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-    if eh + et > 1e-11:
-        raise ArithmeticError(f"gamma quadrature error bound {eh + et:.3e}")
-    return head + tail
 
 
 def example1() -> PolyExpFunction:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
                           in_decay_interior, tail_remainder)
-from .contour import edge_points, edge_reversed
+from .contour import edge_reversed
 from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
                       _segment_tables, eval_scaled_exp, integral_raw_batch,
@@ -245,9 +245,47 @@ class PolyExpRootModel:
         return math.log(g_max) + q0.real + q_tail
 
     # -- boundary-walk evaluation -------------------------------------------
+    # A walk of w = f - a (rootfinder._SharedWalk) takes its starts from
+    # start, its bisection midpoints from step and an edge's planned
+    # samples from edge.
 
-    def path_evaluator(self, a: complex) -> "_PolyExpPath":
-        return _PolyExpPath(self, complex(a))
+    def start(self, a: complex, z: complex) -> PathSample:
+        """The sample of f - a at z from a remembered anchor, from 0 or from
+        the decay-cone tail, whichever first clears the headroom rule."""
+        z = complex(z)
+        neg_a = ScaledComplex.from_complex(-complex(a))
+        near = self.near_f(z)
+        if near is not None:
+            s = _try(z, *_less_target(*near, neg_a))
+            if s is not None:
+                return s
+        w, err_log = _less_target(*self.anchored_f(z), neg_a)
+        s = _try(z, w, err_log)
+        if s is not None:
+            return s
+        s = self._rescue(z, a)
+        if s is not None and _clears_headroom(s.w.logmag, s.err_log):
+            return s
+        raise BoundaryTooClose(
+            f"cannot separate f - a from its error bound at {z} "
+            f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
+
+    def step(self, a: complex, prev: PathSample, z: complex) -> PathSample:
+        """The sample of f - a at z, carried from prev by the integral over
+        [prev.z, z], or by start when that fails the headroom rule. w obeys
+        the same increments as f, so extending w directly avoids ever
+        reconstructing the difference f - a."""
+        z = complex(z)
+        inc, inc_err_log = integral_scaled_parts(self.F, prev.z, z, self.tol)
+        s = _try(z, *_add_increment(prev.w, prev.err_log, inc, inc_err_log))
+        return self.start(a, z) if s is None else s
+
+    def edge(self, a: complex, prev: PathSample, pts: list):
+        """The samples of f - a at pts in turn, carried from prev (carried);
+        a sample that fails the headroom rule is replaced by start, and the
+        rest are summed from it."""
+        return carried(self, prev, pts,
+                       lambda s, ok: s if ok else self.start(a, s.z))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Initial sample count for an edge, from a bound on the phase
@@ -327,129 +365,36 @@ def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,
             ok.tolist())
 
 
-class _PolyExpPath:
-    """Incremental scaled evaluator of w = f - a along a polygonal walk.
+def carried(model: PolyExpRootModel, held: PathSample, pts: list, fix):
+    """A lazy walk of model's function through pts, carried from held: each
+    sample is the one before it plus the chord increment to it.
 
-    min_samples(z0, z1) also plans the edge about to be walked, whose
-    samples are contour.edge_points(z0, z1, n). When the walk takes the
-    first step of a block of _PLAN_BLOCK planned steps, their increments
-    are integrated as one batch (polyexp.integral_raw_batch), and the
-    samples of the block are summed from the walk's last sample as arrays
-    (_block_samples). extend(prev, z) returns the next of them when z is
-    the next planned point and prev.z the planned point before it; when
-    prev is not the sample it last returned, the sums restart from prev. A
-    sample that fails the headroom rule is re-anchored as in the scalar
-    walk, and the rest of the block is summed again from it; a planned
-    increment whose quadrature failed raises when the walk reaches it. Any
-    other step (a bisection midpoint) is integrated alone.
+    When the carry first reaches a block of _PLAN_BLOCK chords, the block is
+    integrated as one batch (polyexp.integral_raw_batch) and summed from the
+    sample before it as arrays (_block_samples), the sums restarting where
+    their span stops them. fix(s, ok), with ok whether s clears the headroom
+    rule, gives what is yielded: s itself, a replacement from which the
+    rest is summed again, or None to end the walk. A chord whose quadrature
+    failed raises its ToleranceNotMet when the carry reaches it.
     """
-
-    def __init__(self, model: PolyExpRootModel, a: complex):
-        self.model = model
-        self.a = a
-        self.neg_a = ScaledComplex.from_complex(-a)
-        self.F = model.F
-        self.tol = model.tol
-        self._edge: list[complex] = []
-        # the planned sample last returned, at self._edge[self._pos]
-        self._last: PathSample | None = None
-        self._pos = 0
-        # increments of the steps from edge points _inc_lo .. _inc_hi - 1
-        self._inc_lo = self._inc_hi = 0
-        self._inc = None
-        # samples summed ahead, from edge point _ahead_lo on
-        self._ahead_lo = 0
-        self._ahead: tuple = ([], [], [], [])
-
-    def _build(self, z: complex, prev: PathSample | None) -> PathSample:
-        if prev is not None:
-            # w obeys the same increments as f, so extending w directly
-            # avoids ever reconstructing the difference f - a
-            inc, inc_err_log = integral_scaled_parts(self.F, prev.z, z,
-                                                     self.tol)
-            s = _try(z, *_add_increment(prev.w, prev.err_log, inc,
-                                        inc_err_log))
-            if s is not None:
-                return s
-        return self._anchor(z)
-
-    def _anchor(self, z: complex) -> PathSample:
-        """The sample at z from a remembered anchor, from 0 or from the
-        decay-cone tail, whichever first clears the headroom rule."""
-        near = self.model.near_f(z)
-        if near is not None:
-            s = _try(z, *_less_target(*near, self.neg_a))
-            if s is not None:
-                return s
-        w, err_log = _less_target(*self.model.anchored_f(z), self.neg_a)
-        s = _try(z, w, err_log)
-        if s is not None:
-            return s
-        s = self.model._rescue(z, self.a)
-        if s is not None and _clears_headroom(s.w.logmag, s.err_log):
-            return s
-        raise BoundaryTooClose(
-            f"cannot separate f - a from its error bound at {z} "
-            f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
-
-    def _sum_ahead(self, j: int) -> None:
-        """Sum the samples from edge point j to the end of its block, from
-        the last planned sample; the block's increments are integrated
-        first when step j is the first of a block."""
-        i = j - 1
-        if not self._inc_lo <= i < self._inc_hi:
-            pts = self._edge[i:i + _PLAN_BLOCK + 1]
-            self._inc = integral_raw_batch(self.F, pts[:-1], pts[1:],
-                                           self.tol)
-            self._inc_lo, self._inc_hi = i, i + len(pts) - 1
-        val, m, inc_err, failures = self._inc
-        k = i - self._inc_lo
-        stop = min((f for f in failures if f >= k), default=len(val))
-        if stop == k:
-            raise failures[k]
-        last = self._last
-        self._ahead_lo = j
-        self._ahead = _block_samples(last.w, last.err_log, val[k:stop],
-                                     m[k:stop], inc_err[k:stop])
-
-    def _planned(self, j: int) -> PathSample:
-        k = j - self._ahead_lo
-        if not 0 <= k < len(self._ahead[0]):
-            self._sum_ahead(j)
-            k = 0
-        logmag, phase, err_log, ok = self._ahead
-        z = self._edge[j]
-        if ok[k]:
-            s = PathSample(z, ScaledComplex(logmag[k], phase[k]), err_log[k])
-        else:
-            s = self._anchor(z)
-            # the samples ahead were summed from the value replaced here
-            self._ahead = ([], [], [], [])
-        self._last, self._pos = s, j
-        return s
-
-    def start(self, z: complex) -> PathSample:
-        s = self._build(complex(z), None)
-        self._last, self._edge = s, []
-        return s
-
-    def extend(self, prev: PathSample, z: complex) -> PathSample:
-        j = self._pos + 1
-        edge = self._edge
-        if j < len(edge) and z == edge[j] and prev.z == edge[j - 1]:
-            if prev is not self._last:
-                # the walk goes on from a sample summed elsewhere (a
-                # corner served by the caller): sum the block from it
-                self._last = prev
-                self._ahead = ([], [], [], [])
-            return self._planned(j)
-        return self._build(complex(z), prev)
-
-    def min_samples(self, z0: complex, z1: complex) -> int:
-        n = self.model.min_samples(z0, z1)
-        z0 = complex(z0)
-        self._edge = [z0] + edge_points(z0, complex(z1), n)
-        self._pos = 0
-        self._inc_lo = self._inc_hi = 0
-        self._ahead = ([], [], [], [])
-        return n
+    for lo in range(0, len(pts), _PLAN_BLOCK):
+        z1 = pts[lo:lo + _PLAN_BLOCK]
+        val, m, inc_err, failures = integral_raw_batch(
+            model.F, [held.z] + z1[:-1], z1, model.tol)
+        stop = min(failures, default=len(z1))
+        k = 0
+        while k < stop:
+            sums = _block_samples(held.w, held.err_log, val[k:stop],
+                                  m[k:stop], inc_err[k:stop])
+            for logmag, phase, err_log, ok in zip(*sums):
+                s = PathSample(z1[k], ScaledComplex(logmag, phase), err_log)
+                held = fix(s, ok)
+                if held is None:
+                    return
+                yield held
+                k += 1
+                if held is not s:
+                    # the sums after it started from the value replaced
+                    break
+        if stop < len(z1):
+            raise failures[stop]

@@ -175,9 +175,16 @@ def _overflow_clipped(model, box: Box) -> bool:
 
 
 class _SharedWalk:
-    """Path evaluator for every walk of one search: serves the edges and
-    corners that an earlier walk of the search evaluated, and passes every
-    other sample to inner, the model's path evaluator for the target.
+    """The path evaluator of every walk of one search (model and target a):
+    it plans each edge, takes the samples of the model, and serves the
+    edges and corners that an earlier walk of the search evaluated.
+
+    min_samples(z0, z1) plans the edge about to be walked: its samples are
+    edge_points(z0, z1, n), with n from model.min_samples. The edge's first
+    planned step opens model.edge(a, prev, pts) from the walk's sample at
+    z0, and each later planned step takes its next sample. A walk's start
+    goes to model.start, and any other step (a bisection midpoint) to
+    model.step.
 
     edges maps the canonical endpoints of an edge (contour.edge_reversed)
     to (n, samples): n is what min_samples gave for it, and samples is a
@@ -186,17 +193,18 @@ class _SharedWalk:
     last interior sample, so a walk that raises partway stores nothing for
     that edge. An edge borders at most two boxes of the quadtree, so its
     entry is popped when it is served. corners maps a point to the sample a
-    walk started at or ended an edge on. Bisection midpoints always go to
-    inner.
+    walk started at or ended an edge on.
     """
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self, model, a: complex):
+        self.model = model
+        self.a = complex(a)
         self.edges: dict = {}
         self.corners: dict = {}
         # the edge being walked: its planned points, the index of the next
         # one, its key and n, whether the walk runs against the canonical
-        # orientation, and the samples served (walk order) or returned
+        # orientation, the samples served (walk order) or returned, and
+        # model.edge's samples
         self._pts: list[complex] = []
         self._next = 0
         self._key = None
@@ -204,11 +212,12 @@ class _SharedWalk:
         self._flip = False
         self._served = None
         self._walked: list[PathSample] = []
+        self._samples = None
 
     def start(self, z: complex) -> PathSample:
         s = self.corners.get(z)
         if s is None:
-            s = self.corners[z] = self.inner.start(z)
+            s = self.corners[z] = self.model.start(self.a, z)
         return s
 
     def min_samples(self, z0: complex, z1: complex) -> int:
@@ -216,7 +225,7 @@ class _SharedWalk:
         key = (z1, z0) if flip else (z0, z1)
         hit = self.edges.pop(key, None)
         if hit is None:
-            n = self.inner.min_samples(z0, z1)
+            n = self.model.min_samples(z0, z1)
             self._served = None
             self._walked = []
         else:
@@ -231,22 +240,30 @@ class _SharedWalk:
         k = self._next
         pts = self._pts
         if k >= len(pts) or z != pts[k]:
-            return self.inner.extend(prev, z)
+            return self.model.step(self.a, prev, z)
         self._next = k + 1
         if k == len(pts) - 1:
             s = self.corners.get(z)
             if s is None:
-                s = self.corners[z] = self.inner.extend(prev, z)
+                s = self.corners[z] = self._planned(prev, k)
             return s
         served = self._served
         if served is not None:
             return PathSample(z, ScaledComplex(served[0][k], served[1][k]),
                               served[2][k])
-        s = self.inner.extend(prev, z)
+        s = self._planned(prev, k)
         self._walked.append(s)
         if k == len(pts) - 2:
             self._store()
         return s
+
+    def _planned(self, prev: PathSample, k: int) -> PathSample:
+        if self._served is not None:
+            # the corner that ends a served edge
+            return self.model.step(self.a, prev, self._pts[k])
+        if k == 0:
+            self._samples = self.model.edge(self.a, prev, self._pts)
+        return next(self._samples)
 
     def _store(self) -> None:
         samples = np.array([(s.w.logmag, s.w.phase, s.err_log)
@@ -257,16 +274,16 @@ class _SharedWalk:
 
 class _Search:
     """Recursive winding subdivision over any model exposing the sample
-    protocol (path_evaluator/diff_sample/diff_near/diff_scaled/
-    derivative_scaled/curvature_log/min_samples). Its walks share one
-    _SharedWalk."""
+    protocol (start/step/edge/min_samples for its walks, which share one
+    _SharedWalk; diff_sample/diff_near/diff_scaled/derivative_scaled/
+    curvature_log for Newton and its certificates)."""
 
     def __init__(self, model, a: complex, tol: float):
         self.model = model
         self.a = a
         self.tol = tol
         self.clipped: list[Box] = []
-        self.path = _SharedWalk(model.path_evaluator(a))
+        self.path = _SharedWalk(model, a)
         # Newton seeds of every box that wound 1 .. 4 times and is not yet
         # descended: the points whose power sums are the walk's
         self.seeds: dict[Box, list[complex]] = {}

@@ -21,21 +21,18 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import in_decay_interior, tail_remainder
-from .contour import Box, edge_points, edge_reversed
+from .contour import Box, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
                      ToleranceNotMet)
 from .funcmodel import (_RESCUE_REL_LOG, PathSample, PolyExpRootModel,
-                        _block_samples, _clears_headroom, build_model)
-from .polyexp import PolyExpFunction, ScaledComplex, integral_raw_batch
+                        _clears_headroom, build_model, carried)
+from .polyexp import PolyExpFunction, ScaledComplex
 from .rootfinder import SearchResult, search_region
 from .sectorgeom import RaySet
 
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 _CHUNK = 1 << 19
-# chords of a circle walk integrated per quadrature batch; bounds the
-# memory a batch holds and the work left unused when a walk stops partway
-_CIRCLE_BLOCK = 256
 # a circle sample of log|f| is held when its error bound is at most this
 # share of |f|, about the error of log|f| it allows
 _ACCEPT = 1e-9
@@ -148,44 +145,30 @@ class _Ring:
 
     def walk(self, start: int, targets: range) -> int:
         """Carry the sample held at grid index start through the grid
-        indices targets (mod n), each next to the one before, holding
-        every value up to the first that misses _ACCEPT; the count held.
-        The chords of each _CIRCLE_BLOCK targets go into one
-        integral_raw_batch call and are summed by the walks' own
-        funcmodel._block_samples; a chord whose quadrature failed ends
-        the walk."""
-        held = self.sample(start)
-        for lo in range(0, len(targets), _CIRCLE_BLOCK):
-            block = targets[lo:lo + _CIRCLE_BLOCK]
-            z1 = [self.points[j % len(self.points)] for j in block]
-            val, m, inc_err, failures = integral_raw_batch(
-                self.model.F, [held.z] + z1[:-1], z1, self.model.tol)
-            stop = min(failures, default=len(block))
-            k = 0
-            while k < stop:
-                # the sums stop early where the term scales span too wide
-                sums = _block_samples(held.w, held.err_log, val[k:stop],
-                                      m[k:stop], inc_err[k:stop])
-                for logmag, phase, err_log, _ in zip(*sums):
-                    s = PathSample(z1[k], ScaledComplex(logmag, phase),
-                                   err_log)
-                    if not _held(s):
-                        return lo + k
-                    self.hold(block[k], s)
-                    held = s
-                    k += 1
-            if stop < len(block):
-                return lo + k
-        return len(targets)
+        indices targets (mod n), each next to the one before, by
+        funcmodel.carried, holding every value up to the first that misses
+        _ACCEPT; the count held. A chord whose quadrature failed ends the
+        walk."""
+        n = len(self.points)
+        held = 0
+        try:
+            for s in carried(self.model, self.sample(start),
+                             [self.points[j % n] for j in targets],
+                             lambda s, ok: s if _held(s) else None):
+                self.hold(targets[held], s)
+                held += 1
+        except ToleranceNotMet:
+            pass
+        return held
 
     def off_grid(self, z: complex) -> PathSample:
         t = math.atan2(z.imag, z.real) / self.step
         j = math.floor(t)
         for i in ((j, j + 1) if t - j <= 0.5 else (j + 1, j)):
             held = self.sample(i)
-            carried = self.model._carry(held.z, held.w, held.err_log, z)
-            if carried is not None:
-                s = PathSample(z, *carried)
+            moved = self.model._carry(held.z, held.w, held.err_log, z)
+            if moved is not None:
+                s = PathSample(z, *moved)
                 if _held(s):
                     return s
         return self.direct(z)
@@ -210,65 +193,27 @@ def _log_abs_f(ring: _Ring, pts: list) -> list:
     return out
 
 
-def _ring_log_abs(model: PolyExpRootModel, radii, samples: int):
-    """The log_abs(pts, owners) of _circle_maxima for a model: one _Ring
-    per radius, and one _log_abs_f call per radius a call names, in the
-    order the radii first appear. Each radius sees the calls it would see
-    alone, so lockstep equals alone."""
-    rings = [_Ring(model, r, samples) for r in radii]
-
-    def log_abs(pts, owners):
-        out = [0.0] * len(pts)
-        for k in dict.fromkeys(owners):
-            idx = [i for i, o in enumerate(owners) if o == k]
-            vals = _log_abs_f(rings[k], [pts[i] for i in idx])
-            for i, v in zip(idx, vals):
-                out[i] = v
-        return out
-    return log_abs
-
-
-def _golden_maxima(log_abs, radii, los, his, iters: int = 48) -> list:
-    """Golden-section maximization of log_abs(r e^{it}) over t in
-    [los[k], his[k]] for every radius radii[k], in lockstep.
-
-    Each round is one log_abs call with one point for every radius whose
-    arc is still 1e-9 or longer; the first call carries both initial
-    points of every radius. Per radius the steps are those of a plain
-    golden-section search run alone.
-    """
-    n = len(radii)
-    a = [float(x) for x in los]
-    b = [float(x) for x in his]
-    x1 = [bk - _GOLDEN * (bk - ak) for ak, bk in zip(a, b)]
-    x2 = [ak + _GOLDEN * (bk - ak) for ak, bk in zip(a, b)]
-    owners = list(range(n))
-    f = log_abs([r * cmath.exp(1j * t) for r, t in zip(radii * 2, x1 + x2)],
-                owners * 2)
-    f1, f2 = f[:n], f[n:]
+def _golden_max(log_abs, r: float, lo: float, hi: float,
+                iters: int = 48) -> float:
+    """Golden-section maximization of log_abs(r e^{it}) over t in [lo, hi],
+    until the arc is shorter than 1e-9. The first log_abs call carries both
+    initial points, and each later call one."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = log_abs([r * cmath.exp(1j * x1), r * cmath.exp(1j * x2)])
     for _ in range(iters):
-        owners = [k for k in owners if not b[k] - a[k] < 1e-9]
-        if not owners:
+        if b - a < 1e-9:
             break
-        right = [f1[k] < f2[k] for k in owners]
-        ts = []
-        for k, up in zip(owners, right):
-            if up:
-                a[k], x1[k], f1[k] = x1[k], x2[k], f2[k]
-                x2[k] = a[k] + _GOLDEN * (b[k] - a[k])
-                ts.append(x2[k])
-            else:
-                b[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
-                x1[k] = b[k] - _GOLDEN * (b[k] - a[k])
-                ts.append(x1[k])
-        vals = log_abs([radii[k] * cmath.exp(1j * t)
-                        for k, t in zip(owners, ts)], owners)
-        for k, up, v in zip(owners, right, vals):
-            if up:
-                f2[k] = v
-            else:
-                f1[k] = v
-    return [u if u >= v else v for u, v in zip(f1, f2)]
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = log_abs([r * cmath.exp(1j * x2)])[0]
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = log_abs([r * cmath.exp(1j * x1)])[0]
+    return f1 if f1 >= f2 else f2
 
 
 def _check_circle(r: float, samples: int) -> None:
@@ -278,36 +223,33 @@ def _check_circle(r: float, samples: int) -> None:
         raise ValueError("need at least 64 circle samples")
 
 
-def _circle_maxima(log_abs, radii, samples: int) -> list:
-    """Max of log_abs on each circle |z| = r of radii.
+def _circle_max(log_abs, r: float, samples: int) -> float:
+    """Max of log_abs on the circle |z| = r.
 
-    Scans the `samples` points of _circle_points per radius, one log_abs
-    call per radius, then polishes the best direction of every radius
-    with a golden-section pass over its bracketing arc, all radii in
-    lockstep (_golden_maxima). log_abs(pts, owners) takes a list of points
-    and the index in radii of each, and returns their values.
+    Scans the `samples` points of _circle_points in one log_abs call, then
+    polishes the best direction by golden section over its bracketing arc
+    (_golden_max). log_abs takes a list of points on the circle and
+    returns their values.
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    vals = log_abs(_circle_points(r, samples))
+    j = int(np.argmax(vals))
+    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)[j]
     step = 2.0 * math.pi / samples
-    scanned = []
-    centres = []
-    for k, r in enumerate(radii):
-        vals = log_abs(_circle_points(r, samples), [k] * samples)
-        j = int(np.argmax(vals))
-        scanned.append(float(vals[j]))
-        centres.append(thetas[j])
-    polished = _golden_maxima(log_abs, list(radii),
-                              [t - step for t in centres],
-                              [t + step for t in centres])
-    return [max(v, float(p)) for v, p in zip(scanned, polished)]
+    polished = _golden_max(log_abs, r, float(t - step), float(t + step))
+    return max(float(vals[j]), float(polished))
 
 
 def log_max_modulus(F: PolyExpFunction, r: float, samples: int = 256,
                     *, data=None) -> float:
-    """Natural log of max |f| on the circle |z| = r, by _circle_maxima."""
+    """Natural log of max |f| on the circle |z| = r, by _ring_max."""
     _check_circle(r, samples)
-    return _circle_maxima(_ring_log_abs(build_model(F, data), [r], samples),
-                          [r], samples)[0]
+    return _ring_max(build_model(F, data), r, samples)
+
+
+def _ring_max(model: PolyExpRootModel, r: float, samples: int) -> float:
+    """_circle_max of log|f| on one _Ring of model."""
+    ring = _Ring(model, r, samples)
+    return _circle_max(lambda pts: _log_abs_f(ring, pts), r, samples)
 
 
 def circle_log_mean(F: PolyExpFunction, r: float, samples: int = 4096,
@@ -375,9 +317,8 @@ def order_estimate(F_or_product, rgrid, *, samples: int = 128,
     if isinstance(F_or_product, CanonicalProduct):
         logm = _product_log_max(F_or_product, radii, samples)
     else:
-        logm = _circle_maxima(
-            _ring_log_abs(build_model(F_or_product, data), radii, samples),
-            radii, samples)
+        model = build_model(F_or_product, data)
+        logm = [_ring_max(model, r, samples) for r in radii]
     bad = [r for r, m in zip(radii, logm) if m <= 1.0]
     if bad:
         raise NonPositiveLogM(
@@ -662,8 +603,16 @@ class CanonicalProductModel:
     The core keeps the core_terms(rho, r_max) factors, which hold every
     zero up to 4 r_max; the rest is the zeta tail of that core, admitted
     out to at least 2 r_max. Works with the winding subdivision search
-    (path_evaluator/diff_sample/diff_near/diff_scaled/derivative_scaled/
-    curvature_log/min_samples).
+    (start/step/edge/min_samples for its walks, diff_sample/diff_near/
+    diff_scaled/derivative_scaled/curvature_log for Newton).
+
+    Direct evaluation is absolute here, so a walk carries no state: |P|
+    stays within double range on any disk the tail admits, and P - a
+    inherits only the factor-count rounding noise. Every walk sample must
+    clear the headroom rule (funcmodel._clears_headroom) against its
+    rounding bound, or the walk raises BoundaryTooClose. There is no floor
+    on |P - a| itself: P is tiny along the positive axis, where its zeros
+    lie, and a sample there that clears the rule has a correct phase.
     """
 
     def __init__(self, P: CanonicalProduct, r_max: float):
@@ -712,7 +661,7 @@ class CanonicalProductModel:
 
     def diff_sample(self, z: complex, a: complex) -> PathSample:
         """P(z) - a by direct evaluation, with the log of its rounding
-        bound (the bound _ProductPath walks with)."""
+        bound (the bound a walk's samples are held to)."""
         a = complex(a)
         val = self.value(z)
         return PathSample(complex(z), ScaledComplex.from_complex(val - a),
@@ -746,8 +695,32 @@ class CanonicalProductModel:
         dlog = complex(np.sum(1.0 / diffs)) - self.tail.dlog(z)
         return ScaledComplex.from_complex(val * dlog)
 
-    def path_evaluator(self, a: complex) -> "_ProductPath":
-        return _ProductPath(self, complex(a))
+    def start(self, a: complex, z: complex) -> PathSample:
+        """The walk's sample of P - a at z, by diff_sample."""
+        return _checked(self.diff_sample(z, a))
+
+    def step(self, a: complex, prev: PathSample, z: complex) -> PathSample:
+        """The sample at z alone: nothing is carried from prev."""
+        return self.start(a, z)
+
+    def edge(self, a: complex, prev: PathSample, pts: list):
+        """The samples of P - a at pts in turn, all evaluated in one pass
+        (values) when the first is taken; start where the tail does not
+        admit a point (NaN), which raises there."""
+        a = complex(a)
+        val = self.values(np.array(pts))
+        w = val - a
+        err = self.err_bound(np.abs(val), a)
+        with np.errstate(divide="ignore"):
+            planned = zip(pts, np.log(np.abs(w)).tolist(),
+                          np.angle(w).tolist(), np.log(err).tolist())
+        for z, logmag, phase, err_log in planned:
+            if logmag != logmag:
+                yield self.start(a, z)
+            else:
+                yield _checked(PathSample(complex(z),
+                                          ScaledComplex(logmag, phase),
+                                          err_log))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Sample count for an edge from the phase its nearby zeros can
@@ -770,71 +743,20 @@ class CanonicalProductModel:
         return min(12 + int(phase / 1.2) + int(0.5 * L), 20000)
 
 
-class _ProductPath:
-    """Boundary-walk evaluator of w = P - a for canonical products.
-
-    Direct evaluation is absolute here (no incremental state): |P| stays
-    within double range on any disk the tail admits, and w inherits only
-    the factor-count rounding noise. min_samples evaluates P at all the
-    points of the edge about to be walked in one pass
-    (CanonicalProductModel.values); extend takes the planned value when
-    it steps to the next planned point, and evaluates any other point (a
-    bisection midpoint) alone. Every sample must clear the headroom rule
-    (funcmodel._clears_headroom) against its rounding bound, or the walk
-    raises BoundaryTooClose. There is no floor on |P - a| itself: P is
-    tiny along the positive axis, where its zeros lie, and a sample there
-    that clears the rule has a correct phase.
-    """
-
-    def __init__(self, model: CanonicalProductModel, a: complex):
-        self.model = model
-        self.a = complex(a)
-        self._pts: list[complex] = []
-        # (log|w|, arg w, error log) at the planned points
-        self._planned: tuple = ([], [], [])
-        self._next = 0
-
-    def _checked(self, s: PathSample) -> PathSample:
-        if _clears_headroom(s.w.logmag, s.err_log):
-            return s
-        raise BoundaryTooClose(
-            f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the headroom "
-            f"rule against its error bound {math.exp(s.err_log):.3e}")
-
-    def start(self, z: complex) -> PathSample:
-        return self._checked(self.model.diff_sample(z, self.a))
-
-    def extend(self, prev: PathSample, z: complex) -> PathSample:
-        i = self._next
-        if i < len(self._pts) and z == self._pts[i]:
-            self._next = i + 1
-            logmag, phase, err_log = self._planned
-            # NaN where the tail does not admit z: start raises there
-            if logmag[i] == logmag[i]:
-                return self._checked(PathSample(
-                    complex(z), ScaledComplex(logmag[i], phase[i]),
-                    err_log[i]))
-        return self.start(z)
-
-    def min_samples(self, z0: complex, z1: complex) -> int:
-        n = self.model.min_samples(z0, z1)
-        self._pts = edge_points(complex(z0), complex(z1), n)
-        val = self.model.values(np.array(self._pts))
-        w = val - self.a
-        err = self.model.err_bound(np.abs(val), self.a)
-        with np.errstate(divide="ignore"):
-            self._planned = (np.log(np.abs(w)).tolist(),
-                             np.angle(w).tolist(), np.log(err).tolist())
-        self._next = 0
-        return n
+def _checked(s: PathSample) -> PathSample:
+    """s, if it clears the headroom rule; else BoundaryTooClose."""
+    if _clears_headroom(s.w.logmag, s.err_log):
+        return s
+    raise BoundaryTooClose(
+        f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the headroom "
+        f"rule against its error bound {math.exp(s.err_log):.3e}")
 
 
 def _product_log_max(P: CanonicalProduct, radii, samples: int) -> list:
-    """max log|P| on each circle |z| = r of radii, by _circle_maxima."""
-    models = [CanonicalProductModel(P, r) for r in radii]
-    return _circle_maxima(
-        lambda pts, owners: [models[k].log_abs(z)
-                             for z, k in zip(pts, owners)], radii, samples)
+    """max log|P| on each circle |z| = r of radii, by _circle_max."""
+    return [_circle_max(lambda pts, m=CanonicalProductModel(P, r):
+                        [m.log_abs(z) for z in pts], r, samples)
+            for r in radii]
 
 
 def find_product_a_points(P: CanonicalProduct, a: complex, region: Box,

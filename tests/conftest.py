@@ -6,6 +6,8 @@ and the acceptance gate. Acceptance results are collected into a registry
 and echoed as one line per criterion at the end of the run.
 """
 
+import functools
+import math
 import time
 
 import pytest
@@ -19,6 +21,24 @@ CRITERIA: dict = {}
 
 def record_criterion(num: int, passed: bool, detail: str) -> None:
     CRITERIA[num] = (bool(passed), detail)
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_quadrature(s: float) -> float:
+    """Gamma(s) as the integral of t^(s-1) e^(-t), s > 0, by QUADPACK: the
+    independent check of the examples' math.gamma coefficients.
+
+    Split at 1 so QUADPACK sees the endpoint singularity (s < 1) and the
+    infinite tail separately.
+    """
+    from scipy.integrate import quad
+    head, eh = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 0.0, 1.0,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)
+    tail, et = quad(lambda t: t ** (s - 1.0) * math.exp(-t), 1.0, math.inf,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)
+    if eh + et > 1e-11:
+        raise ArithmeticError(f"gamma quadrature error bound {eh + et:.3e}")
+    return head + tail
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

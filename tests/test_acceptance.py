@@ -24,7 +24,7 @@ import cmath
 import math
 
 import numpy as np
-from conftest import record_criterion
+from conftest import gamma_quadrature, record_criterion
 
 from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
                          KernelParams, ScaledComplex, canonical_one_point_rays,
@@ -33,7 +33,6 @@ from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
                          kernel_grid_report, kernel_integral_quadrature,
                          kernel_integral_residue, order_estimate, rayconfig)
 from sectorroots.asymptotics import asymptotic_approx
-from sectorroots.catalog import gamma_quadrature
 from sectorroots.funcmodel import PolyExpRootModel
 from sectorroots.sectorgeom import angle_distance
 from sectorroots.valuedist import core_terms

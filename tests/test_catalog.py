@@ -8,8 +8,9 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from conftest import gamma_quadrature
 
-from sectorroots import example1, example2, gamma_quadrature
+from sectorroots import example1, example2
 
 
 def _gamma40(num: int, den: int) -> mp.mpf:
@@ -18,11 +19,11 @@ def _gamma40(num: int, den: int) -> mp.mpf:
 
 
 def test_import_and_examples_without_scipy():
-    # scipy is needed only by gamma_quadrature; a fresh interpreter that
-    # loads the package and the CLI, builds both examples with their
-    # asymptotic values and evaluates a product and a kernel never loads
-    # it. A subprocess under a hard timeout keeps the check independent of
-    # what this test session has already imported
+    # scipy is needed only by the tests' gamma_quadrature; a fresh
+    # interpreter that loads the package and the CLI, builds both examples
+    # with their asymptotic values and evaluates a product and a kernel
+    # never loads it. A subprocess under a hard timeout keeps the check
+    # independent of what this test session has already imported
     code = ("import sys\n"
             "import sectorroots, sectorroots.cli\n"
             "from sectorroots import (CanonicalProduct, KernelParams,\n"

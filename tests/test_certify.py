@@ -13,6 +13,7 @@ from sectorroots import contour
 from sectorroots.contour import winding_count
 from sectorroots.funcmodel import PathSample, PolyExpRootModel, build_model
 from sectorroots.polyexp import ScaledComplex
+from sectorroots.rootfinder import _SharedWalk
 
 # smallest zero pair of example 1 (tests/test_rootfinder.py)
 EX1_SMALLEST_ZERO = complex(0.3614406515173921, 0.8917305702920884)
@@ -167,7 +168,7 @@ def test_power_sums_match_exact(case, ex1, data1, ex1_zeros):
         box = EX1_THREE if case.startswith("three") else EX1_FOUR
         zs = [r.location for r in ex1_zeros[0] if box.contains(r.location)]
         model = build_model(ex1, data1)
-    w = winding_count(model.path_evaluator(0j), box)
+    w = winding_count(_SharedWalk(model, 0j), box)
     assert w.count == len(zs) == len(w.power_sums)
     # |u| <= 1 in the box, so |s_k| <= count; the trapezoid sums over the
     # walk's samples hold s_k to 1e-2 of that bound

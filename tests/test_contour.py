@@ -15,6 +15,7 @@ from sectorroots.contour import (_PASS_ROWS, edge_points,
                                  winding_count)
 from sectorroots import exp_function, square_minus_one
 from sectorroots.funcmodel import PolyExpRootModel
+from sectorroots.rootfinder import _SharedWalk
 from sectorroots.valuedist import CanonicalProduct, CanonicalProductModel
 
 
@@ -294,8 +295,8 @@ def test_box_expanded_is_fractional():
 
 def _winding_number(F, a, box, tol=1e-10):
     """Winding number of f - a on the boundary of box, walked by the
-    standard path evaluator."""
-    return winding_count(PolyExpRootModel(F, tol=tol).path_evaluator(a), box)
+    search's path evaluator."""
+    return winding_count(_SharedWalk(PolyExpRootModel(F, tol=tol), a), box)
 
 
 def test_winding_simple_zero():
@@ -327,7 +328,7 @@ def test_winding_count_roundoff_field():
     F = square_minus_one()
     model = PolyExpRootModel(F)
     box = Box(0.5, -0.5, 1.5, 0.5)
-    res = winding_count(model.path_evaluator(0j), box)
+    res = winding_count(_SharedWalk(model, 0j), box)
     assert res.count == 1
     assert abs(res.raw - res.count) <= res.roundoff + 0.2
 
@@ -361,7 +362,7 @@ def test_walk_through_a_point_raises(box, primed):
         assert len(model._anchors) == 8
         assert model.near_f(1 + 0j) is not None
     with pytest.raises(BoundaryTooClose):
-        winding_count(model.path_evaluator(0j), box)
+        winding_count(_SharedWalk(model, 0j), box)
 
 
 class _Recorder:
@@ -390,7 +391,7 @@ def test_edges_end_on_their_corners_bit_for_bit():
     # z_from + (z_to - z_from) * 1.0 misses the corner here on edges 0, 2
     assert [i for i in range(3) if corners[i] + (corners[i + 1] - corners[i])
             * 1.0 != corners[i + 1]] == [0, 2]
-    rec = _Recorder(PolyExpRootModel(square_minus_one()).path_evaluator(0j))
+    rec = _Recorder(_SharedWalk(PolyExpRootModel(square_minus_one()), 0j))
     assert winding_count(rec, box).count == 0
     assert len(rec.edges) == 4
     for i, ((z0, z1, n), targets) in enumerate(rec.edges):
@@ -447,13 +448,13 @@ def test_planned_increment_failure_raises_at_its_position(monkeypatch):
 
     monkeypatch.setattr(funcmodel, "integral_raw_batch", failing_fourth)
     model = PolyExpRootModel(exp_function())
-    path = model.path_evaluator(1.0 + 0j)
+    path = _SharedWalk(model, 1.0 + 0j)
     z0, z1 = -1.0 - 1.0j, 1.0 - 1.0j
     prev = path.start(z0)
     pts = edge_points(z0, z1, path.min_samples(z0, z1))
     assert len(pts) > 4
     # the whole edge is planned by the first step; the failure waits
-    unplanned = model.path_evaluator(1.0 + 0j)
+    unplanned = _SharedWalk(model, 1.0 + 0j)
     alone = unplanned.start(z0)
     for z in pts[:3]:
         prev = path.extend(prev, z)
@@ -461,3 +462,30 @@ def test_planned_increment_failure_raises_at_its_position(monkeypatch):
         assert abs(prev.w.to_complex() - alone.w.to_complex()) <= 1e-14
     with pytest.raises(ToleranceNotMet, match="planted failure"):
         path.extend(prev, pts[3])
+
+
+def test_edge_integrates_its_blocks_lazily(monkeypatch):
+    # an edge of more than one block of planned steps, with a failure
+    # planted in its first block: the walk raises there, and no block after
+    # it is ever integrated
+    real = funcmodel.integral_raw_batch
+    calls = []
+
+    def failing_fourth(F, z0, z1, tol):
+        calls.append(len(z1))
+        val, m, err_log, failures = real(F, z0, z1, tol)
+        return val, m, err_log, {**failures,
+                                 3: ToleranceNotMet("planted failure")}
+
+    monkeypatch.setattr(funcmodel, "integral_raw_batch", failing_fourth)
+    path = _SharedWalk(PolyExpRootModel(exp_function()), 1.0 + 0j)
+    z0, z1 = -150.0 - 1.0j, 150.0 - 1.0j
+    prev = path.start(z0)
+    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    assert len(pts) > funcmodel._PLAN_BLOCK
+    assert calls == []
+    for z in pts[:3]:
+        prev = path.extend(prev, z)
+    with pytest.raises(ToleranceNotMet, match="planted failure"):
+        path.extend(prev, pts[3])
+    assert calls == [funcmodel._PLAN_BLOCK]

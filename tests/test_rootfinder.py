@@ -13,8 +13,8 @@ from sectorroots import (Box, CanonicalProduct, PolyExpFunction, Polynomial,
                          find_product_a_points, rootfinder, square_minus_one)
 from sectorroots.contour import winding_count
 from sectorroots.funcmodel import PolyExpRootModel, build_model
-from sectorroots.rootfinder import (RootRecord, _newton, roots_to_csv,
-                                    sort_records)
+from sectorroots.rootfinder import (RootRecord, _SharedWalk, _newton,
+                                    roots_to_csv, sort_records)
 
 # smallest zero pair of example 1, root of (2/sqrt(pi)) int t^2 e^{-t^2} = -1/2
 # refined with 50-digit mpmath Newton; frozen here as an independent oracle
@@ -280,7 +280,7 @@ def test_walk_root_estimate_near_located_roots(name, request):
         c = z + complex(0.3, -0.2) * side
         box = Box(c.real - side / 2, c.imag - side / 2,
                   c.real + side / 2, c.imag + side / 2)
-        w = winding_count(model.path_evaluator(0j), box)
+        w = winding_count(_SharedWalk(model, 0j), box)
         assert w.count == 1
         assert abs(w.root_sum - z) <= 1e-2 * side
 

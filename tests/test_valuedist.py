@@ -18,6 +18,7 @@ from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
                          log_max_modulus, order_estimate, square_minus_one,
                          valuedist)
 from sectorroots.cli import main
+from sectorroots import funcmodel
 from sectorroots.funcmodel import build_model
 from sectorroots.valuedist import (CanonicalProductModel, _EM_COEFFS,
                                    _scaled_hurwitz, core_terms)
@@ -122,19 +123,15 @@ _PINNED_LOG_M = {
 
 
 @pytest.mark.parametrize("which", list(_PINNED_LOG_M))
-def test_lockstep_maxima_match_each_radius_alone(request, monkeypatch,
-                                                 which):
+def test_circle_maxima_pinned_per_radius(request, monkeypatch, which):
     calls = []
     if which == "product":
-        P = CanonicalProduct(0.5, 64)
-
-        def maxima(radii):
-            return valuedist._product_log_max(P, radii, 128)
+        got = valuedist._product_log_max(CanonicalProduct(0.5, 64),
+                                         _ORDER_GRID, 128)
     else:
         F, data = ((request.getfixturevalue("ex2"),
                     request.getfixturevalue("data2")) if which == "ex2"
                    else (exp_function(), None))
-        model = build_model(F, data)
         log_abs_f = valuedist._log_abs_f
 
         def counted(ring, pts):
@@ -142,52 +139,22 @@ def test_lockstep_maxima_match_each_radius_alone(request, monkeypatch,
             return log_abs_f(ring, pts)
 
         monkeypatch.setattr(valuedist, "_log_abs_f", counted)
-
-        def maxima(radii):
-            calls.clear()
-            return valuedist._circle_maxima(
-                valuedist._ring_log_abs(model, radii, 128), radii, 128)
-
-    alone = [maxima([r])[0] for r in _ORDER_GRID]
-    together = maxima(list(_ORDER_GRID))
-    assert alone == together
+        model = build_model(F, data)
+        got = [valuedist._ring_max(model, r, 128) for r in _ORDER_GRID]
     pinned = _PINNED_LOG_M[which]
     if which == "product":
-        assert together == pinned
+        assert got == pinned
     else:
         # a few ulps of log M: far inside the 1e-9 acceptance bound
-        for got, want in zip(together, pinned):
-            assert abs(got - want) <= 4e-15 * want
-        # one scan call per radius, then one call per radius and polish
-        # round, the first with both starting points
-        assert calls == [128] * 5 + [2] * 5 + [1] * (5 * 39)
+        for g, want in zip(got, pinned):
+            assert abs(g - want) <= 4e-15 * want
+        # per radius: one scan call, then one golden-section call with both
+        # starting points and one for each later round
+        assert calls == ([128, 2] + [1] * 39) * 5
     if which == "ex2":
         est = order_estimate(F, _ORDER_GRID, data=data)
         want = np.polyfit(np.log(_ORDER_GRID), np.log(pinned), 1)[0]
         assert abs(est - want) <= 1e-14
-
-
-def test_golden_maxima_radii_stop_on_their_own():
-    # arcs of widths 0.5, 1e-3 and 2 need about 42, 29 and 45 rounds to
-    # shrink below 1e-9; in lockstep each radius still takes its own steps
-    sizes = []
-
-    def log_abs(pts, owners):
-        sizes.append(len(pts))
-        return [-(cmath.phase(z) - 0.1 * abs(z)) ** 2 for z in pts]
-
-    radii, his = [1.0, 2.0, 3.0], [0.5, 1e-3, 2.0]
-    alone = []
-    rounds = []
-    for r, hi in zip(radii, his):
-        sizes.clear()
-        alone += valuedist._golden_maxima(log_abs, [r], [0.0], [hi])
-        rounds.append(len(sizes))
-    sizes.clear()
-    assert valuedist._golden_maxima(log_abs, radii, [0.0] * 3, his) == alone
-    r1, r2, r3 = sorted(rounds)
-    assert r1 < r2 < r3
-    assert sizes == [6] + [3] * (r1 - 1) + [2] * (r2 - r1) + [1] * (r3 - r2)
 
 
 def test_order_estimate_validates():
@@ -288,7 +255,7 @@ def test_circle_scan_reanchors_planted_fault(monkeypatch, ex1, data1):
     model = build_model(ex1, data1)
     points = valuedist._circle_points(2.0, 64)
     clean = valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
-    batch = valuedist.integral_raw_batch
+    batch = funcmodel.integral_raw_batch
     diff_sample = valuedist.PolyExpRootModel.diff_sample
     direct = []
 
@@ -308,12 +275,12 @@ def test_circle_scan_reanchors_planted_fault(monkeypatch, ex1, data1):
     # the counterclockwise chords miss the bound: every sample is carried
     # from the other side, past the maximum of Re q, and only the two
     # anchors (arg z = 0, pi) are taken directly
-    monkeypatch.setattr(valuedist, "integral_raw_batch", inflated(True))
+    monkeypatch.setattr(funcmodel, "integral_raw_batch", inflated(True))
     got = valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
     assert len(direct) == 2
     assert all(abs(u - v) <= 1e-9 for u, v in zip(got, clean))
     # every chord misses: every sample is re-anchored by diff_sample
-    monkeypatch.setattr(valuedist, "integral_raw_batch", inflated(False))
+    monkeypatch.setattr(funcmodel, "integral_raw_batch", inflated(False))
     got = valuedist._log_abs_f(valuedist._Ring(model, 2.0, 64), points)
     assert got == [diff_sample(model, z, 0j).w.logmag for z in points]
 

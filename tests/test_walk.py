@@ -85,7 +85,7 @@ def test_pinned_windings(case, request, monkeypatch):
     F = request.getfixturevalue(name)
     data = request.getfixturevalue("data" + name[-1])
     model = PolyExpRootModel(F, tol=1e-13, data=data)
-    walk = _Walk(model.path_evaluator(a))
+    walk = _Walk(rootfinder._SharedWalk(model, a))
     record = {"walks": 1, "near": 0, "anchored": 0, "where": []}
     _count_anchors(monkeypatch, record, lambda: walk.at)
     result = winding_count(walk, Box(*box))
@@ -154,7 +154,7 @@ def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
     assert len(wound) > 200
     model = funcmodel.build_model(ex2, data2)
     for box, count in wound:
-        assert walk(model.path_evaluator(1 + 0j), box).count == count
+        assert walk(rootfinder._SharedWalk(model, 1 + 0j), box).count == count
 
 
 @pytest.mark.parametrize("box, stored", [
@@ -163,8 +163,7 @@ def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
     (Box(1, 0, 2, 1), 0),          # the walk starts on it
 ])
 def test_walk_raising_mid_edge_stores_no_edge(box, stored):
-    path = rootfinder._SharedWalk(
-        PolyExpRootModel(square_minus_one()).path_evaluator(0j))
+    path = rootfinder._SharedWalk(PolyExpRootModel(square_minus_one()), 0j)
     with pytest.raises(BoundaryTooClose):
         winding_count(path, box)
     # only the edges walked to their end before the zero are stored
@@ -173,6 +172,30 @@ def test_walk_raising_mid_edge_stores_no_edge(box, stored):
         assert not (min(z0.real, z1.real) <= 1.0 <= max(z0.real, z1.real)
                     and min(z0.imag, z1.imag) <= 0.0
                     <= max(z0.imag, z1.imag))
+
+
+class _NotedModel:
+    """Model proxy that notes every walk sample it returns."""
+
+    def __init__(self, model):
+        self.model = model
+        self.samples = []
+
+    def start(self, a, z):
+        self.samples.append(self.model.start(a, z))
+        return self.samples[-1]
+
+    def step(self, a, prev, z):
+        self.samples.append(self.model.step(a, prev, z))
+        return self.samples[-1]
+
+    def edge(self, a, prev, pts):
+        for s in self.model.edge(a, prev, pts):
+            self.samples.append(s)
+            yield s
+
+    def min_samples(self, z0, z1):
+        return self.model.min_samples(z0, z1)
 
 
 class _Noted:
@@ -196,10 +219,10 @@ class _Noted:
 
 def test_served_edge_is_popped(ex1, data1):
     model = funcmodel.build_model(ex1, data1)
-    path = rootfinder._SharedWalk(model.path_evaluator(0j))
+    path = rootfinder._SharedWalk(model, 0j)
     left, right = Box(-2, -2, 2, 2).split()[:2]
     spoke = (-2j, 0j)
-    fresh = [winding_count(model.path_evaluator(0j), b).count
+    fresh = [winding_count(rootfinder._SharedWalk(model, 0j), b).count
              for b in (left, right)]
     assert sum(fresh) > 0
     assert winding_count(path, left).count == fresh[0]
@@ -207,7 +230,7 @@ def test_served_edge_is_popped(ex1, data1):
     assert samples.shape == (3, n - 1)
     assert set(path.corners) == set(left.corners())
 
-    path.inner = inner = _Noted(path.inner)
+    path.model = inner = _NotedModel(path.model)
     outer = _Noted(path)
     assert winding_count(outer, right).count == fresh[1]
     # the right box walks the spoke 0 -> -2i last, from the stored samples
@@ -218,8 +241,8 @@ def test_served_edge_is_popped(ex1, data1):
     assert [s.w.logmag for s in on_spoke] == samples[0, ::-1].tolist()
     assert [s.w.phase for s in on_spoke] == samples[1, ::-1].tolist()
     assert [s.err_log for s in on_spoke] == samples[2, ::-1].tolist()
-    # the inner evaluator took none of the spoke's points, nor the corners
-    # 0 and -2i (the start) that the left box evaluated
+    # the model took none of the spoke's points, nor the corners 0 and -2i
+    # (the start) that the left box evaluated
     assert not (set(plan) | {0j}) & {s.z for s in inner.samples}
     assert set(path.corners) == set(left.corners()) | set(right.corners())
 
@@ -279,7 +302,7 @@ def test_block_samples_match_sequential_adds():
 
 def test_planned_sample_on_a_point_raises():
     # f = z^2 - 1 on the edge [0.5, 1.5]: the planned point 1 is its zero
-    path = PolyExpRootModel(square_minus_one()).path_evaluator(0j)
+    path = rootfinder._SharedWalk(PolyExpRootModel(square_minus_one()), 0j)
     z0, z1 = 0.5 + 0j, 1.5 + 0j
     prev = path.start(z0)
     pts = edge_points(z0, z1, path.min_samples(z0, z1))
@@ -293,7 +316,7 @@ def test_planned_sample_on_a_point_raises():
 def test_planned_product_sample_on_a_point_raises():
     # the rho = 1/2 product on the edge [2, 6]: the planned point 4 is a zero
     model = CanonicalProductModel(CanonicalProduct(0.5, 64), 6.0)
-    path = model.path_evaluator(0j)
+    path = rootfinder._SharedWalk(model, 0j)
     z0, z1 = 2.0 + 0j, 6.0 + 0j
     prev = path.start(z0)
     pts = edge_points(z0, z1, path.min_samples(z0, z1))
@@ -311,7 +334,7 @@ def test_product_edge_through_a_point_between_samples():
     # limit (or on a sample that lands on the zero)
     P = CanonicalProduct(0.5, 64)
     box = Box(2.1, 0.0, 6.3, 1.0)
-    path = CanonicalProductModel(P, 8.0).path_evaluator(0j)
+    path = rootfinder._SharedWalk(CanonicalProductModel(P, 8.0), 0j)
     assert 4.0 not in edge_points(box.x0 + 0j, box.x1 + 0j,
                                   path.min_samples(box.x0, box.x1))
     with pytest.raises((ToleranceNotMet, BoundaryTooClose)):
@@ -328,7 +351,7 @@ def test_product_edge_through_a_point_between_samples():
 ])
 def test_planned_product_samples_match_pointwise(rho, a, box):
     model = CanonicalProductModel(CanonicalProduct(rho, 64), 45.0)
-    path = model.path_evaluator(a)
+    path = rootfinder._SharedWalk(model, a)
     corners = Box(*box).corners()
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
@@ -336,7 +359,7 @@ def test_planned_product_samples_match_pointwise(rho, a, box):
         prev = None
         for z in pts:
             planned = path.extend(prev, z)
-            alone = path.start(z)
+            alone = model.start(a, z)
             assert planned.z == z
             assert abs(planned.w.logmag - alone.w.logmag) <= 1e-12
             assert abs(cmath.phase(cmath.rect(
