@@ -59,10 +59,6 @@ _ROUNDOFF = 5e-15
 _MAX_PANELS = 4096
 # panels evaluated per array pass; bounds the memory of long batches
 _PASS_ROWS = 512
-# groups of failing segments this wide or wider are refined as panel arrays
-# (_refine_panels), narrower ones with heaps: per round the arrays cost
-# about twice the heaps for one segment and break even at about 16
-_WIDE_GROUP = 16
 
 
 def _panels(g: Callable, z0: np.ndarray, delta: np.ndarray, seg, ts, half):
@@ -105,11 +101,9 @@ def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
     only segments whose summed error estimate exceeds
     tol * (1 + |I|) + noise[i] * L1 are refined, in groups of at most
     _PASS_ROWS, each round splitting the worst panel of every such segment
-    and evaluating all the children in one pass. A group of _WIDE_GROUP
-    segments or more keeps its panels as arrays (_refine_panels), a
-    narrower one as heaps (_refine_segments); both give the same results
-    bit for bit. Per segment this is the same worst-first refinement, with
-    the same panel budget and depth limit, as a segment integrated alone.
+    and evaluating all the children in one pass (_refine_segments). Per
+    segment this is the same worst-first refinement, with the same panel
+    budget and depth limit, as a segment integrated alone.
 
     Returns (values, bounds, failures): the integrals, their absolute error
     bounds, and a dict mapping the index of every segment that ran out of
@@ -131,24 +125,11 @@ def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
     # each segment's refinement is independent of the others, so taking
     # the failing segments in groups only bounds the panels held at once
     for lo in range(0, len(todo), _PASS_ROWS):
-        group = todo[lo:lo + _PASS_ROWS]
-        refine = (_refine_panels if len(group) >= _WIDE_GROUP
-                  else _refine_segments)
-        refine(g, z0, delta, tol, noise, max_depth, group,
-               total, total_err, total_l1, failures)
+        _refine_segments(g, z0, delta, tol, noise, max_depth,
+                         todo[lo:lo + _PASS_ROWS], total, total_err,
+                         total_l1, failures)
     return (total * delta, (total_err + noise * total_l1) * np.abs(delta),
             failures)
-
-
-def _exhausted(err) -> ToleranceNotMet:
-    return ToleranceNotMet(f"segment quadrature: {_MAX_PANELS} panels "
-                           f"exhausted, error {err:.3e}")
-
-
-def _too_deep(err, val, tol, max_depth) -> ToleranceNotMet:
-    return ToleranceNotMet(
-        f"segment quadrature: depth {max_depth} reached, error "
-        f"{err:.3e} vs target {tol * (1 + abs(val)):.3e}")
 
 
 def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
@@ -169,11 +150,15 @@ def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
         halves = []
         for i in todo:
             if counter[i] >= _MAX_PANELS:
-                failures[i] = _exhausted(err[i])
+                failures[i] = ToleranceNotMet(
+                    f"segment quadrature: {_MAX_PANELS} panels exhausted, "
+                    f"error {err[i]:.3e}")
                 continue
             item = heapq.heappop(heaps[i])
             if item[4] >= max_depth:
-                failures[i] = _too_deep(err[i], val[i], tol, max_depth)
+                failures[i] = ToleranceNotMet(
+                    f"segment quadrature: depth {max_depth} reached, error "
+                    f"{err[i]:.3e} vs target {tol * (1 + abs(val[i])):.3e}")
                 continue
             a, b = item[2], item[3]
             mid = 0.5 * (a + b)
@@ -203,84 +188,6 @@ def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
         total[i] = val[i]
         total_err[i] = err[i]
         total_l1[i] = l1[i]
-
-
-def _refine_panels(g, z0, delta, tol, noise, max_depth, todo,
-                   total, total_err, total_l1, failures):
-    """_refine_segments with the panels held as (rows, slots) arrays, one
-    row per segment still refining, instead of one heap per segment.
-
-    Every round splits each row's worst panel, found by one argmax, and
-    appends the two children to the next two slots. Every row still
-    refining has been split as often as the others, so slot j of a row is
-    its heap counter j, and the first index of a row's maximum is the
-    heap's pick, ties going to the smallest counter. Values, bounds, panel
-    counts and failures are bit for bit those of _refine_segments.
-    """
-    seg = todo
-    val, err, l1, nz = total[seg], total_err[seg], total_l1[seg], noise[seg]
-    n = len(seg)
-    # per slot: the panel's error (-inf once it is split), its ends in s,
-    # depth, value and L1; the slots grow geometrically as they fill
-    slots = 16
-    pe = np.empty((n, slots))
-    pab = np.empty((n, slots, 2))
-    pd = np.empty((n, slots), dtype=np.int16)
-    pv = np.empty((n, slots), dtype=complex)
-    pl = np.empty((n, slots))
-    pe[:, 0], pab[:, 0], pd[:, 0], pv[:, 0], pl[:, 0] = err, (0, 1), 0, val, l1
-    used = 1
-    rows, pair = np.arange(n), np.repeat(seg, 2)
-    while n:
-        best = pe[:, :used].argmax(axis=1)
-        depth = pd[rows, best]
-        if used >= _MAX_PANELS:
-            keep = np.zeros(n, dtype=bool)
-            for i, e in zip(seg.tolist(), err.tolist()):
-                failures[i] = _exhausted(e)
-        # a panel split in round r has depth at most r
-        elif (used - 1) // 2 >= max_depth and depth.max() >= max_depth:
-            keep = depth < max_depth
-            for r in (~keep).nonzero()[0].tolist():
-                failures[int(seg[r])] = _too_deep(err[r], val[r], tol,
-                                                  max_depth)
-        else:
-            # the children's ends: (a, mid) and (mid, b)
-            ends = np.empty((n, 3))
-            ends[:, ::2] = pab[rows, best]
-            np.add(ends[:, 0], ends[:, 2], out=ends[:, 1])
-            ends[:, 1] *= 0.5
-            lo, hi = ends[:, :2], ends[:, 1:]
-            kv, ke, kl = (x.reshape(n, 2) for x in _child_panels(
-                g, z0, delta, pair, (0.5 * (lo + hi)).ravel(),
-                (0.5 * (hi - lo)).ravel()))
-            val += (kv[:, 0] + kv[:, 1]) - pv[rows, best]
-            err += (ke[:, 0] + ke[:, 1]) - pe[rows, best]
-            l1 += (kl[:, 0] + kl[:, 1]) - pl[rows, best]
-            if used + 2 > slots:
-                slots = min(2 * slots, _MAX_PANELS + 1)
-                pe, pab, pd, pv, pl = (
-                    np.concatenate((x, np.empty_like(x)), axis=1)[:, :slots]
-                    for x in (pe, pab, pd, pv, pl))
-            pe[rows, best] = -np.inf
-            new = slice(used, used + 2)
-            pe[:, new] = ke
-            pab[:, new, 0] = lo
-            pab[:, new, 1] = hi
-            pd[:, new] = (depth + 1)[:, None]
-            pv[:, new] = kv
-            pl[:, new] = kl
-            used += 2
-            keep = err > tol * (1.0 + np.abs(val)) + nz * l1
-        if not keep.all():
-            stop = ~keep
-            total[seg[stop]] = val[stop]
-            total_err[seg[stop]] = err[stop]
-            total_l1[seg[stop]] = l1[stop]
-            seg, val, err, l1, nz, pe, pab, pd, pv, pl = (
-                x[keep] for x in (seg, val, err, l1, nz, pe, pab, pd, pv, pl))
-            n = len(seg)
-            rows, pair = np.arange(n), np.repeat(seg, 2)
 
 
 def integrate_segment_err(g: Callable, z0: complex, z1: complex,

@@ -108,10 +108,8 @@ def test_panel_counts_pinned_alone_and_batched():
     assert _panels_spent(lambda z: np.exp(80j * z), 0j, 1.0 + 0j) == 63
 
     # the same segments in one batch, and four copies of them (20 to
-    # refine, a group wide enough for the panel arrays): each gets its own
-    # worst-first schedule, so its panel count and value are those it gets
-    # alone
-    assert 4 * 5 >= contour._WIDE_GROUP
+    # refine): each gets its own worst-first schedule, so its panel count
+    # and value are those it gets alone
     for copies in (1, 4):
         z0 = np.array([a for (a, _), _ in _PINNED_PANELS] * copies,
                       dtype=complex)
@@ -190,7 +188,7 @@ def _tied(z):
 
 
 @pytest.mark.parametrize("case", ["depth", "panels", "tie"])
-def test_array_and_heap_kernels_agree_bit_for_bit(monkeypatch, case):
+def test_refinement_depth_budget_and_ties(monkeypatch, case):
     if case == "tie":
         segs, f, tol, want = [(0j, 1 + 0j)] * 20, _tied, 0.3, [5] * 20
     else:
@@ -202,26 +200,16 @@ def test_array_and_heap_kernels_agree_bit_for_bit(monkeypatch, case):
         monkeypatch.setattr(contour, "_MAX_PANELS", 16)
     z0 = np.array([a for a, _ in segs], dtype=complex)
     delta = np.array([b for _, b in segs], dtype=complex) - z0
-    runs = []
-    for kernel, wide in (("_refine_panels", 1), ("_refine_segments", 10 ** 9)):
-        monkeypatch.setattr(contour, "_WIDE_GROUP", wide)
-        ran = []
-        real = getattr(contour, kernel)
-        monkeypatch.setattr(contour, kernel,
-                            lambda *args: ran.append(kernel) or real(*args))
-        rows = np.zeros(len(z0), dtype=int)
+    rows = np.zeros(len(z0), dtype=int)
 
-        def g(z, seg):
-            np.add.at(rows, np.arange(len(z0))[seg], 1)
-            return f(z)
+    def g(z, seg):
+        np.add.at(rows, np.arange(len(z0))[seg], 1)
+        return f(z)
 
-        vals, bounds, failures = integrate_segments(
-            g, z0, delta, tol, np.full(len(z0), 5e-15), max_depth)
-        assert ran == [kernel]
-        runs.append((vals.tobytes(), bounds.tobytes(), rows.tolist(),
-                     {i: str(exc) for i, exc in failures.items()}))
-    assert runs[0] == runs[1]
-    rows, failures = runs[0][2], runs[0][3]
+    _, _, failures = integrate_segments(
+        g, z0, delta, tol, np.full(len(z0), 5e-15), max_depth)
+    rows = rows.tolist()
+    failures = {i: str(exc) for i, exc in failures.items()}
     if case == "depth":
         # only the 47-panel segment needs a fifth level
         assert list(failures) == [0, 6, 12, 18]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sectorroots import (OverflowRegion, Polynomial, ScaledComplex, eval_f,
                          exp_function, function_from_json, function_to_json,
                          square_minus_one)
-from sectorroots import ToleranceNotMet, polyexp
+from sectorroots import ToleranceNotMet, contour, polyexp
 from sectorroots.funcmodel import PolyExpRootModel
 from sectorroots.polyexp import (_logaddexp, eval_scaled_exp,
                                  integral_raw_batch, integral_scaled_parts,
@@ -226,10 +226,65 @@ def test_integral_parts_error_bound_honest(ex2):
         assert abs(got.to_complex() - want) <= max(math.exp(err_log), 1e-14)
 
 
+def _ex1_integral(z):
+    """Closed form of the integral of ex1's p exp(q) over [0, z]."""
+    z = mp.mpc(z)
+    return mp.erf(z) / 2 - z * mp.e ** (-z * z) / mp.sqrt(mp.pi)
+
+
+def _ex2_integral_from_0(z):
+    """Closed form of the integral of ex2's p exp(q) over [0, z]: the
+    integral of t^k exp(-t^3) is z^(k+1)/(k+1) 1F1((k+1)/3; (k+4)/3; -z^3),
+    an entire function of z with no branch to choose."""
+    z = mp.mpc(z)
+    third = mp.mpf(1) / 3
+    return sum(c * z ** (k + 1) / (k + 1)
+               * mp.hyp1f1((k + 1) * third, (k + 4) * third, -z ** 3)
+               for k, c in ((3, 1 / mp.gamma(4 * third)),
+                            (1, 1 / mp.gamma(2 * third))))
+
+
+# rays through decay sectors (ex1 at 0 and pi, ex2 at 0 and 2.1), growth
+# sectors (ex1 at pi/2, ex2 at pi/3 and pi) and the critical rays between
+# them; from 0 to 7.5 and 11 ex2 swings 1,898 and 5,990 radians, past the
+# 256-chunk cap
+@pytest.mark.parametrize("name, thetas", [
+    ("ex1", (0.0, 0.35, math.pi / 4, 1.2, math.pi / 2, 2.5, math.pi, -0.9)),
+    ("ex2", (0.0, 0.35, math.pi / 6, math.pi / 3, 1.2, math.pi / 2, 2.1,
+             math.pi, -1.0)),
+], ids=["ex1", "ex2"])
+def test_planned_chunks_within_bound_of_closed_forms(name, thetas, request):
+    F = request.getfixturevalue(name)
+    want_of = _ex1_integral if name == "ex1" else _ex2_integral_from_0
+    for r in (3.0, 7.5, 11.0):
+        for theta in thetas:
+            z = r * cmath.exp(1j * theta)
+            got, err_log = integral_scaled_parts(F, 0j, z, 1e-13)
+            # compared in mpmath: the growth-sector values pass 1e500
+            got = mp.exp(got.logmag) * mp.expj(got.phase)
+            assert abs(got - want_of(z)) <= mp.exp(err_log), (name, r, theta)
+
+
+def test_long_integral_in_at_most_two_array_passes(ex2, monkeypatch):
+    # 0 to 7.5 swings 1,898 radians: its 256 planned chunks go through one
+    # first-panel pass, and any refinement through one more
+    panels = contour._panels
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return panels(*args)
+
+    monkeypatch.setattr(contour, "_panels", counted)
+    got, err_log = integral_scaled_parts(ex2, 0j, 7.5 + 0j, 1e-13)
+    assert abs(got.to_complex() - _ex2_integral(0, 7.5)) <= math.exp(err_log)
+    assert len(calls) <= 2
+
+
 @pytest.mark.parametrize("chunked", [False, True])
 def test_raw_batch_matches_list_batch(ex2, chunked, monkeypatch):
     # short steps, one of zero length; with chunked, also segments cut
-    # into 3, 7, 75, 2 and 24 chunks
+    # into 51, 135, 256, 36 and 256 chunks (the third and last at the cap)
     segs = [(2 - 1j, 2.05 - 0.98j), (-1.5 + 0.5j, -1.45 + 0.5j), (4j, 4j),
             (0.3, 0.5 - 0.1j)]
     if chunked:
@@ -265,7 +320,7 @@ def test_raw_batch_matches_list_batch(ex2, chunked, monkeypatch):
 
 
 def test_chunked_segment_raises_chunk_failure(ex2, monkeypatch):
-    # 11 e^{0.35i} swings far past 60 radians, so integral_scaled_parts
+    # 11 e^{0.35i} swings far past _PANEL_SWING, so integral_scaled_parts
     # integrates it as one batch of chunks; a failure planted in one chunk
     # is raised
     quadrature = polyexp._quadrature

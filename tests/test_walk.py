@@ -109,10 +109,13 @@ def test_pinned_windings(case, request, monkeypatch):
 # search walks fewer and other boxes than from box centres (95, 28 and
 # 147, 59 then). Boxes of 2 to 4 a-points are solved from their seeds
 # without a split, and Kantorovich balls replace the certificate walks, so
-# the search walks 106 boxes instead of 338 (93, 28 and 147, 60 before)
+# the search walks 106 boxes instead of 338 (93, 28 and 147, 60 before).
+# Integrals from 0 cut into chunks of swing at most 4 carry tighter error
+# bounds, so carried samples clear the headroom rule a little longer (50,
+# 28 and 112, 59 with chunks of about 80 radians)
 @pytest.mark.parametrize("name, box, near, anchored", [
-    ("ex1", (-8, -8, 8, 8), 50, 28),
-    ("ex2", (-4, -4, 4, 4), 112, 59),
+    ("ex1", (-8, -8, 8, 8), 49, 27),
+    ("ex2", (-4, -4, 4, 4), 111, 59),
 ], ids=["ex1", "ex2"])
 def test_search_anchor_calls_pinned(name, box, near, anchored, request,
                                     monkeypatch):
