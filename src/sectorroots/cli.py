@@ -21,7 +21,7 @@ from .asymptotics import accumulation_rays_analytic, asymptotic_values
 from .catalog import example, example_region
 from .contour import Box
 from .errors import (BoundViolated, CounterexampleFound, DegreeZero,
-                     SectorRootsError)
+                     SectorRootsError, ToleranceNotMet)
 from .kernels import KernelParams, kernel_bounds_check, kernel_grid_report
 from .polyexp import PolyExpFunction, _pair, load_function
 from .rayconfig import enumerate_configs
@@ -90,7 +90,21 @@ def _emit(args, name: str, payload: dict, csv_text: str | None = None,
         sys.stdout.write(canonical_json(payload))
 
 
+def _limits(args, F: PolyExpFunction):
+    """F's asymptotic data at min(--tol, 1e-9), or None, as in
+    build_model: when F has no critical rays (deg q = 0) or its limits
+    miss that tolerance. The search runs either way."""
+    try:
+        return asymptotic_values(F, tol=min(args.tol, 1e-9))
+    except (DegreeZero, ToleranceNotMet):
+        return None
+
+
 def _default_sector(data, target: complex, margin: float = 0.05) -> Sector:
+    if data is None:
+        raise ValueError("the asymptotic limits are unavailable (no "
+                         "critical rays, or they miss the tolerance); "
+                         "pass --sector B,H")
     rays = RaySet(accumulation_rays_analytic(data, target,
                                              tol=10.0 * data.value_tol))
     cone = minimal_cone(rays)
@@ -123,15 +137,8 @@ def cmd_rays(args) -> int:
 
 def _roots_run(args, F: PolyExpFunction, target: complex, region: Box,
                sector: Sector | None):
-    data = None
-    try:
-        data = asymptotic_values(F, tol=min(args.tol, 1e-9))
-    except DegreeZero:
-        pass
+    data = _limits(args, F)
     if sector is None:
-        if data is None:
-            raise DegreeZero(
-                "no critical rays (deg q = 0); pass --sector B,H")
         sector = _default_sector(data, target)
     result = find_a_points(F, target, region, tol=args.tol, data=data)
     report = sector_report([r.location for r in result], sector, args.r0)
@@ -256,11 +263,7 @@ def cmd_counting(args) -> int:
     target = _parse_complex(args.target)
     rmax = max(rgrid)
     region = Box(-rmax, -rmax, rmax, rmax)
-    data = None
-    try:
-        data = asymptotic_values(F, tol=1e-9)
-    except DegreeZero:
-        pass
+    data = _limits(args, F)
     result = find_a_points(F, target, region, tol=args.tol, data=data)
     table = counting_functions(
         result, lambda r: log_max_modulus(F, r, data=data), rgrid)

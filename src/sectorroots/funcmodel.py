@@ -246,8 +246,8 @@ class PolyExpRootModel:
 
     # -- boundary-walk evaluation -------------------------------------------
     # A walk of w = f - a (rootfinder._SharedWalk) takes its starts from
-    # start, its bisection midpoints from step and an edge's planned
-    # samples from edge.
+    # start, and an edge's planned samples, or an unplanned point such as a
+    # bisection midpoint alone, from edge.
 
     def start(self, a: complex, z: complex) -> PathSample:
         """The sample of f - a at z from a remembered anchor, from 0 or from
@@ -269,16 +269,6 @@ class PolyExpRootModel:
         raise BoundaryTooClose(
             f"cannot separate f - a from its error bound at {z} "
             f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
-
-    def step(self, a: complex, prev: PathSample, z: complex) -> PathSample:
-        """The sample of f - a at z, carried from prev by the integral over
-        [prev.z, z], or by start when that fails the headroom rule. w obeys
-        the same increments as f, so extending w directly avoids ever
-        reconstructing the difference f - a."""
-        z = complex(z)
-        inc, inc_err_log = integral_scaled_parts(self.F, prev.z, z, self.tol)
-        s = _try(z, *_add_increment(prev.w, prev.err_log, inc, inc_err_log))
-        return self.start(a, z) if s is None else s
 
     def edge(self, a: complex, prev: PathSample, pts: list):
         """The samples of f - a at pts in turn, carried from prev (carried);

@@ -183,8 +183,8 @@ class _SharedWalk:
     edge_points(z0, z1, n), with n from model.min_samples. The edge's first
     planned step opens model.edge(a, prev, pts) from the walk's sample at
     z0, and each later planned step takes its next sample. A walk's start
-    goes to model.start, and any other step (a bisection midpoint) to
-    model.step.
+    goes to model.start, and any other step (a bisection midpoint, or the
+    corner that ends a served edge) to model.edge(a, prev, [z]) alone.
 
     edges maps the canonical endpoints of an edge (contour.edge_reversed)
     to (n, samples): n is what min_samples gave for it, and samples is a
@@ -240,7 +240,7 @@ class _SharedWalk:
         k = self._next
         pts = self._pts
         if k >= len(pts) or z != pts[k]:
-            return self.model.step(self.a, prev, z)
+            return next(self.model.edge(self.a, prev, [z]))
         self._next = k + 1
         if k == len(pts) - 1:
             s = self.corners.get(z)
@@ -260,7 +260,7 @@ class _SharedWalk:
     def _planned(self, prev: PathSample, k: int) -> PathSample:
         if self._served is not None:
             # the corner that ends a served edge
-            return self.model.step(self.a, prev, self._pts[k])
+            return next(self.model.edge(self.a, prev, [self._pts[k]]))
         if k == 0:
             self._samples = self.model.edge(self.a, prev, self._pts)
         return next(self._samples)
@@ -274,7 +274,7 @@ class _SharedWalk:
 
 class _Search:
     """Recursive winding subdivision over any model exposing the sample
-    protocol (start/step/edge/min_samples for its walks, which share one
+    protocol (start/edge/min_samples for its walks, which share one
     _SharedWalk; diff_sample/diff_near/diff_scaled/derivative_scaled/
     curvature_log for Newton and its certificates)."""
 

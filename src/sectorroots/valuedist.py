@@ -22,11 +22,12 @@ import numpy as np
 
 from .asymptotics import in_decay_interior, tail_remainder
 from .contour import Box, edge_reversed
-from .errors import (BoundaryTooClose, NonPositiveLogM, TailTooLarge,
-                     ToleranceNotMet)
+from .errors import (BoundaryTooClose, NonPositiveLogM, OverflowRegion,
+                     TailTooLarge, ToleranceNotMet)
 from .funcmodel import (_RESCUE_REL_LOG, PathSample, PolyExpRootModel,
                         _clears_headroom, build_model, carried)
 from .polyexp import PolyExpFunction, ScaledComplex
+from .rayconfig import _is_count
 from .rootfinder import SearchResult, search_region
 from .sectorgeom import RaySet
 
@@ -219,8 +220,8 @@ def _golden_max(log_abs, r: float, lo: float, hi: float,
 def _check_circle(r: float, samples: int) -> None:
     if not 0.0 < r < math.inf:
         raise ValueError("r must be positive and finite")
-    if samples < 64:
-        raise ValueError("need at least 64 circle samples")
+    if not _is_count(samples) or samples < 64:
+        raise ValueError("need an integer of at least 64 circle samples")
 
 
 def _circle_max(log_abs, r: float, samples: int) -> float:
@@ -471,7 +472,8 @@ class _ZetaTail:
     c_j = zeta(j/rho, N+1)/j. The series is kept in u = z/a_{N+1} as
     T(u) = sum_j d_j u^j, d_j = c_j a_{N+1}^j, so log prod = -T. Terms are
     kept while 2^-j d_j >= 1e-18: on the whole admitted disk |u| < 1/2 the
-    dropped terms move log P by less than 2e-18.
+    dropped terms move log P by less than 2e-18. T and its derivative are
+    power sums over the same d_j.
     """
 
     def __init__(self, rho: float, n: int):
@@ -488,42 +490,36 @@ class _ZetaTail:
         j = np.arange(1, math.ceil(math.log2((q + 1) / _TAIL_EPS)) + 2)
         d = _scaled_hurwitz(j * s, q) / j
         J = int(np.nonzero(d * 0.5 ** j >= _TAIL_EPS)[0][-1]) + 1
-        # highest power first, for Horner
-        self._d = [float(v) for v in d[J - 1::-1]]
-        self._jd = [float(v) for v in (j * d)[J - 1::-1]]
+        self.j, self.d = j[:J], d[:J]
 
-    def _u(self, z: complex) -> complex:
-        u = z / self.scale
-        if abs(u) >= 0.5:
-            try:
-                hint = (f"n_terms = {core_terms(self.rho, abs(z))} "
-                        f"admits it")
-            except TailTooLarge as exc:
-                hint = str(exc)
-            raise TailTooLarge(
-                f"|z| = {abs(z):.6g} >= a_{self.n + 1}/2 = "
-                f"{self.radius:.6g} with n_terms = {self.n}; {hint}")
-        return u
+    def admitted(self, z: np.ndarray) -> np.ndarray:
+        """Mask of the points of z inside the admitted disk."""
+        return np.abs(z) < self.radius
 
-    def log(self, z: complex) -> complex:
-        """T(z/a_{N+1}), so that the tail factor is exp(-T)."""
-        return self.series(self._u(z))
+    def check(self, z: complex) -> None:
+        """TailTooLarge, naming the n_terms that admits z, outside it."""
+        if self.admitted(np.array([z]))[0]:
+            return
+        try:
+            hint = f"n_terms = {core_terms(self.rho, abs(z))} admits it"
+        except TailTooLarge as exc:
+            hint = str(exc)
+        raise TailTooLarge(
+            f"|z| = {abs(z):.6g} >= a_{self.n + 1}/2 = {self.radius:.6g} "
+            f"with n_terms = {self.n}; {hint}")
 
-    def series(self, u):
-        """T(u) by Horner; u may be a scalar or an array, and is not
-        checked against the admitted disk |u| < 1/2."""
-        acc = 0j
-        for d in self._d:
-            acc = (acc + d) * u
-        return acc
+    def series(self, z: np.ndarray) -> np.ndarray:
+        """T(z/a_{N+1}) at every point of z, unchecked against the disk;
+        each row summed on its own, so its bits do not depend on the batch."""
+        u = np.repeat(z[:, None] / self.scale, len(self.d), axis=1)
+        # u^j as a running product along each row: half the time of u ** j
+        return (np.multiply.accumulate(u, axis=1) * self.d).sum(axis=-1)
 
     def dlog(self, z: complex) -> complex:
-        """d/dz of T(z/a_{N+1})."""
-        u = self._u(z)
-        acc = 0j
-        for jd in self._jd:
-            acc = acc * u + jd
-        return acc / self.scale
+        """d/dz of T(z/a_{N+1}), at a z the disk admits (unchecked)."""
+        u = np.array([z])[:, None] / self.scale
+        jd = self.j * self.d
+        return complex((u ** (self.j - 1) * jd).sum(axis=-1)[0]) / self.scale
 
 
 @dataclass(frozen=True)
@@ -537,8 +533,8 @@ class CanonicalProduct:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be positive")
+        if not _is_count(self.n_terms) or self.n_terms < 1:
+            raise ValueError("n_terms must be positive: an integer >= 1")
 
     @cached_property
     def zeros(self) -> np.ndarray:
@@ -557,8 +553,31 @@ class CanonicalProduct:
         return self.tail.radius
 
 
+def _product_values(P: CanonicalProduct, z: np.ndarray) -> np.ndarray:
+    """P at every point of the 1-D array z, NaN where the tail does not
+    admit the point: the core product over the first P.n_terms zeros, at
+    most _CHUNK factors a pass in chunks of zeros and of rows, times
+    exp(-T). A row's operations, so its bits, do not depend on its batch."""
+    s = 1.0 / P.rho
+    width = min(P.n_terms, _CHUNK)
+    rows = _CHUNK // width
+    core = np.ones(len(z), dtype=complex)
+    for lo in range(1, P.n_terms + 1, width):
+        # z * (1/a) has the bits of z / a (numpy divides by a real as a
+        # product with its reciprocal) in less than half the time
+        inv = 1.0 / np.arange(lo, min(lo + width, P.n_terms + 1),
+                              dtype=np.float64) ** s
+        for i in range(0, len(z), rows):
+            core[i:i + rows] *= np.multiply.reduce(
+                1.0 - z[i:i + rows, None] * inv, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(P.tail.admitted(z),
+                        core * np.exp(-P.tail.series(z)), np.nan)
+
+
 def canonical_product_eval(P: CanonicalProduct, z: complex) -> complex:
-    """P(z): the first P.n_terms factors times the tail factor exp(-T).
+    """P(z) by _product_values: the first P.n_terms factors times the tail
+    factor exp(-T).
 
     T is the zeta series of the remaining factors (see _ZetaTail), exact to
     rounding for |z| < P.max_radius; beyond it TailTooLarge names the
@@ -567,14 +586,10 @@ def canonical_product_eval(P: CanonicalProduct, z: complex) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError("evaluation point must be finite")
-    tail = P.tail.log(z)
-    s = 1.0 / P.rho
-    core = 1.0 + 0.0j
-    for lo in range(1, P.n_terms + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, P.n_terms)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        core *= complex(np.prod(1.0 - z / n ** s))
-    return core * cmath.exp(-tail)
+    val = complex(_product_values(P, np.array([z]))[0])
+    if val != val:
+        P.tail.check(z)
+    return val
 
 
 def canonical_one_point_rays(rho: float) -> RaySet:
@@ -603,12 +618,14 @@ class CanonicalProductModel:
     The core keeps the core_terms(rho, r_max) factors, which hold every
     zero up to 4 r_max; the rest is the zeta tail of that core, admitted
     out to at least 2 r_max. Works with the winding subdivision search
-    (start/step/edge/min_samples for its walks, diff_sample/diff_near/
-    diff_scaled/derivative_scaled/curvature_log for Newton).
+    (start/edge/min_samples for its walks, diff_sample/diff_near/
+    diff_scaled/derivative_scaled/curvature_log for Newton). value, values
+    and derivative_scaled all read _product_values on the model's core.
 
     Direct evaluation is absolute here, so a walk carries no state: |P|
     stays within double range on any disk the tail admits, and P - a
-    inherits only the factor-count rounding noise. Every walk sample must
+    inherits only the factor-count rounding noise. Every walk sample,
+    a start or a bisection midpoint included, is one of edge's, and must
     clear the headroom rule (funcmodel._clears_headroom) against its
     rounding bound, or the walk raises BoundaryTooClose. There is no floor
     on |P - a| itself: P is tiny along the positive axis, where its zeros
@@ -624,7 +641,8 @@ class CanonicalProductModel:
         self.a = self.core.zeros
         self.tail = self.core.tail
         # rounding grows with the factor count and the size of log(tail)
-        self.rel_err = (self.n_core + 16 + abs(self.tail.log(r_max))) * 1e-16
+        T = self.tail.series(np.array([self.r_max + 0j]))[0]
+        self.rel_err = (self.n_core + 16 + abs(T)) * 1e-16
         self._near = self.a[self.a <= 4.0 * r_max]
 
     def value(self, z: complex) -> complex:
@@ -632,25 +650,8 @@ class CanonicalProductModel:
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """value at every point of z, NaN where the tail does not admit
-        the point (value raises TailTooLarge there). The core product is
-        taken by rows, at most _CHUNK factors per pass."""
-        u = z / self.tail.scale
-        core = np.empty(len(z), dtype=complex)
-        rows = max(1, _CHUNK // len(self.a))
-        for lo in range(0, len(z), rows):
-            core[lo:lo + rows] = np.prod(
-                1.0 - z[lo:lo + rows, None] / self.a, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(np.abs(u) < 0.5,
-                            core * np.exp(-self.tail.series(u)), np.nan)
-
-    def log_abs(self, z: complex) -> float:
-        z = complex(z)
-        tail = self.tail.log(z)
-        w = np.abs(1.0 - z / self.a)
-        with np.errstate(divide="ignore"):
-            s = float(np.sum(np.log(w)))
-        return s - tail.real
+        the point (value raises TailTooLarge there)."""
+        return _product_values(self.core, z)
 
     # --- sample protocol -------------------------------------------------
 
@@ -686,8 +687,9 @@ class CanonicalProductModel:
         k = int(np.argmin(np.abs(diffs)))
         if diffs[k] == 0:
             # on a zero: product rule leaves the deleted-factor product
+            self.tail.check(z)
             rest = np.delete(1.0 - z / self.a, k)
-            tail = cmath.exp(-self.tail.log(z))
+            tail = complex(np.exp(-self.tail.series(np.array([z])))[0])
             return ScaledComplex.from_complex(
                 complex(np.prod(rest)) * tail * (-1.0 / self.a[k]))
         val = self.value(z)
@@ -696,19 +698,16 @@ class CanonicalProductModel:
         return ScaledComplex.from_complex(val * dlog)
 
     def start(self, a: complex, z: complex) -> PathSample:
-        """The walk's sample of P - a at z, by diff_sample."""
-        return _checked(self.diff_sample(z, a))
+        """The walk's sample of P - a at z: edge's, at z alone."""
+        return next(self.edge(a, None, [z]))
 
-    def step(self, a: complex, prev: PathSample, z: complex) -> PathSample:
-        """The sample at z alone: nothing is carried from prev."""
-        return self.start(a, z)
-
-    def edge(self, a: complex, prev: PathSample, pts: list):
+    def edge(self, a: complex, prev: PathSample | None, pts: list):
         """The samples of P - a at pts in turn, all evaluated in one pass
-        (values) when the first is taken; start where the tail does not
-        admit a point (NaN), which raises there."""
+        (values) when the first is taken; nothing is carried from prev. A
+        point the tail does not admit raises TailTooLarge when it is
+        reached."""
         a = complex(a)
-        val = self.values(np.array(pts))
+        val = self.values(np.array(pts, dtype=complex))
         w = val - a
         err = self.err_bound(np.abs(val), a)
         with np.errstate(divide="ignore"):
@@ -716,11 +715,9 @@ class CanonicalProductModel:
                           np.angle(w).tolist(), np.log(err).tolist())
         for z, logmag, phase, err_log in planned:
             if logmag != logmag:
-                yield self.start(a, z)
-            else:
-                yield _checked(PathSample(complex(z),
-                                          ScaledComplex(logmag, phase),
-                                          err_log))
+                self.tail.check(z)
+            yield _checked(PathSample(complex(z),
+                                      ScaledComplex(logmag, phase), err_log))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Sample count for an edge from the phase its nearby zeros can
@@ -753,10 +750,17 @@ def _checked(s: PathSample) -> PathSample:
 
 
 def _product_log_max(P: CanonicalProduct, radii, samples: int) -> list:
-    """max log|P| on each circle |z| = r of radii, by _circle_max."""
+    """max log|P| on each circle |z| = r of radii, by _circle_max, from one
+    values call per scan or polish round; OverflowRegion once |P| leaves
+    double range (log M(r) above about 709)."""
+    def log_abs(m: CanonicalProductModel, pts: list) -> list:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.log(np.abs(m.values(np.array(pts))))
+        if not (out < math.inf).all():
+            raise OverflowRegion(f"|P| overflows on |z| = {m.r_max:g}")
+        return out.tolist()
     return [_circle_max(lambda pts, m=CanonicalProductModel(P, r):
-                        [m.log_abs(z) for z in pts], r, samples)
-            for r in radii]
+                        log_abs(m, pts), r, samples) for r in radii]
 
 
 def find_product_a_points(P: CanonicalProduct, a: complex, region: Box,

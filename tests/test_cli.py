@@ -45,6 +45,16 @@ def const_spec(tmp_path):
                                  Polynomial((0.0, 1.0)), 0.5))
 
 
+@pytest.fixture
+def slow_spec(tmp_path):
+    # f = 1/2 + integral of exp(-0.005 t^2): its limits along the critical
+    # rays miss 1e-10 by r = 50, so asymptotic_values raises
+    # ToleranceNotMet
+    return _spec(tmp_path / "slow.json",
+                 PolyExpFunction(Polynomial((1.0,)),
+                                 Polynomial((0.0, 0.0, -0.005)), 0.5))
+
+
 def test_parse_helpers():
     assert _parse_complex("1.5") == 1.5 + 0j
     assert _parse_complex("1,-2") == 1 - 2j
@@ -124,6 +134,24 @@ def test_roots_sector_violation_exits_one(square_spec):
     code = main(["roots", "--spec", square_spec, "--target", "0",
                  "--region=-2,-2,2,2", "--sector", "0,0.5", "--r0", "0.5"])
     assert code == 1
+
+
+def test_search_runs_when_the_limits_miss_tolerance(slow_spec, capsys):
+    # roots and counting search without the limits, as the library does
+    code = main(["roots", "--spec", slow_spec, "--target", "0",
+                 "--region=-2,-2,2,2", "--sector", "0,1", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["winding"] == len(payload["records"]) == 1
+    assert main(["counting", "--spec", slow_spec, "--rgrid", "2,3"]) == 0
+    capsys.readouterr()
+    # only the default sector needs them
+    code = main(["roots", "--spec", slow_spec, "--target", "0",
+                 "--region=-2,-2,2,2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "asymptotic limits are unavailable" in err
+    assert "deg q = 0" not in err
 
 
 def test_enumerate_json_round_trip(capsys, tmp_path):

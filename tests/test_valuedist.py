@@ -10,9 +10,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sectorroots import (Box, CanonicalProduct, NonPositiveLogM, TailTooLarge,
-                         ToleranceNotMet, canonical_one_point_rays,
-                         canonical_product_eval, circle_log_mean,
+from sectorroots import (Box, CanonicalProduct, NonPositiveLogM,
+                         OverflowRegion, TailTooLarge, ToleranceNotMet,
+                         canonical_one_point_rays, canonical_product_eval,
+                         circle_log_mean,
                          counting_functions, exp_function,
                          find_product_a_points, jensen_defect,
                          log_max_modulus, order_estimate, square_minus_one,
@@ -47,6 +48,20 @@ def test_log_max_modulus_validates():
         log_max_modulus(exp_function(), 0.0)
     with pytest.raises(ValueError):
         log_max_modulus(exp_function(), 1.0, samples=8)
+
+
+def test_sample_counts_must_be_integers():
+    F = exp_function()
+    calls = [lambda n: log_max_modulus(F, 2.0, samples=n),
+             lambda n: circle_log_mean(F, 2.0, samples=n),
+             lambda n: jensen_defect(F, [], 2.0, samples=n),
+             lambda n: order_estimate(F, (4.0, 6.0, 9.0, 13.5), samples=n)]
+    for call in calls:
+        for bad in (64.5, 100.0, True):
+            with pytest.raises(ValueError, match="integer"):
+                call(bad)
+    assert log_max_modulus(F, 2.0, samples=np.int64(64)) == pytest.approx(
+        2.0, abs=1e-10)
 
 
 def test_log_max_modulus_rejects_non_finite_radius():
@@ -117,8 +132,8 @@ _PINNED_LOG_M = {
     "ex2": [27.1729264215689, 72.01423030133763, 190.35149012741664,
             503.4104596826375, 1332.4176619898913],
     "exp": list(_ORDER_GRID),
-    "product": [3.054196103249618, 3.851353573330137, 4.817707620546587,
-                5.98310860397433, 7.382659372395041],
+    "product": [3.0541961032496188, 3.851353573330137, 4.817707620546588,
+                5.983108603974331, 7.382659372395042],
 }
 
 
@@ -143,6 +158,12 @@ def test_circle_maxima_pinned_per_radius(request, monkeypatch, which):
         got = [valuedist._ring_max(model, r, 128) for r in _ORDER_GRID]
     pinned = _PINNED_LOG_M[which]
     if which == "product":
+        # rho = 1/2: |P| is largest at -r, where P = sinh(pi sqrt r) /
+        # (pi sqrt r)
+        with mp.workdps(40):
+            for g, r in zip(got, _ORDER_GRID):
+                x = mp.pi * mp.sqrt(r)
+                assert abs(g - mp.log(mp.sinh(x) / x)) <= 2 * math.ulp(g)
         assert got == pinned
     else:
         # a few ulps of log M: far inside the 1e-9 acceptance bound
@@ -353,6 +374,12 @@ def test_product_validates():
         CanonicalProduct(1.0, 100)
     with pytest.raises(ValueError):
         CanonicalProduct(0.5, 0)
+    for bad in (64.0, 2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            CanonicalProduct(0.5, bad)
+    assert canonical_product_eval(CanonicalProduct(0.5, np.int64(64)),
+                                  -1) == canonical_product_eval(
+                                      CanonicalProduct(0.5, 64), -1)
 
 
 def test_product_zeros_grid():
@@ -520,6 +547,25 @@ def test_product_order_estimate():
     P = CanonicalProduct(1.0 / 3.0, 400)
     est = order_estimate(P, (250.0, 700.0, 2000.0, 5600.0))
     assert est == pytest.approx(1.0 / 3.0, abs=0.1)
+    # rho = 3/4: log M(1000) is about 790, past double range
+    with pytest.raises(OverflowRegion, match="1000"):
+        order_estimate(CanonicalProduct(0.75, 64), (250.0, 500.0, 1000.0,
+                                                    2000.0))
+
+
+@pytest.mark.parametrize("rho", [1.0 / 3.0, 0.5, 0.75])
+def test_product_value_same_bits_alone_and_batched(rho):
+    # value and values read one evaluator, and a row's operations do not
+    # depend on its batch: 300 random points of the admitted disk per rho
+    model = CanonicalProductModel(CanonicalProduct(rho, 64), 20.0)
+    rng = np.random.default_rng(7)
+    radius = model.tail.radius * np.sqrt(rng.uniform(0.0, 0.99, 300))
+    zs = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 300))
+    batch = model.values(zs)
+    for k, z in enumerate(zs.tolist()):
+        alone = model.value(z)
+        assert alone == batch[k] == model.values(np.array([z]))[0], (k, z)
+        assert alone == canonical_product_eval(model.core, z)
 
 
 def test_product_model_matches_contracted_eval():

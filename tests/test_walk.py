@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from sectorroots import (Box, BoundaryTooClose, ToleranceNotMet,
-                         find_a_points, find_product_a_points, rootfinder,
-                         square_minus_one)
+from sectorroots import (Box, BoundaryTooClose, TailTooLarge,
+                         ToleranceNotMet, find_a_points,
+                         find_product_a_points, rootfinder, square_minus_one)
 from sectorroots import funcmodel
 from sectorroots.contour import edge_points, winding_count
 from sectorroots.funcmodel import (PolyExpRootModel, _add_increment,
@@ -186,10 +186,6 @@ class _NotedModel:
 
     def start(self, a, z):
         self.samples.append(self.model.start(a, z))
-        return self.samples[-1]
-
-    def step(self, a, prev, z):
-        self.samples.append(self.model.step(a, prev, z))
         return self.samples[-1]
 
     def edge(self, a, prev, pts):
@@ -369,7 +365,24 @@ def test_planned_product_samples_match_pointwise(rho, a, box):
                 1.0, planned.w.phase - alone.w.phase))) <= 1e-12
             assert abs(planned.err_log - alone.err_log) <= 1e-12
             prev = planned
-    # values at points the tail does not admit are NaN, and the walk
-    # raises there through the pointwise evaluation
+    # values at points the tail does not admit are NaN; the walk raises
+    # there (test_product_walk_raises_where_the_tail_does_not_admit)
     far = model.values(np.array([0j, 10.0 * model.tail.radius + 0j]))
     assert not math.isnan(far[0].real) and math.isnan(far[1].real)
+
+
+def test_product_walk_raises_where_the_tail_does_not_admit():
+    model = CanonicalProductModel(CanonicalProduct(0.5, 64), 6.0)
+    far = 1.5 * model.tail.radius * cmath.exp(0.3j)
+    with pytest.raises(TailTooLarge, match="n_terms"):
+        model.start(0j, far)
+    # the edge yields the points before far, then raises at far itself
+    samples = model.edge(0j, None, [1j, far, 2j])
+    assert next(samples).z == 1j
+    with pytest.raises(TailTooLarge, match="n_terms"):
+        next(samples)
+    # an unplanned point of the shared walk (a bisection midpoint) too
+    path = rootfinder._SharedWalk(model, 0j)
+    prev = path.start(1j)
+    with pytest.raises(TailTooLarge):
+        path.extend(prev, far)
