@@ -509,11 +509,15 @@ class _ZetaTail:
             f"with n_terms = {self.n}; {hint}")
 
     def series(self, z: np.ndarray) -> np.ndarray:
-        """T(z/a_{N+1}) at every point of z, unchecked against the disk;
-        each row summed on its own, so its bits do not depend on the batch."""
-        u = np.repeat(z[:, None] / self.scale, len(self.d), axis=1)
-        # u^j as a running product along each row: half the time of u ** j
-        return (np.multiply.accumulate(u, axis=1) * self.d).sum(axis=-1)
+        """T(z/a_{N+1}) at every point of z, unchecked against the disk, at
+        most _CHUNK terms a pass; a row's sum (u^j a running product along
+        it, half the time of u ** j) does not depend on its batch."""
+        T = np.empty(len(z), dtype=complex)
+        rows = _CHUNK // len(self.d)
+        for i in range(0, len(z), rows):
+            u = np.repeat(z[i:i + rows, None] / self.scale, len(self.d), 1)
+            T[i:i + rows] = (np.multiply.accumulate(u, 1) * self.d).sum(-1)
+        return T
 
     def dlog(self, z: complex) -> complex:
         """d/dz of T(z/a_{N+1}), at a z the disk admits (unchecked)."""
@@ -568,16 +572,18 @@ def _product_values(P: CanonicalProduct, z: np.ndarray) -> np.ndarray:
         inv = 1.0 / np.arange(lo, min(lo + width, P.n_terms + 1),
                               dtype=np.float64) ** s
         for i in range(0, len(z), rows):
-            core[i:i + rows] *= np.multiply.reduce(
-                1.0 - z[i:i + rows, None] * inv, axis=1)
+            block = np.multiply.reduce(1.0 - z[i:i + rows, None] * inv, 1)
+            core[i:i + rows] = np.multiply(core[i:i + rows], block)
+    # np.multiply, out of place: numpy's complex product is not commutative
+    # bit for bit, `a * b` swaps its operands when b is a temporary of 256
+    # KB or more, and `a *= b` takes another path for one element
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(P.tail.admitted(z),
-                        core * np.exp(-P.tail.series(z)), np.nan)
+                        np.multiply(core, np.exp(-P.tail.series(z))), np.nan)
 
 
 def canonical_product_eval(P: CanonicalProduct, z: complex) -> complex:
-    """P(z) by _product_values: the first P.n_terms factors times the tail
-    factor exp(-T).
+    """P(z) by _product_values: the first P.n_terms factors times exp(-T).
 
     T is the zeta series of the remaining factors (see _ZetaTail), exact to
     rounding for |z| < P.max_radius; beyond it TailTooLarge names the
@@ -716,8 +722,13 @@ class CanonicalProductModel:
         for z, logmag, phase, err_log in planned:
             if logmag != logmag:
                 self.tail.check(z)
-            yield _checked(PathSample(complex(z),
-                                      ScaledComplex(logmag, phase), err_log))
+            s = PathSample(complex(z), ScaledComplex(logmag, phase), err_log)
+            if not _clears_headroom(logmag, err_log):
+                raise BoundaryTooClose(
+                    f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the "
+                    f"headroom rule against its error bound "
+                    f"{math.exp(err_log):.3e}")
+            yield s
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Sample count for an edge from the phase its nearby zeros can
@@ -738,15 +749,6 @@ class CanonicalProductModel:
         dist = np.hypot(self._near - px, py)
         phase = float(np.sum(np.minimum(math.pi, L / np.maximum(dist, 1e-6))))
         return min(12 + int(phase / 1.2) + int(0.5 * L), 20000)
-
-
-def _checked(s: PathSample) -> PathSample:
-    """s, if it clears the headroom rule; else BoundaryTooClose."""
-    if _clears_headroom(s.w.logmag, s.err_log):
-        return s
-    raise BoundaryTooClose(
-        f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the headroom "
-        f"rule against its error bound {math.exp(s.err_log):.3e}")
 
 
 def _product_log_max(P: CanonicalProduct, radii, samples: int) -> list:

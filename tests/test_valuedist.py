@@ -556,15 +556,19 @@ def test_product_order_estimate():
 @pytest.mark.parametrize("rho", [1.0 / 3.0, 0.5, 0.75])
 def test_product_value_same_bits_alone_and_batched(rho):
     # value and values read one evaluator, and a row's operations do not
-    # depend on its batch: 300 random points of the admitted disk per rho
+    # depend on its batch: 300 random points of the admitted disk per rho,
+    # alone, together and repeated 60 times (18,000 points, past numpy's
+    # 256 KB threshold for computing into a temporary operand)
     model = CanonicalProductModel(CanonicalProduct(rho, 64), 20.0)
     rng = np.random.default_rng(7)
     radius = model.tail.radius * np.sqrt(rng.uniform(0.0, 0.99, 300))
     zs = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 300))
     batch = model.values(zs)
+    big = model.values(np.tile(zs, 60))
     for k, z in enumerate(zs.tolist()):
         alone = model.value(z)
         assert alone == batch[k] == model.values(np.array([z]))[0], (k, z)
+        assert alone == big[k] == big[k + 300 * 59], (k, z)
         assert alone == canonical_product_eval(model.core, z)
 
 
