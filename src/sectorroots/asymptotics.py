@@ -1,4 +1,4 @@
-"""Critical rays, asymptotic values, and the first-order sector form.
+"""Critical rays, asymptotic values, and the tails of the decay cones.
 
 For f' = p exp(q) with d = deg q >= 1 and A the leading coefficient of q,
 the plane splits into d sectors of opening 2 pi / d around the rays
@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 from . import polyexp
-from .errors import DegreeZero, NearCriticalZero, ToleranceNotMet
-from .polyexp import PolyExpFunction, ScaledComplex, eval_f, eval_scaled_exp
-from .sectorgeom import TWO_PI, angle_distance, wrap_angle
+from .errors import DegreeZero, ToleranceNotMet
+from .polyexp import PolyExpFunction, ScaledComplex, eval_f
+from .sectorgeom import angle_distance, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -101,38 +101,6 @@ def asymptotic_values(F: PolyExpFunction, tol: float = 1e-9,
         values.append(eval_f(F, r * direction, 0.1 * tol))
     return AsymptoticData(d=F.d, A=F.A, rays=tuple(rays),
                           values=tuple(values), value_tol=tol)
-
-
-def sector_remainder(F: PolyExpFunction, z: complex,
-                     data: AsymptoticData) -> tuple[ScaledComplex, int]:
-    """(p(z)/q'(z)) exp(q(z)) in scaled form, and the nearest ray index.
-
-    Raises NearCriticalZero when q'(z) is numerically zero, where the
-    sector form degenerates.
-    """
-    z = complex(z)
-    qp = F.q_prime(z)
-    if abs(qp) < 1e-12 * (1.0 + abs(z)) ** max(data.d - 1, 0):
-        raise NearCriticalZero(f"q'({z}) ~ 0; sector form undefined here")
-    k = data.nearest_ray(cmath.phase(z) % TWO_PI)
-    pz = F.p(z)
-    if pz == 0:
-        return ScaledComplex.zero(), k
-    factor = ScaledComplex.from_complex(pz / qp)
-    return factor.mul(eval_scaled_exp(F.q, z)), k
-
-
-def asymptotic_approx(F: PolyExpFunction, z: complex, data: AsymptoticData):
-    """First-order sector approximation a_k + (p/q') exp(q) at z.
-
-    Returns (value, k). value is a plain complex when it fits in double
-    range; in growth regions beyond that it is a ScaledComplex (where the
-    a_k term is below relative machine precision anyway).
-    """
-    rem, k = sector_remainder(F, z, data)
-    if rem.is_zero or rem.logmag <= 690.0:
-        return complex(data.values[k]) + rem.to_complex(), k
-    return rem, k
 
 
 def in_decay_interior(F: PolyExpFunction, z: complex, margin: float = 0.05) -> bool:

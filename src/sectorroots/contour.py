@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .polyexp import _wrap_phase
+from .polyexp import ScaledComplex, _wrap_phase
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule.
 _XK = np.array([
@@ -293,33 +293,83 @@ _MAX_BISECT = 42
 _POWER_SUMS = 4
 
 
-def _refine(pathval, s0, s1, depth: int, zs: list, steps: list) -> float:
-    """Accumulated phase change from s0 to s1, bisecting until each step
-    moves the argument by less than pi/2. For every sample the accepted
-    steps end on, in walk order and s1 last, appends its z to zs and
-    complex(log|w|, phase change) to steps."""
+@dataclass
+class PathSample:
+    """One boundary point: w = f - a in scaled form with the log of its
+    absolute error bound. A walk takes samples in runs (z, v): points and
+    a (3, k) array of their log|w|, arg w and error logs."""
+
+    z: complex
+    w: ScaledComplex
+    err_log: float
+
+    @classmethod
+    def of_run(cls, z, v, i: int) -> "PathSample":
+        """Sample i of the run (z, v)."""
+        return cls(complex(z[i]), ScaledComplex(*v[:2, i].tolist()),
+                   float(v[2, i]))
+
+    def run(self) -> tuple:
+        """The run of this sample alone."""
+        return (np.array([self.z]),
+                np.array([[self.w.logmag], [self.w.phase], [self.err_log]]))
+
+
+def _refine(pathval, s0, s1, depth: int, zs: list, steps: list) -> None:
+    """The phase steps from s0 to s1, bisected until each moves the
+    argument by less than pi/2. For every sample the accepted steps end
+    on, in walk order and s1 last, appends its z to zs and
+    complex(log|w|, phase change) to steps, as scalars."""
     dphi = _wrap_phase(s1.w.phase - s0.w.phase)
     if abs(dphi) < _PHASE_STEP:
         zs.append(s1.z)
         steps.append(complex(s1.w.logmag, dphi))
-        return dphi
+        return
     if depth >= _MAX_BISECT:
         raise ToleranceNotMet("phase step would not settle under bisection")
     zm = 0.5 * (s0.z + s1.z)
-    sm = pathval.extend(s0, zm)
-    d1 = _refine(pathval, s0, sm, depth + 1, zs, steps)
-    return d1 + _refine(pathval, sm, s1, depth + 1, zs, steps)
+    sm = PathSample.of_run(*next(pathval.extend(s0, [zm])), 0)
+    _refine(pathval, s0, sm, depth + 1, zs, steps)
+    _refine(pathval, sm, s1, depth + 1, zs, steps)
 
 
-def _power_sums(box: Box, first, zs: list, steps: list, count: int) -> tuple:
+def _run_steps(pathval, prev, z, v, zs: list, steps: list) -> PathSample:
+    """The phase steps of the run (z, v) after the sample prev, by one diff,
+    appended to zs and steps in walk order: those under pi/2 as slices, the
+    others bisected by _refine. Returns the run's last sample."""
+    if len(z) == 1:
+        last = PathSample.of_run(z, v, 0)
+        _refine(pathval, prev, last, 0, zs, steps)
+        return last
+    dphi = v[1] - np.concatenate(([prev.w.phase], v[1, :-1]))
+    # _wrap_phase on every step: fmod has the same bits as math.fmod
+    np.fmod(dphi, 2.0 * math.pi, out=dphi)
+    dphi[dphi > math.pi] -= 2.0 * math.pi
+    dphi[dphi <= -math.pi] += 2.0 * math.pi
+    step = v[0].astype(complex)
+    step.imag = dphi
+    lo = 0
+    for i in np.flatnonzero(~(np.abs(dphi) < _PHASE_STEP)).tolist():
+        zs.append(z[lo:i])
+        steps.append(step[lo:i])
+        _refine(pathval, prev if i == 0 else PathSample.of_run(z, v, i - 1),
+                PathSample.of_run(z, v, i), 0, zs, steps)
+        lo = i + 1
+    zs.append(z[lo:])
+    steps.append(step[lo:])
+    return PathSample.of_run(z, v, len(z) - 1)
+
+
+def _power_sums(box: Box, first, z: np.ndarray, walk: np.ndarray,
+                count: int) -> tuple:
     """s_k = count u_s^k - (k / 2 pi i) oint u^(k-1) L du, k = 1 ..
-    min(count, _POWER_SUMS), as trapezoid sums over the walk's samples:
-    u = (z - c) / rho with c the box centre and rho its half-diagonal, u_s
-    the walk's start, and L = log|w| + i arg w continuous, taken relative
-    to its value at the start."""
+    min(count, _POWER_SUMS), as trapezoid sums over the walk's samples z,
+    its start first included, with walk the steps after it (_refine): u =
+    (z - c) / rho with c the box centre and rho its half-diagonal, u_s the
+    walk's start, and L = log|w| + i arg w continuous, taken relative to
+    its value at the start."""
     c, rho = box.center, 0.5 * box.diameter
-    u = (np.array([first.z] + zs) - c) / rho
-    walk = np.array(steps)
+    u = (z - c) / rho
     L = np.empty_like(u)
     L[0] = 0.0
     L[1:] = walk.real - first.w.logmag
@@ -362,13 +412,14 @@ def winding_count(pathval, box: Box) -> WindingResult:
     raises BoundaryTooClose itself when a sample fails the headroom rule
     (w = 0, or |w| under 1e4 times its error bound); a sample that clears
     it has a correct phase however small |w| is.
-    Each edge is announced by min_samples(z_from, z_to) just before it is
-    walked; the walk then extends through edge_points(z_from, z_to, n), so
-    an evaluator may plan the increments of the whole edge at that call.
-    The plan is canonical: an edge that two boxes share is walked through
-    the same points in both directions, provided min_samples gives the
-    same n both ways, so a shared edge can be served from the samples of
-    the earlier walk.
+    Each edge is announced by min_samples(z_from, z_to), then walked by
+    one extend(prev, edge_points(z_from, z_to, n)) call (all points but the
+    last on the edge that closes the loop); the walk takes every step of a
+    run (_run_steps) before it pulls the next, and a bisection midpoint zm
+    after s0 is extend(s0, [zm]). The plan is canonical: an edge that two
+    boxes share is walked through the same points both ways when
+    min_samples gives the same n both ways, so a shared edge can be served
+    from the samples of the earlier walk.
 
     The walk also gives the power sums of the zeros of w inside the box
     (Delves & Lyness, Math. Comp. 21 (1967) 543-560). In the centred,
@@ -384,28 +435,25 @@ def winding_count(pathval, box: Box) -> WindingResult:
     """
     corners = box.corners()
     first = pathval.start(corners[0])
-    total = 0.0
-    zs: list = []
+    zs: list = [first.z]
     steps: list = []
     prev = first
     for i in range(4):
         z_from = corners[i]
         z_to = corners[(i + 1) % 4]
-        targets = edge_points(z_from, z_to, pathval.min_samples(z_from, z_to))
+        pts = edge_points(z_from, z_to, pathval.min_samples(z_from, z_to))
         # the last edge closes the loop on the exact starting sample
-        if i == 3:
-            targets[-1] = None
-        for z in targets:
-            s = first if z is None else pathval.extend(prev, z)
-            total += _refine(pathval, prev, s, 0, zs, steps)
-            prev = s
-    raw = total / (2.0 * math.pi)
+        for z, v in pathval.extend(prev, pts[:-1] if i == 3 else pts):
+            prev = _run_steps(pathval, prev, z, v, zs, steps)
+    _refine(pathval, prev, first, 0, zs, steps)
+    walk = np.hstack(steps)
+    raw = float(walk.imag.sum()) / (2.0 * math.pi)
     count = int(round(raw))
     roundoff = abs(raw - count)
     if roundoff > 0.25 or count < 0:
         raise ToleranceNotMet(
             f"winding phase defect {roundoff:.3f} too large (raw {raw:.6f})")
-    sums = _power_sums(box, first, zs, steps, count) if count else ()
+    sums = _power_sums(box, first, np.hstack(zs), walk, count) if count else ()
     root_sum = (count * box.center + 0.5 * box.diameter * sums[0]
                 if sums else 0j)
     return WindingResult(count=count, raw=complex(raw), roundoff=roundoff,

@@ -11,7 +11,7 @@ the walk:
     error scales with the local size of e^q rather than with the worst
     point ever visited; the planned samples of an edge are integrated and
     summed block by block as arrays, the sums of one scaled add per sample
-    taken in the same order;
+    taken in the same order, and handed to the walk in runs;
   * a walk start, or a sample whose headroom between |w| and the
     accumulated error has collapsed, is re-anchored: integrated from the
     nearest point the model remembers (its last _ANCHOR_MEMORY anchored
@@ -34,13 +34,12 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
                           in_decay_interior, tail_remainder)
-from .contour import edge_reversed
+from .contour import PathSample, edge_reversed
 from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
                       _segment_tables, eval_scaled_exp, integral_raw_batch,
@@ -70,16 +69,6 @@ _PLAN_BLOCK = 256
 _SPAN_LOG = 600.0
 
 
-@dataclass
-class PathSample:
-    """One boundary point: w = f - a in scaled form with the log of its
-    absolute error bound."""
-
-    z: complex
-    w: ScaledComplex
-    err_log: float
-
-
 def _add_increment(w: ScaledComplex, err_log: float, inc: ScaledComplex,
                    inc_err_log: float) -> tuple[ScaledComplex, float]:
     """w + inc, with the error logs summed and the representation noise of
@@ -105,12 +94,6 @@ def _clears_headroom(logmag, err_log):
     Elementwise on arrays. A sample that clears it has a phase error below
     1e-4 radians however small |w| is, so no floor on |w| is needed."""
     return logmag - err_log >= _HEADROOM_LOG
-
-
-def _try(z: complex, w: ScaledComplex, err_log: float) -> PathSample | None:
-    """The sample, if w clears the headroom rule against its error."""
-    return (PathSample(z, w, err_log) if _clears_headroom(w.logmag, err_log)
-            else None)
 
 
 class PolyExpRootModel:
@@ -254,28 +237,24 @@ class PolyExpRootModel:
         the decay-cone tail, whichever first clears the headroom rule."""
         z = complex(z)
         neg_a = ScaledComplex.from_complex(-complex(a))
-        near = self.near_f(z)
-        if near is not None:
-            s = _try(z, *_less_target(*near, neg_a))
-            if s is not None:
-                return s
-        w, err_log = _less_target(*self.anchored_f(z), neg_a)
-        s = _try(z, w, err_log)
-        if s is not None:
-            return s
-        s = self._rescue(z, a)
-        if s is not None and _clears_headroom(s.w.logmag, s.err_log):
-            return s
+        for value in (self.near_f, self.anchored_f):
+            f = value(z)
+            if f is not None:
+                s = PathSample(z, *_less_target(*f, neg_a))
+                if _clears_headroom(s.w.logmag, s.err_log):
+                    return s
+        r = self._rescue(z, a)
+        if r is not None and _clears_headroom(r.w.logmag, r.err_log):
+            return r
         raise BoundaryTooClose(
             f"cannot separate f - a from its error bound at {z} "
-            f"(log|w| ~ {w.logmag:.2f}, err log {err_log:.2f})")
+            f"(log|w| ~ {s.w.logmag:.2f}, err log {s.err_log:.2f})")
 
     def edge(self, a: complex, prev: PathSample, pts: list):
-        """The samples of f - a at pts in turn, carried from prev (carried);
-        a sample that fails the headroom rule is replaced by start, and the
-        rest are summed from it."""
-        return carried(self, prev, pts,
-                       lambda s, ok: s if ok else self.start(a, s.z))
+        """The runs of f - a at pts, carried from prev (carried); a sample
+        that fails the headroom rule is replaced by start."""
+        return carried(self, prev, pts, _clears_headroom,
+                       lambda s: self.start(a, s.z))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Initial sample count for an edge, from a bound on the phase
@@ -318,10 +297,10 @@ def build_model(F: PolyExpFunction,
 
 
 def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,
-                   m: np.ndarray, inc_err: np.ndarray):
+                   m: np.ndarray, inc_err: np.ndarray) -> np.ndarray:
     """Walk samples from w, with log error bound err_log, through the
-    increments val[k] * exp(m[k]) with log error bounds inc_err[k], as
-    lists (logmag, phase, err_log, clears_headroom), one entry per sample.
+    increments val[k] * exp(m[k]) with log error bounds inc_err[k], as a
+    (3, n) array of their log|w|, arg w and error logs.
 
     This is _add_increment applied in turn: the partial sums share one
     reference exponent, and the error logs are summed in the scalar order
@@ -343,48 +322,54 @@ def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,
     terms[0] = cmath.rect(1.0, w.phase) * math.exp(w.logmag - ref)
     terms[1:] = val[:n] * np.exp(m[:n] - ref)
     sums = np.cumsum(terms)[1:]
+    out = np.empty((3, n))
     with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(sums)) + ref
+        out[0] = np.log(np.abs(sums)) + ref
+    out[1] = np.angle(sums)
     errs = np.empty(2 * n + 1)
     errs[0] = err_log
     errs[1::2] = inc_err[:n]
-    errs[2::2] = _LOG_EPS + logmag
-    errs = np.logaddexp.accumulate(errs)[2::2]
-    ok = _clears_headroom(logmag, errs)
-    return (logmag.tolist(), np.angle(sums).tolist(), errs.tolist(),
-            ok.tolist())
+    errs[2::2] = _LOG_EPS + out[0]
+    out[2] = np.logaddexp.accumulate(errs)[2::2]
+    return out
 
 
-def carried(model: PolyExpRootModel, held: PathSample, pts: list, fix):
+def carried(model: PolyExpRootModel, held: PathSample, pts: list, accept,
+            fix):
     """A lazy walk of model's function through pts, carried from held: each
-    sample is the one before it plus the chord increment to it.
+    sample is the one before it plus the chord increment to it, yielded in
+    runs (z, v) of consecutive samples (PathSample). When the carry first
+    reaches a block of _PLAN_BLOCK chords, the block is integrated as one
+    batch (polyexp.integral_raw_batch) and summed from the sample before it
+    as arrays (_block_samples), restarting where their span stops them.
 
-    When the carry first reaches a block of _PLAN_BLOCK chords, the block is
-    integrated as one batch (polyexp.integral_raw_batch) and summed from the
-    sample before it as arrays (_block_samples), the sums restarting where
-    their span stops them. fix(s, ok), with ok whether s clears the headroom
-    rule, gives what is yielded: s itself, a replacement from which the
-    rest is summed again, or None to end the walk. A chord whose quadrature
-    failed raises its ToleranceNotMet when the carry reaches it.
-    """
+    A run ends at the end of a block, before a chord whose quadrature
+    failed (the next pull raises its ToleranceNotMet), or before the first
+    sample that fails accept(logmag, err_log), applied elementwise: the
+    next pull passes it to fix, whose replacement is yielded alone and the
+    rest summed from it, or whose None ends the walk."""
     for lo in range(0, len(pts), _PLAN_BLOCK):
         z1 = pts[lo:lo + _PLAN_BLOCK]
         val, m, inc_err, failures = integral_raw_batch(
             model.F, [held.z] + z1[:-1], z1, model.tol)
         stop = min(failures, default=len(z1))
+        z1 = np.array(z1, dtype=complex)
         k = 0
         while k < stop:
-            sums = _block_samples(held.w, held.err_log, val[k:stop],
-                                  m[k:stop], inc_err[k:stop])
-            for logmag, phase, err_log, ok in zip(*sums):
-                s = PathSample(z1[k], ScaledComplex(logmag, phase), err_log)
-                held = fix(s, ok)
+            v = _block_samples(held.w, held.err_log, val[k:stop], m[k:stop],
+                               inc_err[k:stop])
+            good = accept(v[0], v[2])
+            j = len(good) if good.all() else int(good.argmin())
+            if j:
+                yield z1[k:k + j], v[:, :j]
+            if j == len(good):
+                held = PathSample.of_run(z1[k:], v, j - 1)
+            else:
+                held = fix(PathSample.of_run(z1[k:], v, j))
                 if held is None:
                     return
-                yield held
-                k += 1
-                if held is not s:
-                    # the sums after it started from the value replaced
-                    break
+                yield held.run()
+                j += 1
+            k += j
         if stop < len(z1):
             raise failures[stop]

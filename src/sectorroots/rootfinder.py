@@ -33,11 +33,9 @@ retried with the box (or the subdivision crosshair) jittered by about one
 percent of the side length, five times, before the failure propagates.
 
 Every walk of one search (one model, one target) goes through one shared
-memo, _SharedWalk. Sibling boxes walk their common crosshair spokes in
-opposite directions, and neighbouring boxes share corners; the memo serves
-an edge's samples to the second walk along it, in reverse, and a corner's
-sample to every later walk that starts or arrives there. The memo lives as
-long as the search and is dropped with it.
+memo, _SharedWalk, which serves an edge's samples to the second walk along
+it (sibling boxes walk their common crosshair spokes in reverse) and a
+corner's sample to every later walk that starts or arrives there.
 """
 
 from __future__ import annotations
@@ -48,12 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import Box, edge_points, edge_reversed, winding_count
+from .contour import Box, PathSample, edge_reversed, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
-from .funcmodel import PathSample, _clears_headroom, build_model
-from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction,
-                      ScaledComplex, _LOG2, _logaddexp, segments_re_q_max)
+from .funcmodel import _clears_headroom, build_model
+from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction, _LOG2,
+                      _logaddexp, segments_re_q_max)
 
 # stop subdividing an isolated root below this box diameter
 _DIAM_STOP = 1e-3
@@ -179,21 +177,26 @@ class _SharedWalk:
     it plans each edge, takes the samples of the model, and serves the
     edges and corners that an earlier walk of the search evaluated.
 
-    min_samples(z0, z1) plans the edge about to be walked: its samples are
-    edge_points(z0, z1, n), with n from model.min_samples. The edge's first
-    planned step opens model.edge(a, prev, pts) from the walk's sample at
-    z0, and each later planned step takes its next sample. A walk's start
-    goes to model.start, and any other step (a bisection midpoint, or the
-    corner that ends a served edge) to model.edge(a, prev, [z]) alone.
+    min_samples(z0, z1) plans the edge about to be walked, with n from
+    model.min_samples, and the next extend(prev, pts) takes the plan: pts
+    are edge_points(z0, z1, n), or all but the last, and the runs of
+    samples (contour.PathSample) come from the memo or from
+    model.edge(a, prev, points), which is given every planned point (its
+    batches are the whole edge's) and pulled no further than the walk
+    needs. Any other extend (a bisection midpoint) goes to model.edge as
+    it is, and a walk's start to model.start.
 
     edges maps the canonical endpoints of an edge (contour.edge_reversed)
     to (n, samples): n is what min_samples gave for it, and samples is a
     (3, n - 1) array of log|w|, arg w and error log at its interior points
-    in canonical order. An edge is stored once its walk has returned its
-    last interior sample, so a walk that raises partway stores nothing for
-    that edge. An edge borders at most two boxes of the quadtree, so its
-    entry is popped when it is served. corners maps a point to the sample a
-    walk started at or ended an edge on.
+    in canonical order. An edge borders at most two boxes of the quadtree,
+    so its entry is popped when it is served. corners maps a point to the
+    sample a walk started at or ended an edge on. The memo takes an edge
+    when the walk pulls its last interior sample, and a corner when it
+    pulls the corner, as a walk of single samples would: a walk that
+    raises partway stores nothing for that edge. walked, served and
+    unplanned count the samples the model took for planned points, those
+    served from the memo and those of other extend calls.
     """
 
     def __init__(self, model, a: complex):
@@ -201,18 +204,8 @@ class _SharedWalk:
         self.a = complex(a)
         self.edges: dict = {}
         self.corners: dict = {}
-        # the edge being walked: its planned points, the index of the next
-        # one, its key and n, whether the walk runs against the canonical
-        # orientation, the samples served (walk order) or returned, and
-        # model.edge's samples
-        self._pts: list[complex] = []
-        self._next = 0
-        self._key = None
-        self._n = 0
-        self._flip = False
-        self._served = None
-        self._walked: list[PathSample] = []
-        self._samples = None
+        self._plan = None  # min_samples' plan, until extend takes it
+        self.walked = self.served = self.unplanned = 0
 
     def start(self, z: complex) -> PathSample:
         s = self.corners.get(z)
@@ -224,52 +217,55 @@ class _SharedWalk:
         flip = edge_reversed(z0, z1)
         key = (z1, z0) if flip else (z0, z1)
         hit = self.edges.pop(key, None)
-        if hit is None:
-            n = self.model.min_samples(z0, z1)
-            self._served = None
-            self._walked = []
-        else:
-            n, samples = hit
-            self._served = (samples[:, ::-1] if flip else samples).tolist()
-        self._pts = edge_points(z0, z1, n)
-        self._next = 0
-        self._key, self._n, self._flip = key, n, flip
+        n, stored = hit or (self.model.min_samples(z0, z1), None)
+        if flip and hit:
+            stored = stored[:, ::-1]
+        self._plan = (z1, key, n, flip, stored)
         return n
 
-    def extend(self, prev: PathSample, z: complex) -> PathSample:
-        k = self._next
-        pts = self._pts
-        if k >= len(pts) or z != pts[k]:
-            return next(self.model.edge(self.a, prev, [z]))
-        self._next = k + 1
-        if k == len(pts) - 1:
-            s = self.corners.get(z)
-            if s is None:
-                s = self.corners[z] = self._planned(prev, k)
-            return s
-        served = self._served
-        if served is not None:
-            return PathSample(z, ScaledComplex(served[0][k], served[1][k]),
-                              served[2][k])
-        s = self._planned(prev, k)
-        self._walked.append(s)
-        if k == len(pts) - 2:
-            self._store()
-        return s
+    def extend(self, prev: PathSample, pts: list):
+        plan, self._plan = self._plan, None
+        if plan is None:
+            self.unplanned += len(pts)
+            return self.model.edge(self.a, prev, pts)
+        z1, key, n, flip, stored = plan
+        ends = len(pts) == max(2, n)
+        return self._edge(prev, ends, pts if ends else pts + [z1], key, n,
+                          flip, stored)
 
-    def _planned(self, prev: PathSample, k: int) -> PathSample:
-        if self._served is not None:
-            # the corner that ends a served edge
-            return next(self.model.edge(self.a, prev, [self._pts[k]]))
-        if k == 0:
-            self._samples = self.model.edge(self.a, prev, self._pts)
-        return next(self._samples)
-
-    def _store(self) -> None:
-        samples = np.array([(s.w.logmag, s.w.phase, s.err_log)
-                            for s in self._walked]).T
-        self.edges[self._key] = (self._n,
-                                 samples[:, ::-1] if self._flip else samples)
+    def _edge(self, prev: PathSample, ends: bool, pts: list, key, n: int,
+              flip: bool, stored):
+        """The planned edge's runs: the stored interior as one, or the
+        model's from prev, cut before the last interior point and the end
+        corner; then the corner when ends, from corners or the model."""
+        last = len(pts) - 1
+        if stored is not None:
+            z = np.array(pts[:last])
+            self.served += last
+            yield z, stored
+            prev, pts, last = PathSample.of_run(z, stored, -1), pts[-1:], 0
+        end = last + (ends and pts[last] not in self.corners)
+        parts, at = [], 0
+        for z, v in self.model.edge(self.a, prev, pts) if end else ():
+            i = 0
+            while i < len(z) and at < end:
+                k = min(len(z) - i, max(last - 1 - at, 1))
+                run = z[i:i + k], v[:, i:i + k]
+                if at < last:
+                    parts.append(run[1])
+                if at == last - 1:
+                    samples = np.concatenate(parts, axis=1)
+                    self.edges[key] = n, samples[:, ::-1] if flip else samples
+                elif at == last:
+                    self.corners[pts[last]] = PathSample.of_run(*run, 0)
+                self.walked += k
+                yield run
+                at += k
+                i += k
+            if at == end:
+                break
+        if ends and end == last:
+            yield self.corners[pts[last]].run()
 
 
 class _Search:

@@ -21,11 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import in_decay_interior, tail_remainder
-from .contour import Box, edge_reversed
+from .contour import Box, PathSample, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, OverflowRegion,
                      TailTooLarge, ToleranceNotMet)
-from .funcmodel import (_RESCUE_REL_LOG, PathSample, PolyExpRootModel,
-                        _clears_headroom, build_model, carried)
+from .funcmodel import (_RESCUE_REL_LOG, PolyExpRootModel, _clears_headroom,
+                        build_model, carried)
 from .polyexp import PolyExpFunction, ScaledComplex
 from .rayconfig import _is_count
 from .rootfinder import SearchResult, search_region
@@ -64,10 +64,10 @@ def _circle_points(r: float, n: int) -> list:
             for t in np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)]
 
 
-def _held(s: PathSample) -> bool:
+def _held(logmag, err_log):
     """A circle sample is held when its relative error bound is at most
-    _ACCEPT."""
-    return s.err_log - s.w.logmag <= _ACCEPT_LOG
+    _ACCEPT; elementwise on arrays."""
+    return err_log - logmag <= _ACCEPT_LOG
 
 
 class _Ring:
@@ -91,29 +91,26 @@ class _Ring:
         self.model = model
         self.points = _circle_points(r, n)
         self.step = 2.0 * math.pi / n
-        self.logmag = self.phase = self.err_log = None
+        self.values = self.logmag = self.phase = self.err_log = None
 
     def sample(self, j: int) -> PathSample:
-        j %= len(self.points)
-        return PathSample(self.points[j],
-                          ScaledComplex(self.logmag[j], self.phase[j]),
-                          self.err_log[j])
+        return PathSample.of_run(self.points, self.values,
+                                 j % len(self.points))
 
     def hold(self, j: int, s: PathSample) -> None:
-        j %= len(self.points)
-        self.logmag[j], self.phase[j], self.err_log[j] = (
-            s.w.logmag, s.w.phase, s.err_log)
+        self.values[:, j % len(self.points)] = (s.w.logmag, s.w.phase,
+                                                s.err_log)
 
     def direct(self, z: complex) -> PathSample:
         """f(z) by diff_sample; in a decay cone shallower than the rescue
         zone, where the integral from 0 can miss _ACCEPT, by the tail."""
         model = self.model
         s = model.diff_sample(z, 0j)
-        if (not _held(s) and model.data is not None
+        if (not _held(s.w.logmag, s.err_log) and model.data is not None
                 and in_decay_interior(model.F, z)):
             w = model.rescued(z, 0j, tail_remainder(model.F, z, model.tol))
             s = PathSample(z, w, w.logmag + _RESCUE_REL_LOG)
-        if _held(s):
+        if _held(s.w.logmag, s.err_log):
             return s
         raise ToleranceNotMet(
             f"log|f| at {z} has relative error bound "
@@ -125,7 +122,8 @@ class _Ring:
         req = self.model.F.q(np.array(points)).real
         low = (req <= np.roll(req, 1)) & (req < np.roll(req, -1))
         anchors = np.flatnonzero(low).tolist() or [int(np.argmin(req))]
-        self.logmag, self.phase, self.err_log = np.full((3, n), np.nan)
+        self.values = np.full((3, n), np.nan)
+        self.logmag, self.phase, self.err_log = self.values
         for j in anchors:
             self.hold(j, self.direct(points[j]))
         for a, b in zip(anchors, anchors[1:] + [anchors[0] + n]):
@@ -148,16 +146,16 @@ class _Ring:
         """Carry the sample held at grid index start through the grid
         indices targets (mod n), each next to the one before, by
         funcmodel.carried, holding every value up to the first that misses
-        _ACCEPT; the count held. A chord whose quadrature failed ends the
-        walk."""
-        n = len(self.points)
+        _ACCEPT, a run at a time; the count held. A chord whose quadrature
+        failed ends the walk."""
+        idx = np.array(targets) % len(self.points)
         held = 0
         try:
-            for s in carried(self.model, self.sample(start),
-                             [self.points[j % n] for j in targets],
-                             lambda s, ok: s if _held(s) else None):
-                self.hold(targets[held], s)
-                held += 1
+            for _, v in carried(self.model, self.sample(start),
+                                [self.points[j] for j in idx.tolist()],
+                                _held, lambda s: None):
+                self.values[:, idx[held:held + v.shape[1]]] = v
+                held += v.shape[1]
         except ToleranceNotMet:
             pass
         return held
@@ -170,7 +168,7 @@ class _Ring:
             moved = self.model._carry(held.z, held.w, held.err_log, z)
             if moved is not None:
                 s = PathSample(z, *moved)
-                if _held(s):
+                if _held(s.w.logmag, s.err_log):
                     return s
         return self.direct(z)
 
@@ -587,14 +585,16 @@ def canonical_product_eval(P: CanonicalProduct, z: complex) -> complex:
 
     T is the zeta series of the remaining factors (see _ZetaTail), exact to
     rounding for |z| < P.max_radius; beyond it TailTooLarge names the
-    n_terms that admits z, and a point that is not finite is a ValueError.
+    n_terms that admits z, a value past double range is OverflowRegion,
+    and a point that is not finite is a ValueError.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError("evaluation point must be finite")
     val = complex(_product_values(P, np.array([z]))[0])
-    if val != val:
+    if not cmath.isfinite(val):
         P.tail.check(z)
+        raise OverflowRegion(f"|P(z)| overflows double range at z = {z}")
     return val
 
 
@@ -705,30 +705,32 @@ class CanonicalProductModel:
 
     def start(self, a: complex, z: complex) -> PathSample:
         """The walk's sample of P - a at z: edge's, at z alone."""
-        return next(self.edge(a, None, [z]))
+        return PathSample.of_run(*next(self.edge(a, None, [z])), 0)
 
     def edge(self, a: complex, prev: PathSample | None, pts: list):
-        """The samples of P - a at pts in turn, all evaluated in one pass
-        (values) when the first is taken; nothing is carried from prev. A
-        point the tail does not admit raises TailTooLarge when it is
-        reached."""
+        """The samples of P - a at pts as one run, evaluated in one pass
+        (values) when pulled, nothing carried from prev. It ends before the
+        first sample that fails the headroom rule, where the next pull
+        raises TailTooLarge outside the admitted disk, else
+        BoundaryTooClose."""
         a = complex(a)
-        val = self.values(np.array(pts, dtype=complex))
-        w = val - a
-        err = self.err_bound(np.abs(val), a)
+        z = np.array(pts, dtype=complex)
+        val = self.values(z)
         with np.errstate(divide="ignore"):
-            planned = zip(pts, np.log(np.abs(w)).tolist(),
-                          np.angle(w).tolist(), np.log(err).tolist())
-        for z, logmag, phase, err_log in planned:
-            if logmag != logmag:
-                self.tail.check(z)
-            s = PathSample(complex(z), ScaledComplex(logmag, phase), err_log)
-            if not _clears_headroom(logmag, err_log):
-                raise BoundaryTooClose(
-                    f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the "
-                    f"headroom rule against its error bound "
-                    f"{math.exp(err_log):.3e}")
-            yield s
+            v = np.array([np.log(np.abs(val - a)), np.angle(val - a),
+                          np.log(self.err_bound(np.abs(val), a))])
+        good = _clears_headroom(v[0], v[2])
+        j = len(good) if good.all() else int(good.argmin())
+        if j:
+            yield z[:j], v[:, :j]
+        if j < len(good):
+            s = PathSample.of_run(z, v, j)
+            if s.w.logmag != s.w.logmag:
+                self.tail.check(s.z)
+            raise BoundaryTooClose(
+                f"|P - a| = {s.w.abs_value():.3e} at {s.z} fails the "
+                f"headroom rule against its error bound "
+                f"{math.exp(s.err_log):.3e}")
 
     def min_samples(self, z0: complex, z1: complex) -> int:
         """Sample count for an edge from the phase its nearby zeros can

@@ -6,14 +6,17 @@ and the acceptance gate. Acceptance results are collected into a registry
 and echoed as one line per criterion at the end of the run.
 """
 
+import cmath
 import functools
 import math
 import time
 
 import pytest
 
-from sectorroots import (Box, asymptotic_values, example1, example2,
+from sectorroots import (Box, NearCriticalZero, ScaledComplex,
+                         asymptotic_values, example1, example2,
                          find_a_points)
+from sectorroots.polyexp import eval_scaled_exp
 
 # criterion id -> (passed, detail); filled by tests/test_acceptance.py
 CRITERIA: dict = {}
@@ -39,6 +42,40 @@ def gamma_quadrature(s: float) -> float:
     if eh + et > 1e-11:
         raise ArithmeticError(f"gamma quadrature error bound {eh + et:.3e}")
     return head + tail
+
+
+def sector_remainder(F, z: complex, data) -> tuple:
+    """(p(z)/q'(z)) exp(q(z)) in scaled form, and the nearest ray index:
+    the first-order sector form of f - a_k, which the tests check against
+    quadrature and the growth criteria.
+
+    Raises NearCriticalZero when q'(z) is numerically zero, where the
+    sector form degenerates.
+    """
+    z = complex(z)
+    qp = F.q_prime(z)
+    if abs(qp) < 1e-12 * (1.0 + abs(z)) ** max(data.d - 1, 0):
+        raise NearCriticalZero(f"q'({z}) ~ 0; sector form undefined here")
+    k = data.nearest_ray(cmath.phase(z) % (2.0 * math.pi))
+    pz = F.p(z)
+    if pz == 0:
+        return ScaledComplex.zero(), k
+    factor = ScaledComplex.from_complex(pz / qp)
+    return factor.mul(eval_scaled_exp(F.q, z)), k
+
+
+def asymptotic_approx(F, z: complex, data):
+    """First-order sector approximation a_k + (p/q') exp(q) at z.
+
+    Returns (value, k). value is a plain complex when it fits in double
+    range; in growth regions beyond that it is a ScaledComplex (where the
+    a_k term is below relative machine precision anyway).
+    """
+    rem, k = sector_remainder(F, z, data)
+    if rem.is_zero or rem.logmag <= 690.0:
+        return complex(data.values[k]) + rem.to_complex(), k
+    return rem, k
+
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -24,7 +24,7 @@ import cmath
 import math
 
 import numpy as np
-from conftest import gamma_quadrature, record_criterion
+from conftest import asymptotic_approx, gamma_quadrature, record_criterion
 
 from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
                          KernelParams, ScaledComplex, canonical_one_point_rays,
@@ -32,7 +32,6 @@ from sectorroots import (AccumulationConfig, Box, CanonicalProduct,
                          exp_function, find_product_a_points, jensen_defect,
                          kernel_grid_report, kernel_integral_quadrature,
                          kernel_integral_residue, order_estimate, rayconfig)
-from sectorroots.asymptotics import asymptotic_approx
 from sectorroots.funcmodel import PolyExpRootModel
 from sectorroots.sectorgeom import angle_distance
 from sectorroots.valuedist import core_terms

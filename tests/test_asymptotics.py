@@ -10,8 +10,9 @@ from sectorroots import (DegreeZero, PolyExpFunction, Polynomial,
                          accumulation_rays_analytic, asymptotic_values,
                          critical_rays, eval_f, exp_function,
                          square_minus_one)
-from sectorroots.asymptotics import (asymptotic_approx, in_decay_interior,
-                                     sector_remainder, tail_remainder)
+from conftest import asymptotic_approx, sector_remainder
+
+from sectorroots.asymptotics import in_decay_interior, tail_remainder
 
 mp.mp.dps = 30
 

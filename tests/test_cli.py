@@ -256,8 +256,10 @@ _PUBLIC = [
     "sector_report", "separated", "square_minus_one", "wrap_angle",
 ]
 # wrappers that only their own tests called, by module or class; the
-# tests keep gamma_quadrature as their QUADPACK oracle (conftest.py)
+# tests keep gamma_quadrature as their QUADPACK oracle, and the sector
+# form as their check of the limits (conftest.py)
 _DELETED = {
+    "asymptotics": ("asymptotic_approx", "sector_remainder"),
     "catalog": ("gamma_quadrature",),
     "polyexp": ("eval_f_scaled", "save_function"),
     "rayconfig": ("FeasibilityVerdict", "assess", "config_rays",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sectorroots import Box, BoundaryTooClose, ToleranceNotMet, example2
 from sectorroots import contour, funcmodel
-from sectorroots.contour import (_PASS_ROWS, edge_points,
+from sectorroots.contour import (_PASS_ROWS, PathSample, edge_points,
                                  integrate_segment_err, integrate_segments,
                                  winding_count)
 from sectorroots import exp_function, square_minus_one
@@ -354,7 +354,8 @@ def test_walk_through_a_point_raises(box, primed):
 
 
 class _Recorder:
-    """Path evaluator proxy that records every extend target per edge."""
+    """Path evaluator proxy that records the points of every extend call
+    per edge."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -363,9 +364,9 @@ class _Recorder:
     def start(self, z):
         return self.inner.start(z)
 
-    def extend(self, prev, z):
-        self.edges[-1][1].append(z)
-        return self.inner.extend(prev, z)
+    def extend(self, prev, pts):
+        self.edges[-1][1].append(list(pts))
+        return self.inner.extend(prev, pts)
 
     def min_samples(self, z0, z1):
         n = self.inner.min_samples(z0, z1)
@@ -386,11 +387,12 @@ def test_edges_end_on_their_corners_bit_for_bit():
         assert (z0, z1) == (corners[i], corners[(i + 1) % 4])
         pts = edge_points(z0, z1, n)
         assert pts[-1] == z1
-        # no phase bisection on this box: the walk is exactly the plan; the
-        # last edge closes on the starting sample instead of extending
-        assert targets == (pts if i < 3 else pts[:-1])
+        # no phase bisection on this box: one extend call takes exactly
+        # the plan; the last edge closes on the starting sample instead of
+        # extending to it
+        assert targets == [pts if i < 3 else pts[:-1]]
     for i in range(3):
-        last = rec.edges[i][1][-1]
+        last = rec.edges[i][1][-1][-1]
         assert (last.real, last.imag) == (corners[i + 1].real,
                                           corners[i + 1].imag)
 
@@ -441,15 +443,20 @@ def test_planned_increment_failure_raises_at_its_position(monkeypatch):
     prev = path.start(z0)
     pts = edge_points(z0, z1, path.min_samples(z0, z1))
     assert len(pts) > 4
-    # the whole edge is planned by the first step; the failure waits
+    # the whole edge is planned by the first pull; the failure waits for
+    # the pull that reaches it
     unplanned = _SharedWalk(model, 1.0 + 0j)
     alone = unplanned.start(z0)
-    for z in pts[:3]:
-        prev = path.extend(prev, z)
-        alone = unplanned.extend(alone, z)
-        assert abs(prev.w.to_complex() - alone.w.to_complex()) <= 1e-14
+    got = []
     with pytest.raises(ToleranceNotMet, match="planted failure"):
-        path.extend(prev, pts[3])
+        for z, v in path.extend(prev, pts):
+            for i in range(len(z)):
+                s = PathSample.of_run(z, v, i)
+                alone = PathSample.of_run(
+                    *next(unplanned.extend(alone, [s.z])), 0)
+                assert abs(s.w.to_complex() - alone.w.to_complex()) <= 1e-14
+                got.append(s.z)
+    assert got == pts[:3]
 
 
 def test_edge_integrates_its_blocks_lazily(monkeypatch):
@@ -471,9 +478,11 @@ def test_edge_integrates_its_blocks_lazily(monkeypatch):
     prev = path.start(z0)
     pts = edge_points(z0, z1, path.min_samples(z0, z1))
     assert len(pts) > funcmodel._PLAN_BLOCK
+    runs = path.extend(prev, pts)
     assert calls == []
-    for z in pts[:3]:
-        prev = path.extend(prev, z)
+    got = []
     with pytest.raises(ToleranceNotMet, match="planted failure"):
-        path.extend(prev, pts[3])
+        for z, _ in runs:
+            got.extend(z)
+    assert got == pts[:3]
     assert calls == [funcmodel._PLAN_BLOCK]

@@ -420,6 +420,19 @@ def test_product_eval_tail_guard():
             canonical_product_eval(P, inside * (1.0 + 2e-9))
 
 
+def test_product_eval_past_double_range_raises(capsys):
+    # P(-x) = sinh(pi sqrt(x))/(pi sqrt(x)) passes double range near
+    # x = 51,000; the tail of 498 factors admits -60000, so the value is
+    # an overflow, not a missing factor
+    P = CanonicalProduct(0.5, core_terms(0.5, 60000.0))
+    assert P.max_radius > 60000.0
+    with pytest.raises(OverflowRegion, match="overflows double range"):
+        canonical_product_eval(P, -60000.0 + 0j)
+    assert math.isfinite(canonical_product_eval(P, -40000.0 + 0j).real)
+    assert main(["product", "--rho", "0.5", "--eval=-60000"]) == 2
+    assert "overflows double range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, -math.inf),
                                complex(math.nan, 0.0)])
 def test_product_eval_rejects_nonfinite_point(z):
