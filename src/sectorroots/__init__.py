@@ -11,9 +11,8 @@ from .catalog import (example, example1, example2, example_region,
 from .contour import Box, WindingResult
 from .errors import (BoundViolated, BoundaryTooClose, CounterexampleFound,
                      DegreeZero, DerivativeVanishes, EmptyRaySet,
-                     NearCriticalZero, NoConvergence, NonPositiveLogM,
-                     OverflowRegion, SectorRootsError, TailTooLarge,
-                     ToleranceNotMet)
+                     NoConvergence, NonPositiveLogM, OverflowRegion,
+                     SectorRootsError, TailTooLarge, ToleranceNotMet)
 from .kernels import (KernelBoundsReport, KernelParams, kernel_K,
                       kernel_bounds_check, kernel_grid_report,
                       kernel_integral_quadrature, kernel_integral_residue,
@@ -38,7 +37,7 @@ __all__ = [
     "BoundaryTooClose", "Box", "CanonicalProduct", "CountingTable",
     "CounterexampleFound", "DegreeZero", "DerivativeVanishes", "EmptyRaySet",
     "EnumerationReport", "KernelBoundsReport", "KernelParams",
-    "NearCriticalZero", "NoConvergence", "NonPositiveLogM", "OverflowRegion",
+    "NoConvergence", "NonPositiveLogM", "OverflowRegion",
     "PolyExpFunction", "Polynomial", "RaySet", "RootRecord", "ScaledComplex",
     "SearchResult", "Sector", "SectorReport", "SectorRootsError",
     "TailTooLarge", "ToleranceNotMet", "WindingResult",

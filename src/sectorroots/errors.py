@@ -25,10 +25,6 @@ class DerivativeVanishes(SectorRootsError):
     """f' is numerically zero at an iterate; Newton cannot proceed."""
 
 
-class NearCriticalZero(SectorRootsError):
-    """q' is numerically zero at the evaluation point of the sector form."""
-
-
 class DegreeZero(SectorRootsError):
     """deg q = 0: no critical rays or asymptotic values exist."""
 

@@ -19,12 +19,13 @@ certificate boxes inside it that do not overlap; otherwise it is split.
 Newton's first value is carried from the walk's sample at the box corner
 nearest the seed (_newton).
 
-Each point is certified by Kantorovich's theorem where the model bounds
-|f''| (polyexp; Ortega & Rheinboldt 1970, 12.6): from f - a and its error
-bound, f' and that bound, a ball proves that the certificate box holds
-exactly one a-point, and that it is simple. Where the ball test fails or
-the model gives no bound (canonical products), the certificate box is
-walked and must wind once.
+Each point is certified by Kantorovich's theorem (Ortega & Rheinboldt
+1970, 12.6) from the model's bound on |f''| over the certificate disc
+(curvature_log; polyexp and canonical products alike): from f - a and its
+error bound, f' and that bound, a ball proves that the certificate box
+holds exactly one a-point, and that it is simple. Where the ball test
+fails or the model gives no bound there, the certificate box is walked and
+must wind once.
 
 Boxes whose entire boundary lies beyond the overflow guard in a growth
 sector are not searched; they are reported as clipped in the result so the

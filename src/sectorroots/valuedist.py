@@ -625,8 +625,11 @@ class CanonicalProductModel:
     zero up to 4 r_max; the rest is the zeta tail of that core, admitted
     out to at least 2 r_max. Works with the winding subdivision search
     (start/edge/min_samples for its walks, diff_sample/diff_near/
-    diff_scaled/derivative_scaled/curvature_log for Newton). value, values
-    and derivative_scaled all read _product_values on the model's core.
+    diff_scaled/derivative_scaled for Newton, curvature_log for its
+    Kantorovich balls). value, values and derivative_scaled all read
+    _product_values on the model's core. curvature_log bounds |P''| on a
+    disc from the distances to the zeros alone (see there); it assumes the
+    disc inside the disk the tail admits and no zero but the nearest in it.
 
     Direct evaluation is absolute here, so a walk carries no state: |P|
     stays within double range on any disk the tail admits, and P - a
@@ -650,6 +653,12 @@ class CanonicalProductModel:
         T = self.tail.series(np.array([self.r_max + 0j]))[0]
         self.rel_err = (self.n_core + 16 + abs(T)) * 1e-16
         self._near = self.a[self.a <= 4.0 * r_max]
+        # sum over n > N of 2/a_n and of 4/a_n^2: 2 zeta(1/rho, N+1) and
+        # 4 zeta(2/rho, N+1), from the scaled sums over a_{N+1} and its square
+        s = 1.0 / P.rho
+        h = _scaled_hurwitz(np.array([s, 2.0 * s]), self.n_core + 1)
+        self.tail_s1 = 2.0 * float(h[0]) / self.tail.scale
+        self.tail_s2 = 4.0 * float(h[1]) / self.tail.scale ** 2
 
     def value(self, z: complex) -> complex:
         return canonical_product_eval(self.core, z)
@@ -682,10 +691,46 @@ class CanonicalProductModel:
         nearby point: Newton evaluates every iterate by diff_sample."""
         return None
 
-    def curvature_log(self, z: complex, r: float) -> None:
-        """No bound on |P''| is derived, so a root's certificate box is
-        walked."""
-        return None
+    def _deleted(self, z: complex, k: int) -> complex:
+        """Q(z) = P(z)/(1 - z/a_k): the core's other factors times the
+        tail exp(-T(z)), at a z the tail admits (unchecked)."""
+        rest = np.delete(1.0 - z / self.a, k)
+        tail = complex(np.exp(-self.tail.series(np.array([z])))[0])
+        return complex(np.prod(rest)) * tail
+
+    def curvature_log(self, z: complex, r: float) -> float | None:
+        """log of a bound on sup |P''| over the disc |zeta - z| <= r.
+
+        With a_k the core zero nearest z and P = (1 - zeta/a_k) Q,
+        P'' = -(2/a_k) Q' + (1 - zeta/a_k) Q''. On the disc
+        |Q'/Q| <= S1 and |Q''/Q| = |(Q'/Q)^2 - sum 1/(zeta - a_n)^2|
+        <= S1^2 + S2, where S1 and S2 sum 1/(|z - a_n| - r) and its square
+        over the core's other zeros, plus the tail's 2 zeta(1/rho, N+1) and
+        4 zeta(2/rho, N+1): for |z| + r <= a_{N+1}/2, |zeta - a_n| >= a_n/2
+        for every n > N. log|Q| grows by at most S1 per unit of length, so
+        |Q| <= |Q(z)| e^(r S1) there, and |Q(z)| (_deleted) is inflated by
+        the model's relative rounding bound. None when the disc leaves the
+        disk the tail admits or holds a second zero, or when |Q(z)| leaves
+        double range.
+        """
+        z = complex(z)
+        if not abs(z) + r <= self.tail.radius:
+            return None
+        dist = np.abs(z - self.a)
+        k = int(np.argmin(dist))
+        rest = np.delete(dist, k) - r
+        if not (rest > 0.0).all():
+            return None
+        inv = 1.0 / rest
+        s1 = float(inv.sum()) + self.tail_s1
+        s2 = float((inv * inv).sum()) + self.tail_s2
+        q = abs(self._deleted(z, k))
+        if not 0.0 < q < math.inf:
+            return None
+        ak = float(self.a[k])
+        outer = 2.0 * s1 / ak + (dist[k] + r) / ak * (s1 * s1 + s2)
+        return (math.log(q) + math.log1p(self.rel_err) + r * s1
+                + math.log(outer))
 
     def derivative_scaled(self, z: complex) -> ScaledComplex:
         z = complex(z)
@@ -694,10 +739,8 @@ class CanonicalProductModel:
         if diffs[k] == 0:
             # on a zero: product rule leaves the deleted-factor product
             self.tail.check(z)
-            rest = np.delete(1.0 - z / self.a, k)
-            tail = complex(np.exp(-self.tail.series(np.array([z])))[0])
             return ScaledComplex.from_complex(
-                complex(np.prod(rest)) * tail * (-1.0 / self.a[k]))
+                self._deleted(z, k) * (-1.0 / self.a[k]))
         val = self.value(z)
         # P' = P (log P)', the core's log-derivative less the tail's
         dlog = complex(np.sum(1.0 / diffs)) - self.tail.dlog(z)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from sectorroots import (Box, NearCriticalZero, ScaledComplex,
+from sectorroots import (Box, ScaledComplex, SectorRootsError,
                          asymptotic_values, example1, example2,
                          find_a_points)
 from sectorroots.polyexp import eval_scaled_exp
@@ -42,6 +42,10 @@ def gamma_quadrature(s: float) -> float:
     if eh + et > 1e-11:
         raise ArithmeticError(f"gamma quadrature error bound {eh + et:.3e}")
     return head + tail
+
+
+class NearCriticalZero(SectorRootsError):
+    """q' is numerically zero at the evaluation point of the sector form."""
 
 
 def sector_remainder(F, z: complex, data) -> tuple:

@@ -1,5 +1,6 @@
-"""Roots certified without walking again: Kantorovich balls, the power sums
-of the walk, and boxes of 2 to 4 a-points solved from them."""
+"""Roots certified without walking again: Kantorovich balls (polyexp and
+canonical products), the power sums of the walk, and boxes of 2 to 4
+a-points solved from them."""
 
 import math
 
@@ -7,13 +8,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sectorroots import (Box, BoundaryTooClose, PolyExpFunction, Polynomial,
-                         find_a_points, rootfinder, square_minus_one)
+from sectorroots import (Box, BoundaryTooClose, CanonicalProduct,
+                         PolyExpFunction, Polynomial, find_a_points,
+                         find_product_a_points, rootfinder, square_minus_one)
 from sectorroots import contour
 from sectorroots.contour import winding_count
 from sectorroots.funcmodel import PathSample, PolyExpRootModel, build_model
 from sectorroots.polyexp import ScaledComplex
 from sectorroots.rootfinder import _SharedWalk
+from sectorroots.valuedist import CanonicalProductModel
 
 # smallest zero pair of example 1 (tests/test_rootfinder.py)
 EX1_SMALLEST_ZERO = complex(0.3614406515173921, 0.8917305702920884)
@@ -125,6 +128,127 @@ def test_inflated_bound_fails_every_ball_and_walks(ex1, data1, monkeypatch):
         assert rec.multiplicity == want.multiplicity == 1
         assert rec.box_certificate.contains(rec.location)
         assert rec.residual < 1e-9
+
+
+# -- Kantorovich balls for canonical products --------------------------------
+
+def _sinc_product(z):
+    """prod (1 - z/n^2) = sin(pi sqrt z)/(pi sqrt z)."""
+    return mp.sincpi(mp.sqrt(z))
+
+
+def _gamma_product(z):
+    """prod (1 - z/n^3) = 1/(Gamma(1 - x) Gamma(1 - wx) Gamma(1 - w^2 x)),
+    x = z^(1/3), w = e^(2 pi i/3): the factors e^(y/n) of the three
+    Weierstrass products cancel, since x + wx + w^2 x = 0."""
+    x = mp.cbrt(z)
+    w = mp.expjpi(mp.mpf(2) / 3)
+    return mp.rgamma(1 - x) * mp.rgamma(1 - w * x) * mp.rgamma(1 - w * w * x)
+
+
+# rho -> (closed form, the 1-points 0 and one further out)
+_PRODUCTS = {
+    0.5: (_sinc_product, (0j, 4.9191 + 4.206583j)),
+    1.0 / 3.0: (_gamma_product, (0j, 10.144692 + 0j)),
+}
+
+
+def _product_discs(rho, model, rng):
+    """(z, r) pairs: random points of the admitted disk, points on zeros,
+    near 1-points and near the disk's edge; r in [1e-4, 0.3]."""
+    _, ones = _PRODUCTS[rho]
+    edge = model.tail.radius
+    pts = [complex(*rng.uniform(-80.0, 80.0, 2)) for _ in range(4)]
+    pts += [complex(model.a[n]) for n in (0, 2, 7)]
+    pts += [w + complex(*rng.normal(0.0, 1e-3, 2)) for w in ones]
+    pts += [(edge - 0.31) * complex(math.cos(t), math.sin(t))
+            for t in (0.7, math.pi)]
+    return [(z, 10.0 ** rng.uniform(-4.0, math.log10(0.3))) for z in pts]
+
+
+@pytest.mark.parametrize("rho", _PRODUCTS, ids=["rho=1/2", "rho=1/3"])
+def test_product_curvature_bound_above_mpmath(rho):
+    f, _ = _PRODUCTS[rho]
+    model = CanonicalProductModel(CanonicalProduct(rho, 64), 60.0)
+    rng = np.random.default_rng(28)
+    t = np.exp(2j * math.pi * np.arange(64) / 64)
+    with mp.workdps(30):
+        for z, r in _product_discs(rho, model, rng):
+            worst = max(abs(mp.diff(f, mp.mpc(complex(x)), 2))
+                        for x in z + r * t)
+            bound = model.curvature_log(z, r)
+            assert bound is not None, (z, r)
+            assert bound >= float(mp.log(worst)), (z, r)
+            # a bound shrunk by 1e30 fails at every disc
+            assert bound - math.log(1e30) < float(mp.log(worst)), (z, r)
+
+
+def test_product_curvature_bound_none_outside_its_assumptions():
+    model = CanonicalProductModel(CanonicalProduct(0.5, 64), 60.0)
+    edge = model.tail.radius
+    # the disc leaves the disk the tail admits
+    assert model.curvature_log(-(edge - 0.1), 0.2) is None
+    assert model.curvature_log(-(edge - 0.3), 0.2) is not None
+    # the disc about 1.5 reaches the zero at 4 beside the nearest one at 1
+    assert model.curvature_log(1.5, 2.5) is None
+    assert model.curvature_log(1.5, 2.49) is not None
+
+
+# the benchmark's four product searches, its rho = 0.75 zero search, and
+# the rho = 0.75 zeros along the zero ray (tests/test_valuedist.py), where
+# |P'| falls to about 1e-8: there Newton stops at five points too far from
+# a zero for the ball (residual below tol), and each walks its six jittered
+# certificate boxes in vain, 30 walks with or without balls
+_PRODUCT_SEARCHES = {
+    "rho0.5-zeros": (0.5, 0.0, Box(-100.5, -100.5, 100.5, 100.5), 0),
+    "rho0.5-ones": (0.5, 1.0, Box(-100.5, -100.5, 100.5, 100.5), 0),
+    "rho0.33-ones": (1.0 / 3.0, 1.0, Box(-60.5, -60.5, 60.5, 60.5), 0),
+    "rho0.75-ones": (0.75, 1.0, Box(-4.5, -4.5, 4.5, 4.5), 0),
+    "rho0.75-zeros": (0.75, 0.0, Box(5.9, -0.4, 6.9, 0.4), 0),
+    "zero-ray": (0.75, 0.0, Box(0.5, -0.4, 20.0, 0.4), 30),
+}
+
+
+def _product_search(name, monkeypatch):
+    """The search's result, the certificate-sized boxes it walked, and the
+    points whose Kantorovich ball proved their certificate box."""
+    rho, a, region, _ = _PRODUCT_SEARCHES[name]
+    cert_walks, proved = [], []
+    walk, ball = rootfinder.winding_count, rootfinder._ball
+
+    def counted(pathval, box):
+        if box.width < 2 * rootfinder._DIAM_STOP:
+            cert_walks.append(box)
+        return walk(pathval, box)
+
+    def noted(model, s):
+        b = ball(model, s)
+        if (b is not None and b[0] < rootfinder._LOG_SIDE
+                and rootfinder._LOG_RADIUS < b[1]):
+            proved.append(s.z)
+        return b
+
+    monkeypatch.setattr(rootfinder, "winding_count", counted)
+    monkeypatch.setattr(rootfinder, "_ball", noted)
+    result = find_product_a_points(CanonicalProduct(rho, 64), a, region)
+    monkeypatch.setattr(rootfinder, "winding_count", walk)
+    monkeypatch.setattr(rootfinder, "_ball", ball)
+    return result, cert_walks, proved
+
+
+@pytest.mark.parametrize("name", _PRODUCT_SEARCHES)
+def test_product_balls_retire_every_certificate_walk(name, monkeypatch):
+    base, base_walks, proved = _product_search(name, monkeypatch)
+    assert len(base_walks) == _PRODUCT_SEARCHES[name][3]
+    # every record's certificate box is proved by its ball
+    assert {rec.location for rec in base} <= set(proved)
+    assert base.winding_total == len(base) > 0
+    monkeypatch.setattr(CanonicalProductModel, "curvature_log",
+                        lambda self, z, r: None)
+    walked, walks, none = _product_search(name, monkeypatch)
+    assert none == [] and len(walks) >= len(base_walks) + len(walked)
+    # the same records, winding total and certificate boxes, bit for bit
+    assert walked == base
 
 
 class _Planted(PolyExpRootModel):
