@@ -70,14 +70,14 @@ def _tail_estimate(F: PolyExpFunction, z: complex) -> float:
     return abs(F.p(z) / qp) * math.exp(max(re_q, -745.0))
 
 
-def asymptotic_values(F: PolyExpFunction, tol: float = 1e-9,
-                      r_max: float = 50.0) -> AsymptoticData:
+def asymptotic_values(F: PolyExpFunction,
+                      tol: float = 1e-9) -> AsymptoticData:
     """Limits a_k of f along each critical ray, by straight-line quadrature.
 
-    The integration endpoint R on each ray is pushed out until the dropped
-    tail is provably below tol / 10, then f(R e^{i phi_k}) is evaluated with
-    quadrature tolerance tol / 10. A tol that is not positive raises
-    ValueError.
+    The integration endpoint R on each ray is pushed out, by factors of 1.2
+    up to 50, until the dropped tail is provably below tol / 10, then
+    f(R e^{i phi_k}) is evaluated with quadrature tolerance tol / 10. A tol
+    that is not positive raises ValueError.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -91,25 +91,26 @@ def asymptotic_values(F: PolyExpFunction, tol: float = 1e-9,
     for phi in rays:
         direction = cmath.rect(1.0, phi)
         r = 1.0
-        while r <= r_max:
+        while r <= 50.0:
             if _tail_estimate(F, r * direction) < 0.1 * tol:
                 break
             r *= 1.2
         else:
             raise ToleranceNotMet(
-                f"tail along ray {phi:.6f} not below {0.1 * tol:.1e} by r = {r_max}")
+                f"tail along ray {phi:.6f} not below {0.1 * tol:.1e} by r = 50")
         values.append(eval_f(F, r * direction, 0.1 * tol))
     return AsymptoticData(d=F.d, A=F.A, rays=tuple(rays),
                           values=tuple(values), value_tol=tol)
 
 
-def in_decay_interior(F: PolyExpFunction, z: complex, margin: float = 0.05) -> bool:
+def in_decay_interior(F: PolyExpFunction, z: complex) -> bool:
     """True when the leading term of Re q strictly decreases along the
-    outward radial direction at z (z sits inside a decay cone)."""
+    outward radial direction at z (z sits inside a decay cone): the cosine
+    of its angle is below -0.05."""
     if F.q.degree < 1 or z == 0:
         return False
     ang = cmath.phase(F.A) + F.q.degree * cmath.phase(z)
-    return math.cos(ang) < -margin
+    return math.cos(ang) < -0.05
 
 
 def tail_end(F: PolyExpFunction, z: complex) -> complex:

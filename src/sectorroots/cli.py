@@ -49,10 +49,7 @@ def _parse_region(text: str) -> Box:
 
 
 def _parse_rgrid(text: str) -> tuple:
-    grid = tuple(float(t) for t in text.split(","))
-    if not grid:
-        raise ValueError("empty radius grid")
-    return grid
+    return tuple(float(t) for t in text.split(","))
 
 
 def _parse_sector(text: str) -> Sector:
@@ -100,7 +97,9 @@ def _limits(args, F: PolyExpFunction):
         return None
 
 
-def _default_sector(data, target: complex, margin: float = 0.05) -> Sector:
+def _default_sector(data, target: complex) -> Sector:
+    """The minimal cone of target's accumulation rays, widened by 0.05 on
+    each side (up to the whole plane)."""
     if data is None:
         raise ValueError("the asymptotic limits are unavailable (no "
                          "critical rays, or they miss the tolerance); "
@@ -109,7 +108,7 @@ def _default_sector(data, target: complex, margin: float = 0.05) -> Sector:
                                              tol=10.0 * data.value_tol))
     cone = minimal_cone(rays)
     return Sector(cone.bisector,
-                  min(math.pi, cone.half_opening + margin),
+                  min(math.pi, cone.half_opening + 0.05),
                   full_plane=cone.full_plane)
 
 

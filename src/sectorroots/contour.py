@@ -191,7 +191,7 @@ def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
 
 
 def integrate_segment_err(g: Callable, z0: complex, z1: complex,
-                          tol: float = 1e-12, max_depth: int = 50,
+                          tol: float = 1e-12,
                           noise: float = _ROUNDOFF) -> tuple[complex, float]:
     """Adaptive integral of g along [z0, z1] plus its absolute error bound.
 
@@ -202,8 +202,9 @@ def integrate_segment_err(g: Callable, z0: complex, z1: complex,
     noise, stall at that floor, which is genuine attained accuracy, not
     failure). Callers whose g has relative noise above one ulp, e.g. from a
     large complex exponential phase, must raise noise accordingly. Raises
-    ToleranceNotMet when a panel needs more than max_depth splits or the
-    panel budget runs out. This is integrate_segments with k = 1.
+    ToleranceNotMet when a panel needs more than 50 splits (the depth
+    limit of integrate_segments) or the panel budget runs out. This is
+    integrate_segments with k = 1.
     """
     z0 = complex(z0)
     delta = complex(z1) - z0
@@ -214,8 +215,7 @@ def integrate_segment_err(g: Callable, z0: complex, z1: complex,
         return np.asarray(g(z.ravel()), dtype=complex).reshape(z.shape)
 
     vals, bounds, failures = integrate_segments(
-        rows, np.array([z0]), np.array([delta]), tol, np.array([noise]),
-        max_depth)
+        rows, np.array([z0]), np.array([delta]), tol, np.array([noise]))
     if failures:
         raise failures[0]
     return complex(vals[0]), float(bounds[0])

@@ -42,7 +42,7 @@ from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
 from .contour import PathSample, edge_reversed
 from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
-                      _segment_tables, eval_scaled_exp, integral_raw_batch,
+                      _segment_tables, _wrap_phase, integral_raw_batch,
                       integral_scaled_parts)
 
 # demanded log-gap between |w| and its error bound before a sample is trusted
@@ -116,10 +116,13 @@ class PolyExpRootModel:
 
     def derivative_scaled(self, z: complex) -> ScaledComplex:
         """f'(z) = p(z) exp(q(z)), never overflowing."""
-        pz = self.F.p(complex(z))
+        z = complex(z)
+        pz = self.F.p(z)
         if pz == 0:
             return ScaledComplex.zero()
-        return ScaledComplex.from_complex(pz).mul(eval_scaled_exp(self.F.q, z))
+        qz = self.F.q(z)
+        return ScaledComplex.from_complex(pz).mul(
+            ScaledComplex(qz.real, _wrap_phase(qz.imag)))
 
     def anchored_f(self, z: complex) -> tuple[ScaledComplex, float]:
         """f(z) by a fresh integral from 0, with the log error bound. The
@@ -160,16 +163,12 @@ class PolyExpRootModel:
             return None
         return _add_increment(v0, err0, inc, inc_err_log)
 
-    def in_rescue_zone(self, z: complex) -> bool:
-        return (self.data is not None
-                and in_decay_interior(self.F, z)
-                and self.F.q(complex(z)).real <= _RESCUE_DEPTH)
-
     def _rescue(self, z: complex, a: complex) -> PathSample | None:
         """f(z) - a through the scaled tail integral, with the log of its
         error bound, if z sits deep in a decay cone and the machinery
         applies; None otherwise."""
-        if not self.in_rescue_zone(z):
+        if (self.data is None or not in_decay_interior(self.F, z)
+                or self.F.q(complex(z)).real > _RESCUE_DEPTH):
             return None
         w = self.rescued(z, a, tail_remainder(self.F, z, self.tol))
         return PathSample(z, w, w.logmag + _RESCUE_REL_LOG)

@@ -233,12 +233,6 @@ class PolyExpFunction:
         return self.q.derivative()
 
 
-def eval_scaled_exp(q: Polynomial, z: complex) -> ScaledComplex:
-    """exp(q(z)) in scaled form: logmag = Re q(z), phase = Im q(z) wrapped."""
-    w = q(complex(z))
-    return ScaledComplex(w.real, _wrap_phase(w.imag))
-
-
 @functools.lru_cache(maxsize=64)
 def _segment_tables(coeffs: tuple) -> tuple[np.ndarray, ...]:
     """Constant matrices for a polynomial with these coefficients.

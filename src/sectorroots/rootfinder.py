@@ -24,14 +24,15 @@ Each point is certified by Kantorovich's theorem (Ortega & Rheinboldt
 (curvature_log; polyexp and canonical products alike): from f - a and its
 error bound, f' and that bound, a ball proves that the certificate box
 holds exactly one a-point, and that it is simple. Where the ball test
-fails or the model gives no bound there, the certificate box is walked and
-must wind once.
+fails or the model gives no bound there, the certificate box is walked
+once and must wind once; a box that does not is split instead.
 
-Boxes whose entire boundary lies beyond the overflow guard in a growth
-sector are not searched; they are reported as clipped in the result so the
-omission is visible. Boundary walks that pass too close to an a-point are
-retried with the box (or the subdivision crosshair) jittered by about one
-percent of the side length, five times, before the failure propagates.
+Every box of the quadtree is wound, growth sectors included: the walk's
+values are log-scaled, so no boundary overflows. Only the subdivision
+crosshair and the region are jittered: a split whose walks pass too close
+to an a-point is retried with the crosshair moved by about one percent of
+the side, and a region boundary is grown by 0.3 percent, five times each,
+before the failure propagates.
 
 Every walk of one search (one model, one target) goes through one shared
 memo, _SharedWalk, which serves an edge's samples to the second walk along
@@ -51,8 +52,7 @@ from .contour import Box, PathSample, edge_reversed, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
 from .funcmodel import _clears_headroom, build_model
-from .polyexp import (OVERFLOW_LOG, Polynomial, PolyExpFunction, _LOG2,
-                      _logaddexp, segments_re_q_max)
+from .polyexp import OVERFLOW_LOG, PolyExpFunction, _LOG2, _logaddexp
 
 # stop subdividing an isolated root below this box diameter
 _DIAM_STOP = 1e-3
@@ -63,8 +63,8 @@ _CERT_RADIUS = math.sqrt(2.0) * _CERT_SIDE
 _LOG_SIDE = math.log(_CERT_SIDE)
 _LOG_RADIUS = math.log(_CERT_RADIUS)
 _DEPTH_MAX = 40
-# crosshair / boundary offsets tried on BoundaryTooClose, in units of the
-# box side; first entry is the unperturbed attempt
+# crosshair offsets tried on BoundaryTooClose, in units of the box side,
+# and the count of region growths; first entry is the unperturbed attempt
 _JITTER = ((0.0, 0.0), (0.0071, -0.0043), (-0.0062, 0.0087),
            (0.0094, 0.0052), (-0.0049, -0.0091), (0.0036, 0.0098))
 # relative gap under which two moduli count as equal in the listed order
@@ -112,8 +112,8 @@ class SearchResult:
     """Roots found in a region plus the metadata needed to audit the run.
 
     Iterates as a plain sequence of RootRecord. winding_total is the count
-    over the searched boundary; clipped lists sub-boxes skipped because
-    their boundary lies entirely beyond the overflow guard.
+    over the searched boundary. clipped is always empty: every box is
+    wound. It is kept for readers of the field.
     """
 
     records: list[RootRecord]
@@ -152,25 +152,6 @@ def roots_to_csv(records) -> str:
             r.location.real, r.location.imag, r.target.real, r.target.imag,
             r.residual, r.multiplicity))
     return buf.getvalue()
-
-
-def _boundary_min_re_q(q: Polynomial, box: Box) -> float:
-    """Exact minimum of Re q over the four box edges."""
-    neg = Polynomial(tuple(-c for c in q.coeffs))
-    corners = box.corners()
-    return -float(segments_re_q_max(neg, corners, corners[1:] + corners[:1]).max())
-
-
-def _overflow_clipped(model, box: Box) -> bool:
-    """True when every f on the box boundary overflows past rescue.
-
-    Only polyexp-backed models can overflow; other models (canonical
-    products and the like) never clip.
-    """
-    F = getattr(model, "F", None)
-    if F is None:
-        return False
-    return _boundary_min_re_q(F.q, box) > OVERFLOW_LOG - 10.0
 
 
 class _SharedWalk:
@@ -279,7 +260,6 @@ class _Search:
         self.model = model
         self.a = a
         self.tol = tol
-        self.clipped: list[Box] = []
         self.path = _SharedWalk(model, a)
         # Newton seeds of every box that wound 1 .. 4 times and is not yet
         # descended: the points whose power sums are the walk's
@@ -331,16 +311,9 @@ class _Search:
             cross = complex(box.center.real + dx * box.width,
                             box.center.imag + dy * box.height)
             children = box.split(cross)
-            skipped: list[Box] = []
             try:
-                counts = []
-                for ch in children:
-                    if _overflow_clipped(self.model, ch):
-                        skipped.append(ch)
-                        counts.append(0)
-                    else:
-                        counts.append(self.wind(ch))
-                if sum(counts) != count and not skipped:
+                counts = [self.wind(ch) for ch in children]
+                if sum(counts) != count:
                     raise ToleranceNotMet(
                         f"child winding sum {sum(counts)} != parent {count} "
                         f"in {box}")
@@ -350,7 +323,6 @@ class _Search:
                 for ch in children:
                     self.seeds.pop(ch, None)
                 continue
-            self.clipped.extend(skipped)
             return children, counts
         raise BoundaryTooClose(
             f"subdivision of {box} failed after {len(_JITTER) - 1} jitter "
@@ -415,33 +387,25 @@ class _Search:
     def _certify(self, s: PathSample, within: Box | None = None
                  ) -> RootRecord | None:
         """The record of the a-point Newton converged to at s.z, with a
-        certificate box of half-side _CERT_SIDE around it that holds
-        exactly one a-point: proved by a Kantorovich ball for the
-        unjittered box, or else by walking the jittered boxes in turn. With
-        within, only a certificate inside that box counts. None when no
-        certificate holds."""
+        certificate box of half-side _CERT_SIDE centred on it that holds
+        exactly one a-point: proved by a Kantorovich ball, or else by one
+        walk of the box. With within, only a certificate inside that box
+        counts. None when no certificate holds."""
         z = s.z
-        res = s.w.abs_value()
-        for k, (dx, dy) in enumerate(_JITTER):
-            cert = Box(z.real - _CERT_SIDE + dx * _CERT_SIDE,
-                       z.imag - _CERT_SIDE + dy * _CERT_SIDE,
-                       z.real + _CERT_SIDE + dx * _CERT_SIDE,
-                       z.imag + _CERT_SIDE + dy * _CERT_SIDE)
-            if within is not None and not all(
-                    _inside(within, c) for c in cert.corners()):
-                continue
-            if k == 0:
-                ball = _ball(self.model, s)
-                # B(z, t*) inside the box, the box inside B(z, t**)
-                if (ball is not None and ball[0] < _LOG_SIDE
-                        and _LOG_RADIUS < ball[1]):
-                    return RootRecord(z, self.a, res, 1, cert)
-            try:
-                if winding_count(self.path, cert).count == 1:
-                    return RootRecord(z, self.a, res, 1, cert)
-            except (BoundaryTooClose, ToleranceNotMet):
-                continue
-        return None
+        cert = Box(z.real - _CERT_SIDE, z.imag - _CERT_SIDE,
+                   z.real + _CERT_SIDE, z.imag + _CERT_SIDE)
+        if within is not None and not all(
+                _inside(within, c) for c in cert.corners()):
+            return None
+        rec = RootRecord(z, self.a, s.w.abs_value(), 1, cert)
+        ball = _ball(self.model, s)
+        # B(z, t*) inside the box, the box inside B(z, t**)
+        if ball is not None and ball[0] < _LOG_SIDE and _LOG_RADIUS < ball[1]:
+            return rec
+        try:
+            return rec if winding_count(self.path, cert).count == 1 else None
+        except (BoundaryTooClose, ToleranceNotMet):
+            return None
 
     def _polish(self, box: Box, count: int) -> RootRecord:
         try:
@@ -636,8 +600,6 @@ def search_region(model, a: complex, region: Box,
     last: Exception | None = None
     for i in range(len(_JITTER)):
         searched = region.expanded(0.003 * i)
-        if _overflow_clipped(model, searched):
-            return SearchResult([], a, region, searched, 0, [searched])
         try:
             top_count = search.wind(searched)
             break
@@ -650,9 +612,8 @@ def search_region(model, a: complex, region: Box,
 
     records = search.descend(searched, top_count, 0)
     records = sort_records(_dedup(records, searched.diameter))
-    result = SearchResult(records, a, region, searched, top_count,
-                          search.clipped)
-    if not search.clipped and result.total_multiplicity != top_count:
+    result = SearchResult(records, a, region, searched, top_count)
+    if result.total_multiplicity != top_count:
         raise ToleranceNotMet(
             f"multiplicity sum {result.total_multiplicity} != region winding "
             f"{top_count}")

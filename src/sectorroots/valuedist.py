@@ -192,16 +192,15 @@ def _log_abs_f(ring: _Ring, pts: list) -> list:
     return out
 
 
-def _golden_max(log_abs, r: float, lo: float, hi: float,
-                iters: int = 48) -> float:
+def _golden_max(log_abs, r: float, lo: float, hi: float) -> float:
     """Golden-section maximization of log_abs(r e^{it}) over t in [lo, hi],
-    until the arc is shorter than 1e-9. The first log_abs call carries both
-    initial points, and each later call one."""
+    until the arc is shorter than 1e-9, in at most 48 steps. The first
+    log_abs call carries both initial points, and each later call one."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = log_abs([r * cmath.exp(1j * x1), r * cmath.exp(1j * x2)])
-    for _ in range(iters):
+    for _ in range(48):
         if b - a < 1e-9:
             break
         if f1 < f2:

@@ -16,7 +16,7 @@ import pytest
 from sectorroots import (Box, ScaledComplex, SectorRootsError,
                          asymptotic_values, example1, example2,
                          find_a_points)
-from sectorroots.polyexp import eval_scaled_exp
+from sectorroots.polyexp import _wrap_phase
 
 # criterion id -> (passed, detail); filled by tests/test_acceptance.py
 CRITERIA: dict = {}
@@ -65,7 +65,8 @@ def sector_remainder(F, z: complex, data) -> tuple:
     if pz == 0:
         return ScaledComplex.zero(), k
     factor = ScaledComplex.from_complex(pz / qp)
-    return factor.mul(eval_scaled_exp(F.q, z)), k
+    qz = F.q(z)
+    return factor.mul(ScaledComplex(qz.real, _wrap_phase(qz.imag))), k
 
 
 def asymptotic_approx(F, z: complex, data):

@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 from conftest import gamma_quadrature
 
-from sectorroots import example1, example2
+from sectorroots import example, example1, example2, example_region
 
 
 def _gamma40(num: int, den: int) -> mp.mpf:
@@ -67,3 +67,11 @@ def test_gamma_quadrature_checks_the_coefficients(num, den):
     got = gamma_quadrature(s)
     assert abs(got - _gamma40(num, den)) <= 1e-14 * got
     assert abs(got - math.gamma(s)) <= 1e-14 * got
+
+
+@pytest.mark.parametrize("call", [lambda: example(3),
+                                  lambda: example_region(0)],
+                         ids=["example 3", "region 0"])
+def test_input_checks_raise(call):
+    with pytest.raises(ValueError, match="example index must be 1 or 2"):
+        call()

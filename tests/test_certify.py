@@ -197,15 +197,15 @@ def test_product_curvature_bound_none_outside_its_assumptions():
 # the benchmark's four product searches, its rho = 0.75 zero search, and
 # the rho = 0.75 zeros along the zero ray (tests/test_valuedist.py), where
 # |P'| falls to about 1e-8: there Newton stops at five points too far from
-# a zero for the ball (residual below tol), and each walks its six jittered
-# certificate boxes in vain, 30 walks with or without balls
+# a zero for the ball (residual below tol), and each walks its one
+# certificate box in vain, 5 walks with or without balls
 _PRODUCT_SEARCHES = {
     "rho0.5-zeros": (0.5, 0.0, Box(-100.5, -100.5, 100.5, 100.5), 0),
     "rho0.5-ones": (0.5, 1.0, Box(-100.5, -100.5, 100.5, 100.5), 0),
     "rho0.33-ones": (1.0 / 3.0, 1.0, Box(-60.5, -60.5, 60.5, 60.5), 0),
     "rho0.75-ones": (0.75, 1.0, Box(-4.5, -4.5, 4.5, 4.5), 0),
     "rho0.75-zeros": (0.75, 0.0, Box(5.9, -0.4, 6.9, 0.4), 0),
-    "zero-ray": (0.75, 0.0, Box(0.5, -0.4, 20.0, 0.4), 30),
+    "zero-ray": (0.75, 0.0, Box(0.5, -0.4, 20.0, 0.4), 5),
 }
 
 

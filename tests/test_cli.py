@@ -107,6 +107,17 @@ def test_bad_region_errors(square_spec, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["order", "--example", "2", "--rgrid", ""],
+     "could not convert string to float"),
+    (["roots", "--example", "1", "--target", "0", "--sector", "1,2,3"],
+     "expected BISECTOR,HALF_OPENING"),
+], ids=["empty radius grid", "three-part sector"])
+def test_malformed_argument_exits_two(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -19,6 +19,20 @@ from sectorroots.rootfinder import _SharedWalk
 from sectorroots.valuedist import CanonicalProduct, CanonicalProductModel
 
 
+# -- boxes --------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Box(0, 0, 0, 1), "positive width and height"),
+    (lambda: Box(0, 1, 1, 1), "positive width and height"),
+    (lambda: Box(0, 0, 1, 1).split(1 + 0.5j), "crosshair outside"),
+    (lambda: Box(0, 0, 1, 1).split(0.5 - 1j), "crosshair outside"),
+], ids=["zero width", "zero height", "crosshair on an edge",
+        "crosshair outside"])
+def test_box_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- quadrature ---------------------------------------------------------------
 
 def test_quadrature_polynomial_exact():

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorroots import (OverflowRegion, Polynomial, ScaledComplex, eval_f,
-                         exp_function, function_from_json, function_to_json,
+from sectorroots import (OverflowRegion, PolyExpFunction, Polynomial,
+                         ScaledComplex, eval_f, exp_function,
+                         function_from_json, function_to_json,
                          square_minus_one)
 from sectorroots import ToleranceNotMet, contour, polyexp
 from sectorroots.funcmodel import PolyExpRootModel
-from sectorroots.polyexp import (_logaddexp, eval_scaled_exp,
-                                 integral_raw_batch, integral_scaled_parts,
-                                 segments_re_q_max)
+from sectorroots.polyexp import (_logaddexp, integral_raw_batch,
+                                 integral_scaled_parts, segments_re_q_max)
 
 mp.mp.dps = 30
 
@@ -116,9 +116,11 @@ def test_logaddexp_bit_identical_to_numpy():
 
 
 def test_scaled_exp_matches_cmath():
+    # with p = 1, f' = exp(q) in scaled form
     q = Polynomial((0.5, 0.0, -1.0))
+    model = PolyExpRootModel(PolyExpFunction(Polynomial((1.0,)), q, 0.0))
     for z in (0.3 + 0.2j, -1.0 + 2.0j):
-        got = eval_scaled_exp(q, z).to_complex()
+        got = model.derivative_scaled(z).to_complex()
         assert cmath.isclose(got, cmath.exp(q(z)), rel_tol=1e-12)
 
 
@@ -359,3 +361,13 @@ def test_json_roundtrip(ex1):
     G = function_from_json(text)
     assert G.p == ex1.p and G.q == ex1.q and G.c == ex1.c
     assert function_to_json(G) == text
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Polynomial(()).leading, "no leading coefficient"),
+    (lambda: function_from_json('{"p": [[1, 0]], "q": [[0, 0]]}'),
+     "missing key 'c'"),
+], ids=["zero polynomial leading", "spec without c"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

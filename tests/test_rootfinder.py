@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from sectorroots import (Box, CanonicalProduct, PolyExpFunction, Polynomial,
-                         eval_f, example, exp_function, find_a_points,
-                         find_product_a_points, rootfinder, square_minus_one)
+                         ToleranceNotMet, eval_f, example, exp_function,
+                         find_a_points, find_product_a_points, rootfinder,
+                         square_minus_one)
 from sectorroots.contour import winding_count
 from sectorroots.funcmodel import PolyExpRootModel, build_model
 from sectorroots.rootfinder import (RootRecord, _SharedWalk, _newton,
@@ -349,3 +350,39 @@ def test_search_newton_iterations_pinned(name, half, iterations, request,
                            data=data)
     assert result.total_multiplicity == result.winding_total
     assert len(calls) == iterations
+
+
+# ex2 zeros (q = -z^3) in a region whose first split gives two boxes,
+# [9, 10] x [8, 10] and [10, 11] x [8, 10], with Re q above 780 on their
+# whole boundaries, past double range: they are wound like every other
+# box, so the region's winding total referees the whole list
+_GROWTH_REGION = Box(9, 6, 11, 10)
+
+
+def test_growth_sector_region_is_wound_and_refereed(ex2, data2):
+    res = find_a_points(ex2, 0j, _GROWTH_REGION, tol=1e-9, data=data2)
+    assert len(res) == res.winding_total == res.total_multiplicity == 50
+    assert res.clipped == []
+
+
+def test_growth_sector_lost_record_is_caught(monkeypatch, ex2, data2):
+    dedup = rootfinder._dedup
+    monkeypatch.setattr(rootfinder, "_dedup",
+                        lambda records, diameter: dedup(records, diameter)[:-1])
+    with pytest.raises(ToleranceNotMet, match="multiplicity sum 49"):
+        find_a_points(ex2, 0j, _GROWTH_REGION, tol=1e-9, data=data2)
+
+
+def test_region_inside_growth_sector_is_walked(monkeypatch, ex2, data2):
+    walks = []
+    walk = rootfinder.winding_count
+
+    def counted(path, box):
+        walks.append(box)
+        return walk(path, box)
+
+    monkeypatch.setattr(rootfinder, "winding_count", counted)
+    res = find_a_points(ex2, 0j, Box(8.5, 8.25, 11, 11), tol=1e-9,
+                        data=data2)
+    assert (len(res), res.winding_total, res.clipped) == (0, 0, [])
+    assert walks == [res.searched]

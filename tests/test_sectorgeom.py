@@ -137,3 +137,15 @@ def test_sector_report_holds_and_json():
 def test_sector_report_requires_positive_radius():
     with pytest.raises(ValueError):
         sector_report([], Sector(0.0, 0.3), r0=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Sector(0.0, -0.1), "outside \\[0, pi\\]"),
+    (lambda: Sector(0.0, 3.2), "outside \\[0, pi\\]"),
+    (lambda: RaySet([0.5, math.nan]), "must be finite"),
+    (lambda: RaySet([math.inf]), "must be finite"),
+], ids=["half-opening below 0", "half-opening above pi", "nan angle",
+        "infinite angle"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -349,6 +349,32 @@ def test_counting_moduli_below_one_normalization():
     assert table.N[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_counting_moduli_below_one_at_radii_below_one():
+    # for r < 1, N(r) = -int_r^1 n(t)/t dt = sum of log max(|a|, r) over
+    # the moduli below 1
+    table = counting_functions([0.25, 0.5, 2.0], lambda r: r, (0.3, 0.75))
+    assert table.n == (1, 2)
+    assert table.N == pytest.approx(
+        (math.log(0.3) + math.log(0.5), 2.0 * math.log(0.75)), abs=1e-15)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: counting_functions([], lambda r: r, (2.0, 1.0)), ValueError,
+     "strictly ascending"),
+    (lambda: counting_functions([], lambda r: r, (0.0, 1.0)), ValueError,
+     "radii must be positive"),
+    (lambda: canonical_one_point_rays(1.0), ValueError, "rho must lie"),
+    (lambda: CanonicalProductModel(CanonicalProduct(0.5, 64), 0.0),
+     ValueError, "r_max must be positive"),
+    (lambda: CanonicalProduct(0.001, 64).tail, TailTooLarge,
+     "overflows double range"),
+], ids=["descending grid", "grid not positive", "one-point rays rho 1",
+        "product model r_max 0", "tail past double range"])
+def test_input_checks_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_counting_table_csv():
     table = counting_functions([1.0 + 0j], lambda r: r, (1.0, 2.0))
     text = table.to_csv()
