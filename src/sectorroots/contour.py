@@ -390,19 +390,39 @@ def edge_reversed(z0: complex, z1: complex) -> bool:
     return (z1.real, z1.imag) < (z0.real, z0.imag)
 
 
-def edge_points(z0: complex, z1: complex, n: int) -> list[complex]:
-    """The samples of a walk along the edge z0 -> z1 after z0: max(2, n)
-    evenly spaced points, the last of them exactly z1.
+def dyadic_steps(n: int) -> int:
+    """The steps of an edge plan asked for n: the power of two nearest to
+    n in ratio, and at least 2."""
+    return 1 << max(1, round(math.log2(max(n, 1))))
 
-    The points are computed from the canonical endpoint (edge_reversed),
-    so the walk z1 -> z0 visits exactly the same points in reverse, bit
-    for bit.
+
+def edge_points(z0: complex, z1: complex, n: int) -> np.ndarray:
+    """The samples of a walk along the axis-aligned edge z0 -> z1 after
+    z0, as an array: the points of dyadic_steps(n) equal steps, the last
+    of them exactly z1.
+
+    Each point is the midpoint 0.5 (a + b) of the two points of the plan
+    one level coarser that it lies between, coordinate by coordinate: the
+    formula of Box.center. The walk z1 -> z0 therefore visits exactly the
+    same points in reverse, bit for bit, and the plan of 2^k steps to a
+    box's centre coordinate is the first half of the plan of 2^(k+1)
+    steps along the box's edge, so a centre split's children walk points
+    of their parent's plans.
     """
-    n = max(2, n)
-    if edge_reversed(z0, z1):
-        return edge_points(z1, z0, n)[-2::-1] + [z1]
-    step = z1 - z0
-    return [z0 + step * (j / n) for j in range(1, n)] + [z1]
+    steps = dyadic_steps(n)
+    pts = np.empty(steps + 1, dtype=complex)
+    pts[0], pts[-1] = z0, z1
+    # an axis-aligned edge: one coordinate is halved, the other constant
+    along, across = ((pts.real, pts.imag) if z0.imag == z1.imag
+                     else (pts.imag, pts.real))
+    across[1:-1] = across[0]
+    h = steps
+    while h > 1:
+        mid = along[h // 2::h]
+        np.add(along[:-1:h], along[h::h], out=mid)
+        mid *= 0.5
+        h //= 2
+    return pts[1:]
 
 
 def winding_count(pathval, box: Box) -> WindingResult:
@@ -416,10 +436,12 @@ def winding_count(pathval, box: Box) -> WindingResult:
     one extend(prev, edge_points(z_from, z_to, n)) call (all points but the
     last on the edge that closes the loop); the walk takes every step of a
     run (_run_steps) before it pulls the next, and a bisection midpoint zm
-    after s0 is extend(s0, [zm]). The plan is canonical: an edge that two
+    after s0 is extend(s0, [zm]). The plan is dyadic: an edge that two
     boxes share is walked through the same points both ways when
-    min_samples gives the same n both ways, so a shared edge can be served
-    from the samples of the earlier walk.
+    min_samples gives the same n both ways, and a half of it, cut at its
+    box's centre coordinate, through every other point of the edge's
+    plan, so a path evaluator can serve them from the samples of an
+    earlier walk.
 
     The walk also gives the power sums of the zeros of w inside the box
     (Delves & Lyness, Math. Comp. 21 (1967) 543-560). In the centred,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
                           in_decay_interior, tail_remainder)
-from .contour import PathSample, edge_reversed
+from .contour import PathSample, dyadic_steps, edge_reversed
 from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
                       _segment_tables, _wrap_phase, integral_raw_batch,
@@ -249,16 +249,16 @@ class PolyExpRootModel:
             f"cannot separate f - a from its error bound at {z} "
             f"(log|w| ~ {s.w.logmag:.2f}, err log {s.err_log:.2f})")
 
-    def edge(self, a: complex, prev: PathSample, pts: list):
+    def edge(self, a: complex, prev: PathSample, pts):
         """The runs of f - a at pts, carried from prev (carried); a sample
         that fails the headroom rule is replaced by start."""
         return carried(self, prev, pts, _clears_headroom,
                        lambda s: self.start(a, s.z))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        """Initial sample count for an edge, from a bound on the phase
-        variation of exp(q) plus slack for the polynomial factor; the same
-        in both directions."""
+        """Steps of an edge's plan (contour.dyadic_steps), from a bound on
+        the phase variation of exp(q) plus slack for the polynomial factor;
+        the same in both directions."""
         if edge_reversed(z0, z1):
             z0, z1 = z1, z0
         qd = self.F.q_prime
@@ -266,7 +266,7 @@ class PolyExpRootModel:
         qmax = max(abs(qd(w)) for w in pts)
         swing = abs(z1 - z0) * 1.5 * qmax
         n = 8 + int(swing / (0.5 * math.pi)) + 4 * (self.F.p.degree + 1)
-        return min(n, 20000)
+        return dyadic_steps(min(n, 20000))
 
 
 def _disc_sizes(coeffs: tuple, z: complex, r: float) -> tuple:
@@ -333,8 +333,7 @@ def _block_samples(w: ScaledComplex, err_log: float, val: np.ndarray,
     return out
 
 
-def carried(model: PolyExpRootModel, held: PathSample, pts: list, accept,
-            fix):
+def carried(model: PolyExpRootModel, held: PathSample, pts, accept, fix):
     """A lazy walk of model's function through pts, carried from held: each
     sample is the one before it plus the chord increment to it, yielded in
     runs (z, v) of consecutive samples (PathSample). When the carry first
@@ -347,12 +346,12 @@ def carried(model: PolyExpRootModel, held: PathSample, pts: list, accept,
     sample that fails accept(logmag, err_log), applied elementwise: the
     next pull passes it to fix, whose replacement is yielded alone and the
     rest summed from it, or whose None ends the walk."""
+    pts = np.asarray(pts, dtype=complex)
     for lo in range(0, len(pts), _PLAN_BLOCK):
         z1 = pts[lo:lo + _PLAN_BLOCK]
         val, m, inc_err, failures = integral_raw_batch(
-            model.F, [held.z] + z1[:-1], z1, model.tol)
+            model.F, np.concatenate(([held.z], z1[:-1])), z1, model.tol)
         stop = min(failures, default=len(z1))
-        z1 = np.array(z1, dtype=complex)
         k = 0
         while k < stop:
             v = _block_samples(held.w, held.err_log, val[k:stop], m[k:stop],

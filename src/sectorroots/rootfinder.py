@@ -35,24 +35,29 @@ the side, and a region boundary is grown by 0.3 percent, five times each,
 before the failure propagates.
 
 Every walk of one search (one model, one target) goes through one shared
-memo, _SharedWalk, which serves an edge's samples to the second walk along
-it (sibling boxes walk their common crosshair spokes in reverse) and a
-corner's sample to every later walk that starts or arrives there.
+store, _SharedWalk, which keeps the samples of every walk per grid line.
+Edge plans are dyadic, so a centre split's children walk their outer
+half-edges through points of their parent's edges, and sibling boxes walk
+their common crosshair spokes in reverse: those samples, and the corners
+a later walk starts or arrives at, are served from the store. The store
+lives as long as the search.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import Box, PathSample, edge_reversed, winding_count
+from .contour import Box, PathSample, edge_points, winding_count
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
 from .funcmodel import _clears_headroom, build_model
-from .polyexp import OVERFLOW_LOG, PolyExpFunction, _LOG2, _logaddexp
+from .polyexp import (OVERFLOW_LOG, PolyExpFunction, ScaledComplex, _LOG2,
+                      _logaddexp)
 
 # stop subdividing an isolated root below this box diameter
 _DIAM_STOP = 1e-3
@@ -154,100 +159,170 @@ def roots_to_csv(records) -> str:
     return buf.getvalue()
 
 
+# a grid line that holds no sample yet
+_NO_LINE = (np.empty(0), np.empty((3, 0)))
+
+
+def _line(z0: complex, z1: complex) -> tuple:
+    """The grid line of the edge z0 -> z1: (0, y) for a horizontal edge,
+    (1, x) for a vertical one."""
+    return (0, z0.imag) if z0.imag == z1.imag else (1, z0.real)
+
+
 class _SharedWalk:
     """The path evaluator of every walk of one search (model and target a):
-    it plans each edge, takes the samples of the model, and serves the
-    edges and corners that an earlier walk of the search evaluated.
+    it plans each edge, takes the samples of the model, and serves every
+    planned point that an earlier walk of the search evaluated.
 
-    min_samples(z0, z1) plans the edge about to be walked, with n from
-    model.min_samples, and the next extend(prev, pts) takes the plan: pts
-    are edge_points(z0, z1, n), or all but the last, and the runs of
-    samples (contour.PathSample) come from the memo or from
-    model.edge(a, prev, points), which is given every planned point (its
-    batches are the whole edge's) and pulled no further than the walk
-    needs. Any other extend (a bisection midpoint) goes to model.edge as
-    it is, and a walk's start to model.start.
+    lines maps a grid line (_line) to its samples: the ascending positions
+    along it (x on (0, y), y on (1, x)) and a (3, k) array of log|w|, arg
+    w and error log there. It takes every sample the model gives for a
+    planned point as the walk pulls it, and every walk start (on the
+    horizontal line), and lives as long as the search.
 
-    edges maps the canonical endpoints of an edge (contour.edge_reversed)
-    to (n, samples): n is what min_samples gave for it, and samples is a
-    (3, n - 1) array of log|w|, arg w and error log at its interior points
-    in canonical order. An edge borders at most two boxes of the quadtree,
-    so its entry is popped when it is served. corners maps a point to the
-    sample a walk started at or ended an edge on. The memo takes an edge
-    when the walk pulls its last interior sample, and a corner when it
-    pulls the corner, as a walk of single samples would: a walk that
-    raises partway stores nothing for that edge. walked, served and
-    unplanned count the samples the model took for planned points, those
-    served from the memo and those of other extend calls.
+    min_samples(z0, z1) plans the edge about to be walked with n from
+    model.min_samples, or with the finer plan whose interior is stored.
+    Plans are dyadic (contour.edge_points), so a centre split's child
+    plans its outer half-edges through its parent's points. The next
+    extend(prev, pts) takes the plan (pts are edge_points(z0, z1, n), or
+    all but the last): it serves the points stored on the line, the end
+    corner also from the line across, and takes the others from
+    model.edge(a, held, points) as one chain from the sample before the
+    first of them, pulled no further than the walk needs. Any other extend
+    (a bisection midpoint) goes to model.edge as it is, and a walk's
+    start, unless stored, to model.start. Plans off the grid (jittered
+    crosshairs, grown regions, certificate boxes) share no points with
+    earlier ones and are walked fresh.
+
+    walked, served and unplanned count the samples the model took for
+    planned points, those served from the lines and those of other extend
+    calls.
     """
 
     def __init__(self, model, a: complex):
         self.model = model
         self.a = complex(a)
-        self.edges: dict = {}
-        self.corners: dict = {}
+        self.lines: dict = {}
         self._plan = None  # min_samples' plan, until extend takes it
         self.walked = self.served = self.unplanned = 0
 
+    def _at(self, key, t: float):
+        """The (3,) column stored on line key at position t, or None."""
+        pos, vals = self.lines.get(key, _NO_LINE)
+        i = bisect_left(pos, t)
+        return vals[:, i] if i < len(pos) and pos[i] == t else None
+
+    def sample(self, z: complex) -> PathSample | None:
+        """The stored sample at z, from either grid line through it."""
+        v = self._at((0, z.imag), z.real)
+        if v is None:
+            v = self._at((1, z.real), z.imag)
+        return None if v is None else PathSample(
+            z, ScaledComplex(*v[:2].tolist()), float(v[2]))
+
+    def _store(self, key, t: np.ndarray, v: np.ndarray) -> None:
+        """Adds the samples v at the positions t, in walk order and none
+        stored yet, to line key."""
+        if t[0] > t[-1]:
+            t, v = t[::-1], v[:, ::-1]
+        pos, vals = self.lines.get(key, _NO_LINE)
+        lo = bisect_left(pos, t[0])
+        if lo == bisect_left(pos, t[-1]):
+            # all in one gap of the line
+            pos = np.concatenate((pos[:lo], t, pos[lo:]))
+            vals = np.concatenate((vals[:, :lo], v, vals[:, lo:]), axis=1)
+        else:
+            pos = np.concatenate((pos, t))
+            order = np.argsort(pos, kind="stable")
+            pos, vals = pos[order], np.concatenate((vals, v), axis=1)[:, order]
+        self.lines[key] = pos, vals
+
     def start(self, z: complex) -> PathSample:
-        s = self.corners.get(z)
+        s = self.sample(z)
         if s is None:
-            s = self.corners[z] = self.model.start(self.a, z)
+            s = self.model.start(self.a, z)
+            self._store((0, z.imag), np.array([z.real]), s.run()[1])
         return s
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        flip = edge_reversed(z0, z1)
-        key = (z1, z0) if flip else (z0, z1)
-        hit = self.edges.pop(key, None)
-        n, stored = hit or (self.model.min_samples(z0, z1), None)
-        if flip and hit:
-            stored = stored[:, ::-1]
-        self._plan = (z1, key, n, flip, stored)
+        n = self.model.min_samples(z0, z1)
+        key = _line(z0, z1)
+        t0, t1 = (z0.real, z1.real) if key[0] == 0 else (z0.imag, z1.imag)
+        # the samples stored on the edge after its start: (t0, t1] or
+        # [t1, t0)
+        pos = self.lines.get(key, _NO_LINE)[0]
+        side = bisect_right if t0 < t1 else bisect_left
+        count = abs(side(pos, t1) - side(pos, t0))
+        self._plan = key, count > 0, z1
+        # the finest plan whose interior is stored, when finer than n's
+        steps = 1 << (count + 1).bit_length() - 1
+        while steps > n:
+            t = edge_points(z0, z1, steps)[:-1]
+            if self._find(key, t.real if key[0] == 0 else t.imag)[2].all():
+                return steps
+            steps //= 2
         return n
 
-    def extend(self, prev: PathSample, pts: list):
+    def _find(self, key, t: np.ndarray):
+        """The samples stored on line key (which holds some), the index
+        there of each position t, and whether a sample is stored at it."""
+        pos, vals = self.lines[key]
+        i = np.searchsorted(pos, t)
+        return vals, i, pos[np.minimum(i, len(pos) - 1)] == t
+
+    def extend(self, prev: PathSample, pts):
         plan, self._plan = self._plan, None
         if plan is None:
             self.unplanned += len(pts)
             return self.model.edge(self.a, prev, pts)
-        z1, key, n, flip, stored = plan
-        ends = len(pts) == max(2, n)
-        return self._edge(prev, ends, pts if ends else pts + [z1], key, n,
-                          flip, stored)
+        return self._edge(prev, pts, *plan)
 
-    def _edge(self, prev: PathSample, ends: bool, pts: list, key, n: int,
-              flip: bool, stored):
-        """The planned edge's runs: the stored interior as one, or the
-        model's from prev, cut before the last interior point and the end
-        corner; then the corner when ends, from corners or the model."""
-        last = len(pts) - 1
-        if stored is not None:
-            z = np.array(pts[:last])
-            self.served += last
-            yield z, stored
-            prev, pts, last = PathSample.of_run(z, stored, -1), pts[-1:], 0
-        end = last + (ends and pts[last] not in self.corners)
-        parts, at = [], 0
-        for z, v in self.model.edge(self.a, prev, pts) if end else ():
-            i = 0
-            while i < len(z) and at < end:
-                k = min(len(z) - i, max(last - 1 - at, 1))
-                run = z[i:i + k], v[:, i:i + k]
-                if at < last:
-                    parts.append(run[1])
-                if at == last - 1:
-                    samples = np.concatenate(parts, axis=1)
-                    self.edges[key] = n, samples[:, ::-1] if flip else samples
-                elif at == last:
-                    self.corners[pts[last]] = PathSample.of_run(*run, 0)
-                self.walked += k
-                yield run
-                at += k
-                i += k
-            if at == end:
-                break
-        if ends and end == last:
-            yield self.corners[pts[last]].run()
+    def _edge(self, prev: PathSample, pts, key, stored: bool, z1: complex):
+        """The runs of the planned points pts on line key: those stored
+        there (stored tells whether the edge holds any) served, the end
+        corner z1 also from the line across, and the others from one model
+        chain, stored as they come."""
+        z = np.asarray(pts, dtype=complex)
+        t = z.real if key[0] == 0 else z.imag
+        n = len(z)
+        vals, i, got = self._find(key, t) if stored else (None, None, None)
+        end = None
+        if (got is None or not got[-1]) and z[-1] == z1:
+            end = (self._at((1, z1.real), z1.imag) if key[0] == 0
+                   else self._at((0, z1.imag), z1.real))
+        if got is None:
+            # nothing stored on the edge: the model's runs as they come
+            m = n - (end is not None)
+            for zr, vr in self.model.edge(self.a, prev, z[:m]) if m else ():
+                self._store(key, zr.real if key[0] == 0 else zr.imag, vr)
+                self.walked += len(zr)
+                yield zr, vr
+            if end is not None:
+                self.served += 1
+                yield z[m:], end[:, None]
+            return
+        v = np.empty((3, n))
+        v[:, got] = vals[:, i[got]]
+        if end is not None:
+            v[:, -1] = end
+            got[-1] = True
+        new = np.flatnonzero(~got)
+        done = new[0] if len(new) else n
+        self.served += int(done)
+        if done:
+            yield z[:done], v[:, :done]
+        k = 0
+        for zr, vr in self.model.edge(self.a, PathSample.of_run(
+                z, v, done - 1) if done else prev, z[new]) if len(new) else ():
+            at = new[k:k + len(zr)]
+            v[:, at] = vr
+            self._store(key, t[at], vr)
+            self.walked += len(zr)
+            k += len(zr)
+            upto = new[k] if k < len(new) else n
+            self.served += int(upto - done) - len(zr)
+            yield z[done:upto], v[:, done:upto]
+            done = upto
 
 
 class _Search:
@@ -372,8 +447,7 @@ class _Search:
         """Newton from seed, carried from the corner of box nearest the
         seed; the sample at the root when it lies strictly inside box,
         else None."""
-        corners = self.path.corners
-        held = min((corners[c] for c in box.corners() if c in corners),
+        held = min(filter(None, map(self.path.sample, box.corners())),
                    key=lambda h: abs(h.z - seed), default=None)
         try:
             s = _newton(self.model, self.a, seed, self.tol, maxit=24,
@@ -389,8 +463,9 @@ class _Search:
         """The record of the a-point Newton converged to at s.z, with a
         certificate box of half-side _CERT_SIDE centred on it that holds
         exactly one a-point: proved by a Kantorovich ball, or else by one
-        walk of the box. With within, only a certificate inside that box
-        counts. None when no certificate holds."""
+        walk of the box when the Newton step at s.z is shorter than the
+        half-side. With within, only a certificate inside that box counts.
+        None when no certificate holds."""
         z = s.z
         cert = Box(z.real - _CERT_SIDE, z.imag - _CERT_SIDE,
                    z.real + _CERT_SIDE, z.imag + _CERT_SIDE)
@@ -402,6 +477,11 @@ class _Search:
         # B(z, t*) inside the box, the box inside B(z, t**)
         if ball is not None and ball[0] < _LOG_SIDE and _LOG_RADIUS < ball[1]:
             return rec
+        # a Newton step |w/w'| longer than the half-side points out of the
+        # box, and the walk would not wind once: split instead
+        fp = self.model.derivative_scaled(z)
+        if fp.is_zero or s.w.logmag - fp.logmag > _LOG_SIDE:
+            return None
         try:
             return rec if winding_count(self.path, cert).count == 1 else None
         except (BoundaryTooClose, ToleranceNotMet):

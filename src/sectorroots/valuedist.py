@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import in_decay_interior, tail_remainder
-from .contour import Box, PathSample, edge_reversed
+from .contour import Box, PathSample, dyadic_steps, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, OverflowRegion,
                      TailTooLarge, ToleranceNotMet)
 from .funcmodel import (_RESCUE_REL_LOG, PolyExpRootModel, _clears_headroom,
@@ -749,14 +749,14 @@ class CanonicalProductModel:
         """The walk's sample of P - a at z: edge's, at z alone."""
         return PathSample.of_run(*next(self.edge(a, None, [z])), 0)
 
-    def edge(self, a: complex, prev: PathSample | None, pts: list):
+    def edge(self, a: complex, prev: PathSample | None, pts):
         """The samples of P - a at pts as one run, evaluated in one pass
         (values) when pulled, nothing carried from prev. It ends before the
         first sample that fails the headroom rule, where the next pull
         raises TailTooLarge outside the admitted disk, else
         BoundaryTooClose."""
         a = complex(a)
-        z = np.array(pts, dtype=complex)
+        z = np.asarray(pts, dtype=complex)
         val = self.values(z)
         with np.errstate(divide="ignore"):
             v = np.array([np.log(np.abs(val - a)), np.angle(val - a),
@@ -775,8 +775,8 @@ class CanonicalProductModel:
                 f"{math.exp(s.err_log):.3e}")
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        """Sample count for an edge from the phase its nearby zeros can
-        turn; the same in both directions."""
+        """Steps of an edge's plan (contour.dyadic_steps) from the phase
+        its nearby zeros can turn; the same in both directions."""
         z0 = complex(z0)
         z1 = complex(z1)
         if edge_reversed(z0, z1):
@@ -784,15 +784,20 @@ class CanonicalProductModel:
         d = z1 - z0
         L = abs(d)
         if L == 0.0 or len(self._near) == 0:
-            return 12
-        t = ((self._near - z0.real) * d.real + (0.0 - z0.imag) * d.imag)
-        # L * L underflows to 0 on edges shorter than about 1e-154
-        t = np.clip(t / L / L, 0.0, 1.0)
-        px = z0.real + t * d.real
-        py = z0.imag + t * d.imag
-        dist = np.hypot(self._near - px, py)
-        phase = float(np.sum(np.minimum(math.pi, L / np.maximum(dist, 1e-6))))
-        return min(12 + int(phase / 1.2) + int(0.5 * L), 20000)
+            return dyadic_steps(12)
+        # the point of the edge nearest each zero, at the fraction t along
+        # it; the edge is axis-aligned, so on a vertical edge t is one
+        # number (L * L underflows to 0 on edges shorter than about 1e-154)
+        if d.real == 0.0:
+            t = min(max((0.0 - z0.imag) * d.imag / L / L, 0.0), 1.0)
+            dist = np.hypot(self._near - z0.real, z0.imag + t * d.imag)
+        else:
+            t = (self._near - z0.real) * d.real / L / L
+            np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+            dist = np.hypot(self._near - (z0.real + t * d.real), z0.imag)
+        np.maximum(dist, 1e-6, out=dist)
+        phase = float(np.minimum(math.pi, L / dist).sum())
+        return dyadic_steps(min(12 + int(phase / 1.2) + int(0.5 * L), 20000))
 
 
 def _product_log_max(P: CanonicalProduct, radii, samples: int) -> list:

@@ -4,6 +4,7 @@ scalar walk they replace."""
 import cmath
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,17 +82,22 @@ def _count_anchors(monkeypatch, record, at=lambda: None):
 
 
 # (function, target, box, count, raw winding, bisection samples, near_f
-# calls, anchored_f calls), measured with the scalar walk on a fresh model
+# calls, anchored_f calls), measured with the scalar walk on a fresh model.
+# The raw windings are those of the evenly spaced plans; the dyadic plans
+# (contour.edge_points) keep them within 1e-12 and move the other counts:
+# bisections 4, 2, 4 and 3 on the first, second, third and seventh box
+# (now 2, 1, 2 and 2), and near_f/anchored_f 12/12, 12/12 and 10/10 on the
+# first, third and last (now 13/13, 13/13 and 9/9)
 PINNED = [
-    ("ex1", 0, (-8, -8, 8, 8), 40, 40.00000000000006, 4, 12, 12),
-    ("ex1", 0, (4, -8, 8, -4), 14, 14.000000000000007, 2, 3, 3),
-    ("ex1", 1, (-8, -8, 8, 8), 40, 39.99999999999987, 4, 12, 12),
+    ("ex1", 0, (-8, -8, 8, 8), 40, 40.00000000000006, 2, 13, 13),
+    ("ex1", 0, (4, -8, 8, -4), 14, 14.000000000000007, 1, 3, 3),
+    ("ex1", 1, (-8, -8, 8, 8), 40, 39.99999999999987, 2, 13, 13),
     ("ex1", 1, (-2, -2, 2, 2), 4, 3.9999999999999996, 0, 1, 1),
     ("ex2", 0, (2.5, -1.75, 2.75, -1.5), 1, 1.0000000000000004, 3, 1, 1),
     ("ex2", 0, (0, -4, 4, 0), 16, 16.00000000000002, 0, 7, 7),
     ("ex2", 1, (-5.619675, -3.2116875, -5.4295124999999995, -3.0258), 3,
-     2.9999999999999987, 3, 2, 1),
-    ("ex2", 1, (-3, -3, 3, 3), 23, 23.000000000000014, 0, 10, 10),
+     2.9999999999999987, 2, 2, 1),
+    ("ex2", 1, (-3, -3, 3, 3), 23, 23.000000000000014, 0, 9, 9),
 ]
 
 
@@ -131,12 +137,15 @@ def test_pinned_windings(case, request, monkeypatch):
 # Integrals from 0 cut into chunks of swing at most 4 carry tighter error
 # bounds, so carried samples clear the headroom rule a little longer (50,
 # 28 and 112, 59 with chunks of about 80 radians). The search's planned
-# samples taken by the model, served from its memo and off the plan
+# samples taken by the model, served from its store and off the plan
 # (bisection midpoints) are those of the walk of single samples the runs
-# replaced.
+# replaced. Dyadic plans serve every half-edge of a centre split from its
+# parent's samples, so the model takes about half the planned samples it
+# took when only a whole edge walked twice was served ((9103, 2605, 14)
+# and (16543, 5049, 0)), and the walks re-anchor less (49, 27 and 111, 59).
 @pytest.mark.parametrize("name, box, near, anchored, walked", [
-    ("ex1", (-8, -8, 8, 8), 49, 27, (9103, 2605, 14)),
-    ("ex2", (-4, -4, 4, 4), 111, 59, (16543, 5049, 0)),
+    ("ex1", (-8, -8, 8, 8), 29, 23, (4574, 8181, 10)),
+    ("ex2", (-4, -4, 4, 4), 51, 41, (8850, 17009, 0)),
 ], ids=["ex1", "ex2"])
 def test_search_anchor_calls_pinned(name, box, near, anchored, walked,
                                     request, monkeypatch):
@@ -163,26 +172,50 @@ def test_search_anchor_calls_pinned(name, box, near, anchored, walked,
     assert (path.walked, path.served, path.unplanned) == walked
 
 
-def test_shared_walk_counts_match_fresh_walks(ex2, data2, monkeypatch):
-    # the 1-points on [-6, 6]^2 keep the recheck over a few hundred walks
-    # now that boxes of 2 to 4 a-points are solved without a split and
-    # balls replace certificate walks (78 walks on [-4, 4]^2, 225 before)
+# (a-point search, winding count of its region): the 1-points on
+# [-6, 6]^2 keep the recheck over a few hundred walks now that boxes of 2
+# to 4 a-points are solved without a split and balls replace certificate
+# walks (78 walks on [-4, 4]^2, 225 before); ex1's zeros and a product
+# search add walks whose half-edges are served at their parent's density
+# and walks that refine it
+_REFEREED = {
+    "ex2-ones": (lambda F, data: find_a_points(
+        F, 1 + 0j, Box(-6, -6, 6, 6), tol=1e-9, data=data), 177),
+    "ex1-zeros": (lambda F, data: find_a_points(
+        F, 0j, Box(-8, -8, 8, 8), tol=1e-9, data=data), 40),
+    "product": (lambda F, data: find_product_a_points(
+        CanonicalProduct(0.5, 64), 0j, Box(-100.5, -100.5, 100.5, 100.5)),
+        10),
+}
+
+
+@pytest.mark.parametrize("name", _REFEREED)
+def test_shared_walk_counts_match_fresh_walks(name, request, monkeypatch):
+    # every box's count from the shared store equals the count of a walk
+    # that shares nothing: the referee for served samples
+    search, total = _REFEREED[name]
+    F = data = None
+    if name != "product":
+        F = request.getfixturevalue(name[:3])
+        data = request.getfixturevalue("data" + name[2])
     wound = []
     walk = rootfinder.winding_count
 
     def recorded(pathval, box):
         result = walk(pathval, box)
-        wound.append((box, result.count))
+        wound.append((pathval, box, result.count))
         return result
 
     monkeypatch.setattr(rootfinder, "winding_count", recorded)
-    result = find_a_points(ex2, 1 + 0j, Box(-6, -6, 6, 6), tol=1e-9,
-                           data=data2)
-    assert result.total_multiplicity == result.winding_total == 177
-    assert len(wound) > 200
-    model = funcmodel.build_model(ex2, data2)
-    for box, count in wound:
-        assert walk(rootfinder._SharedWalk(model, 1 + 0j), box).count == count
+    result = search(F, data)
+    assert result.total_multiplicity == result.winding_total == total
+    (path,) = {p for p, _, _ in wound}
+    assert path.served > path.walked / 2
+    if name == "ex2-ones":
+        assert len(wound) > 200
+    for _, box, count in wound:
+        fresh = rootfinder._SharedWalk(path.model, path.a)
+        assert walk(fresh, box).count == count, box
 
 
 class _OneAtATime:
@@ -255,8 +288,8 @@ def _single_winding(pathval, box):
     prev = first
     for i in range(4):
         z_from, z_to = corners[i], corners[(i + 1) % 4]
-        targets = edge_points(z_from, z_to,
-                              pathval.min_samples(z_from, z_to))
+        targets = list(edge_points(z_from, z_to,
+                                   pathval.min_samples(z_from, z_to)))
         if i == 3:
             targets[-1] = None
         for z in targets:
@@ -301,7 +334,8 @@ def _random_boxes(name, roots, n, seed):
 _PRODUCT_WALKS = [
     (0.5, 0, (2.1, 0.0, 6.3, 1.0)),       # through the zero at 4: raises
     (0.5, 0, (3.95, -0.002, 4.25, 0.2)),  # around it: the bottom edge
-    (0.5, 0, (8.9, -0.3, 9.3, 0.001)),    # and the top one bisect
+    (0.5, 0, (8.9, -0.3, 9.3, 0.001)),    # a plan point 0.001 above 9
+    (0.5, 0, (8.8, -0.3, 9.3, 0.008)),    # the top edge bisects once
     (0.5, 0, (0.5, -0.0015, 9.5, 0.5)),   # one edge bisects at 1, 4, 9
     (0.5, 1, (-30.5, -30.5, 30.5, 30.5)),
     (1.0 / 3.0, 1, (-20.5, -3.5, 40.5, 3.5)),
@@ -317,7 +351,7 @@ def test_walk_matches_the_walk_of_single_samples(case, request,
                                                  monkeypatch):
     # the runs give the same count, power sums and root sum bit for bit,
     # the raw winding to 1e-12 (the steps are summed in another order),
-    # the same anchor calls in the same order, and the same memo, as the
+    # the same anchor calls in the same order, and the same store, as the
     # walk of single samples over the same evaluator; each walk calls
     # extend once per edge and once per bisection midpoint. Shallow cases
     # allow one level of bisection, so that walks also raise in one
@@ -376,8 +410,8 @@ def test_walk_matches_the_walk_of_single_samples(case, request,
                     got = _single_winding(walk, Box(*box))
             except (BoundaryTooClose, ToleranceNotMet, TailTooLarge) as exc:
                 got = type(exc)
-            memo = ({k: (n, v.tolist()) for k, (n, v) in path.edges.items()},
-                    dict(path.corners))
+            memo = {k: (pos.tolist(), v.tolist())
+                    for k, (pos, v) in path.lines.items()}
             outcomes.append((got, list(calls), path.unplanned, memo))
         (new, new_calls, cut, memo), (old, old_calls, *rest) = outcomes
         assert new_calls == old_calls, box
@@ -407,12 +441,22 @@ def test_walk_raising_mid_edge_stores_no_edge(box, stored):
     path = rootfinder._SharedWalk(PolyExpRootModel(square_minus_one()), 0j)
     with pytest.raises(BoundaryTooClose):
         winding_count(path, box)
-    # only the edges walked to their end before the zero are stored
-    assert len(path.edges) == stored
-    for z0, z1 in path.edges:
-        assert not (min(z0.real, z1.real) <= 1.0 <= max(z0.real, z1.real)
-                    and min(z0.imag, z1.imag) <= 0.0
-                    <= max(z0.imag, z1.imag))
+    # the edges walked to their end before the zero are stored whole; the
+    # edge through it keeps the samples pulled before the zero, and no
+    # sample is stored at the zero
+    corners = box.corners()
+    whole = []
+    for i in range(4):
+        z0, z1 = corners[i], corners[(i + 1) % 4]
+        plan = edge_points(z0, z1, path.model.min_samples(z0, z1))
+        if all(path.sample(z) is not None for z in plan):
+            whole.append(i)
+    assert whole == list(range(stored))
+    assert path.sample(1 + 0j) is None
+    # the store holds the walk's start, when it had one, and every sample
+    # the model took for a planned point
+    held = sum(len(pos) for pos, _ in path.lines.values())
+    assert held == path.walked + (stored > 0)
 
 
 def _noted(runs, samples):
@@ -458,40 +502,160 @@ class _Noted:
         return self.inner.min_samples(z0, z1)
 
 
-def test_served_edge_is_popped(ex1, data1):
+def _line_samples(path, z0, z1, n):
+    """The (3, k) samples that path stores at the plan of n steps z0 -> z1
+    (its points after z0), in walk order."""
+    plan = edge_points(z0, z1, n)
+    key = rootfinder._line(z0, z1)
+    t = plan.real if key[0] == 0 else plan.imag
+    pos, vals = path.lines[key]
+    i = np.searchsorted(pos, t)
+    assert (pos[i] == t).all()
+    return vals[:, i]
+
+
+def test_centre_split_half_edges_are_served(ex1, data1):
+    # the parent's edges take 128 steps, and each child asks 64 for its
+    # half-edges: the parent's density suffices
     model = funcmodel.build_model(ex1, data1)
     path = rootfinder._SharedWalk(model, 0j)
-    left, right = Box(-2, -2, 2, 2).split()[:2]
-    spoke = (-2j, 0j)
-    fresh = [winding_count(rootfinder._SharedWalk(model, 0j), b).count
-             for b in (left, right)]
-    assert sum(fresh) > 0
-    assert winding_count(path, left).count == fresh[0]
-    n, samples = path.edges[spoke]
-    assert samples.shape == (3, n - 1)
-    assert set(path.corners) == set(left.corners())
-    left_corners = dict(path.corners)
+    parent = Box(-4, -4, 4, 4)
+    assert winding_count(path, parent).count == winding_count(
+        rootfinder._SharedWalk(model, 0j), parent).count
+    corners = parent.corners()
+    steps = [model.min_samples(corners[i], corners[(i + 1) % 4])
+             for i in range(4)]
+    assert steps == [128] * 4
+    before = {key: (pos.copy(), vals.copy())
+              for key, (pos, vals) in path.lines.items()}
 
-    path.model = inner = _NotedModel(path.model)
+    path.model = inner = _NotedModel(model)
     outer = _Noted(path)
-    assert winding_count(outer, right).count == fresh[1]
-    # the right box walks the spoke 0 -> -2i last, from the stored samples
-    assert spoke not in path.edges
-    plan = edge_points(0j, -2j, n)
-    on_spoke = [s for s in outer.samples if s.z in plan[:-1]]
-    assert [s.z for s in on_spoke] == plan[:-1]
-    assert [s.w.logmag for s in on_spoke] == samples[0, ::-1].tolist()
-    assert [s.w.phase for s in on_spoke] == samples[1, ::-1].tolist()
-    assert [s.err_log for s in on_spoke] == samples[2, ::-1].tolist()
-    # the model took none of the spoke's points, nor the corner -2i (the
-    # start); the walk took the corners 0 and -2i from the left box's walk
-    # (the model's run along the edge that ends at 0 holds a value there,
-    # which the walk does not pull)
-    assert not set(plan) & {s.z for s in inner.samples}
-    at_corners = [s for s in outer.samples if s.z in (0j, -2j)]
-    assert {s.z for s in at_corners} == {0j, -2j}
-    assert all(s == left_corners[s.z] for s in at_corners)
-    assert set(path.corners) == set(left.corners()) | set(right.corners())
+    children = parent.split()
+    for child in children:
+        fresh = rootfinder._SharedWalk(model, 0j)
+        assert winding_count(outer, child).count == winding_count(
+            fresh, child).count
+    taken = {s.z for s in inner.samples}
+    got = {s.z: s for s in outer.samples}
+    halves = 0
+    for child in children:
+        c = child.corners()
+        for j in range(4):
+            z0, z1 = c[j], c[(j + 1) % 4]
+            key = rootfinder._line(z0, z1)
+            if not any(key == rootfinder._line(corners[i], corners[i - 1])
+                       for i in range(4)):
+                continue
+            # an outer half-edge: planned at the parent's density, and
+            # every point the parent's sample, bit for bit (the walk that
+            # closes on its start takes all but the last)
+            assert model.min_samples(z0, z1) == 64
+            plan = edge_points(z0, z1, 64)[:-1 if j == 3 else None]
+            assert not set(plan.tolist()) & taken
+            pos, vals = before[key]
+            at = np.searchsorted(pos, plan.real if key[0] == 0 else plan.imag)
+            assert [got[z].w.logmag for z in plan] == vals[0, at].tolist()
+            assert [got[z].w.phase for z in plan] == vals[1, at].tolist()
+            assert [got[z].err_log for z in plan] == vals[2, at].tolist()
+            halves += 1
+    assert halves == 8
+    # the crosshair's spokes are walked by two children each, the second
+    # time from the store: the model takes each of their points once
+    times = Counter(s.z for s in inner.samples)
+    centre = parent.center
+    for end in (-4j, 4 + 0j, 4j, -4 + 0j):
+        plan = edge_points(centre, end, model.min_samples(centre, end))
+        assert [times[z] for z in plan[:-1].tolist()] == [1] * (len(plan) - 1)
+        assert times[end] == 0
+
+
+def test_half_edge_finer_than_its_parent_takes_one_chord_per_midpoint(
+        ex1, data1, monkeypatch):
+    # the parent's edge takes 32 steps and the half-edge asks 32 too: its
+    # 16 even points are the parent's, and each odd one takes one chord
+    model = funcmodel.build_model(ex1, data1)
+    path = rootfinder._SharedWalk(model, 0j)
+    z0, z1, mid = -2 - 2j, 2 - 2j, -2j
+    assert Box(-2, -2, 2, 2).center.real == mid.real
+    prev = path.start(z0)
+    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    assert len(pts) == 32
+    for _ in path.extend(prev, pts):
+        pass
+    v_parent = _line_samples(path, z0, z1, 32)
+
+    chords = []
+    real = funcmodel.integral_raw_batch
+
+    def counted(F, a, b, tol):
+        chords.append(len(b))
+        return real(F, a, b, tol)
+
+    monkeypatch.setattr(funcmodel, "integral_raw_batch", counted)
+    n = path.min_samples(z0, mid)
+    assert n == model.min_samples(z0, mid) == 32
+    plan = edge_points(z0, mid, n)
+    runs = list(path.extend(prev, plan))
+    z = np.concatenate([r[0] for r in runs])
+    v = np.concatenate([r[1] for r in runs], axis=1)
+    assert z.tolist() == plan.tolist()
+    assert sum(chords) == 16 and path.walked == 32 + 16
+    # the even points are served bit for bit, the odd ones are new and
+    # agree with a fresh walk of the half-edge
+    assert v[:, 1::2].tolist() == v_parent[:, :16].tolist()
+    fresh = rootfinder._SharedWalk(model, 0j)
+    alone = np.concatenate([r[1] for r in fresh.extend(
+        fresh.start(z0), edge_points(z0, mid, 32))], axis=1)
+    assert np.abs(v[0, ::2] - alone[0, ::2]).max() < 1e-12
+    assert np.abs(np.angle(np.exp(1j * (v[1] - alone[1])))).max() < 1e-12
+    # the store now holds the half-edge at the finer density
+    assert _line_samples(path, z0, mid, 32).tolist() == v.tolist()
+
+
+def test_jittered_crosshair_takes_fresh_plans(ex1, data1):
+    model = funcmodel.build_model(ex1, data1)
+    path = rootfinder._SharedWalk(model, 0j)
+    parent = Box(-4, -4, 4, 4)
+    winding_count(path, parent)
+    dx, dy = rootfinder._JITTER[1]
+    cross = complex(dx * parent.width, dy * parent.height)
+    path.model = inner = _NotedModel(model)
+    for child in parent.split(cross):
+        fresh = rootfinder._SharedWalk(model, 0j)
+        assert winding_count(path, child).count == winding_count(
+            fresh, child).count
+        # the parts of the parent's edges are off the parent's grid: the
+        # model takes every point of their plans
+        c = child.corners()
+        taken = {s.z for s in inner.samples}
+        for j in range(4):
+            z0, z1 = c[j], c[(j + 1) % 4]
+            if not (z0.real == z1.real and abs(z0.real) == 4
+                    or z0.imag == z1.imag and abs(z0.imag) == 4):
+                continue
+            plan = edge_points(z0, z1, model.min_samples(z0, z1))
+            assert set(plan[:-1].tolist()) <= taken
+
+
+@pytest.mark.parametrize("box", [Box(-4, -4, 4, 4), Box(-0.3, 0.1, 0.9, 0.8),
+                                 Box(-8.000123, -7.99991, 8.000077, 8.00021)])
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_dyadic_plans_nest(box, k):
+    corners = box.corners()
+    centre = box.center
+    for i in range(4):
+        z0, z1 = corners[i], corners[(i + 1) % 4]
+        out = edge_points(z0, z1, 2 ** k)
+        back = edge_points(z1, z0, 2 ** k)
+        # both directions visit the same points
+        assert out[:-1].tolist() == back[-2::-1].tolist()
+        assert out[-1] == z1 and back[-1] == z0
+        # the first half is the plan to the centre's coordinate
+        half = (complex(centre.real, z0.imag) if z0.imag == z1.imag
+                else complex(z0.real, centre.imag))
+        assert out[:2 ** (k - 1)].tolist() == edge_points(
+            z0, half, 2 ** (k - 1)).tolist()
 
 
 def _sequential(w, err, val, m, inc_err):
@@ -551,7 +715,7 @@ def test_planned_sample_on_a_point_raises():
     path = rootfinder._SharedWalk(PolyExpRootModel(square_minus_one()), 0j)
     z0, z1 = 0.5 + 0j, 1.5 + 0j
     prev = path.start(z0)
-    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    pts = edge_points(z0, z1, path.min_samples(z0, z1)).tolist()
     at = pts.index(1.0)
     got = []
     with pytest.raises(BoundaryTooClose):
@@ -567,7 +731,7 @@ def test_planned_product_sample_on_a_point_raises():
     path = rootfinder._SharedWalk(model, 0j)
     z0, z1 = 2.0 + 0j, 6.0 + 0j
     prev = path.start(z0)
-    pts = edge_points(z0, z1, path.min_samples(z0, z1))
+    pts = edge_points(z0, z1, path.min_samples(z0, z1)).tolist()
     at = pts.index(4.0)
     got = []
     with pytest.raises(BoundaryTooClose, match="headroom rule"):
@@ -604,7 +768,7 @@ def test_planned_product_samples_match_pointwise(rho, a, box):
     corners = Box(*box).corners()
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
-        pts = edge_points(z0, z1, path.min_samples(z0, z1))
+        pts = edge_points(z0, z1, path.min_samples(z0, z1)).tolist()
         planned = []
         for z, v in path.extend(None, pts):
             planned += [PathSample.of_run(z, v, j) for j in range(len(z))]
