@@ -391,9 +391,10 @@ def edge_reversed(z0: complex, z1: complex) -> bool:
 
 
 def dyadic_steps(n: int) -> int:
-    """The steps of an edge plan asked for n: the power of two nearest to
-    n in ratio, and at least 2."""
-    return 1 << max(1, round(math.log2(max(n, 1))))
+    """The steps of an edge plan asked for n: the least power of two that
+    is at least n, and at least 2, so a plan is never sparser than its
+    swing bound asks."""
+    return 1 << (max(n, 2) - 1).bit_length()
 
 
 def edge_points(z0: complex, z1: complex, n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .asymptotics import (AsymptoticData, DegreeZero, asymptotic_values,
                           in_decay_interior, tail_remainder)
-from .contour import PathSample, dyadic_steps, edge_reversed
+from .contour import PathSample, edge_reversed
 from .errors import BoundaryTooClose, ToleranceNotMet
 from .polyexp import (PolyExpFunction, ScaledComplex, _logaddexp,
                       _segment_tables, _wrap_phase, integral_raw_batch,
@@ -256,9 +256,9 @@ class PolyExpRootModel:
                        lambda s: self.start(a, s.z))
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        """Steps of an edge's plan (contour.dyadic_steps), from a bound on
-        the phase variation of exp(q) plus slack for the polynomial factor;
-        the same in both directions."""
+        """Initial sample count for an edge, from a bound on the phase
+        variation of exp(q) plus slack for the polynomial factor; the same
+        in both directions."""
         if edge_reversed(z0, z1):
             z0, z1 = z1, z0
         qd = self.F.q_prime
@@ -266,7 +266,7 @@ class PolyExpRootModel:
         qmax = max(abs(qd(w)) for w in pts)
         swing = abs(z1 - z0) * 1.5 * qmax
         n = 8 + int(swing / (0.5 * math.pi)) + 4 * (self.F.p.degree + 1)
-        return dyadic_steps(min(n, 20000))
+        return min(n, 20000)
 
 
 def _disc_sizes(coeffs: tuple, z: complex, r: float) -> tuple:

@@ -17,7 +17,8 @@ from its m seeds without a split when Newton converges from each to m
 points inside it, more than two certificate half-sides apart, with
 certificate boxes inside it that do not overlap; otherwise it is split.
 Newton's first value is carried from the walk's sample at the box corner
-nearest the seed (_newton).
+nearest the seed (_newton), and a run gives up at the first iterate
+outside the box.
 
 Each point is certified by Kantorovich's theorem (Ortega & Rheinboldt
 1970, 12.6) from the model's bound on |f''| over the certificate disc
@@ -52,7 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import Box, PathSample, edge_points, winding_count
+from .contour import (Box, PathSample, dyadic_steps, edge_points,
+                      winding_count)
 from .errors import (BoundaryTooClose, DerivativeVanishes, NoConvergence,
                      ToleranceNotMet)
 from .funcmodel import _clears_headroom, build_model
@@ -182,17 +184,17 @@ class _SharedWalk:
 
     min_samples(z0, z1) plans the edge about to be walked with n from
     model.min_samples, or with the finer plan whose interior is stored.
-    Plans are dyadic (contour.edge_points), so a centre split's child
-    plans its outer half-edges through its parent's points. The next
-    extend(prev, pts) takes the plan (pts are edge_points(z0, z1, n), or
-    all but the last): it serves the points stored on the line, the end
-    corner also from the line across, and takes the others from
-    model.edge(a, held, points) as one chain from the sample before the
-    first of them, pulled no further than the walk needs. Any other extend
-    (a bisection midpoint) goes to model.edge as it is, and a walk's
-    start, unless stored, to model.start. Plans off the grid (jittered
-    crosshairs, grown regions, certificate boxes) share no points with
-    earlier ones and are walked fresh.
+    Plans are dyadic (contour.edge_points rounds n up to a power of two),
+    so a centre split's child plans its outer half-edges through its
+    parent's points. The next extend(prev, pts) takes the plan (pts are
+    edge_points(z0, z1, n), or all but the last): it serves the points
+    stored on the line, the end corner also from the line across, and
+    takes the others from model.edge(a, held, points) as one chain from
+    the sample before the first of them, pulled no further than the walk
+    needs. Any other extend (a bisection midpoint) goes to model.edge as
+    it is, and a walk's start, unless stored, to model.start. Plans off
+    the grid (jittered crosshairs, grown regions, certificate boxes)
+    share no points with earlier ones and are walked fresh.
 
     walked, served and unplanned count the samples the model took for
     planned points, those served from the lines and those of other extend
@@ -221,21 +223,13 @@ class _SharedWalk:
             z, ScaledComplex(*v[:2].tolist()), float(v[2]))
 
     def _store(self, key, t: np.ndarray, v: np.ndarray) -> None:
-        """Adds the samples v at the positions t, in walk order and none
-        stored yet, to line key."""
-        if t[0] > t[-1]:
-            t, v = t[::-1], v[:, ::-1]
+        """Adds the samples v at the positions t, none stored yet, to line
+        key."""
         pos, vals = self.lines.get(key, _NO_LINE)
-        lo = bisect_left(pos, t[0])
-        if lo == bisect_left(pos, t[-1]):
-            # all in one gap of the line
-            pos = np.concatenate((pos[:lo], t, pos[lo:]))
-            vals = np.concatenate((vals[:, :lo], v, vals[:, lo:]), axis=1)
-        else:
-            pos = np.concatenate((pos, t))
-            order = np.argsort(pos, kind="stable")
-            pos, vals = pos[order], np.concatenate((vals, v), axis=1)[:, order]
-        self.lines[key] = pos, vals
+        pos = np.concatenate((pos, t))
+        order = np.argsort(pos, kind="stable")
+        self.lines[key] = (pos[order],
+                           np.concatenate((vals, v), axis=1)[:, order])
 
     def start(self, z: complex) -> PathSample:
         s = self.sample(z)
@@ -253,10 +247,10 @@ class _SharedWalk:
         pos = self.lines.get(key, _NO_LINE)[0]
         side = bisect_right if t0 < t1 else bisect_left
         count = abs(side(pos, t1) - side(pos, t0))
-        self._plan = key, count > 0, z1
+        self._plan = key, z1
         # the finest plan whose interior is stored, when finer than n's
         steps = 1 << (count + 1).bit_length() - 1
-        while steps > n:
+        while steps > dyadic_steps(n):
             t = edge_points(z0, z1, steps)[:-1]
             if self._find(key, t.real if key[0] == 0 else t.imag)[2].all():
                 return steps
@@ -264,11 +258,13 @@ class _SharedWalk:
         return n
 
     def _find(self, key, t: np.ndarray):
-        """The samples stored on line key (which holds some), the index
-        there of each position t, and whether a sample is stored at it."""
-        pos, vals = self.lines[key]
+        """The samples stored on line key, the index there of each
+        position t, and whether a sample is stored at it."""
+        pos, vals = self.lines.get(key, _NO_LINE)
         i = np.searchsorted(pos, t)
-        return vals, i, pos[np.minimum(i, len(pos) - 1)] == t
+        got = i < len(pos)
+        got[got] = pos[i[got]] == t[got]
+        return vals, i, got
 
     def extend(self, prev: PathSample, pts):
         plan, self._plan = self._plan, None
@@ -277,35 +273,22 @@ class _SharedWalk:
             return self.model.edge(self.a, prev, pts)
         return self._edge(prev, pts, *plan)
 
-    def _edge(self, prev: PathSample, pts, key, stored: bool, z1: complex):
+    def _edge(self, prev: PathSample, pts, key, z1: complex):
         """The runs of the planned points pts on line key: those stored
-        there (stored tells whether the edge holds any) served, the end
-        corner z1 also from the line across, and the others from one model
-        chain, stored as they come."""
+        there served, the end corner z1 also from the line across, and the
+        others from one model chain, stored as they come."""
         z = np.asarray(pts, dtype=complex)
         t = z.real if key[0] == 0 else z.imag
         n = len(z)
-        vals, i, got = self._find(key, t) if stored else (None, None, None)
-        end = None
-        if (got is None or not got[-1]) and z[-1] == z1:
-            end = (self._at((1, z1.real), z1.imag) if key[0] == 0
-                   else self._at((0, z1.imag), z1.real))
-        if got is None:
-            # nothing stored on the edge: the model's runs as they come
-            m = n - (end is not None)
-            for zr, vr in self.model.edge(self.a, prev, z[:m]) if m else ():
-                self._store(key, zr.real if key[0] == 0 else zr.imag, vr)
-                self.walked += len(zr)
-                yield zr, vr
-            if end is not None:
-                self.served += 1
-                yield z[m:], end[:, None]
-            return
+        vals, i, got = self._find(key, t)
         v = np.empty((3, n))
         v[:, got] = vals[:, i[got]]
-        if end is not None:
-            v[:, -1] = end
-            got[-1] = True
+        if not got[-1] and z[-1] == z1:
+            end = (self._at((1, z1.real), z1.imag) if key[0] == 0
+                   else self._at((0, z1.imag), z1.real))
+            if end is not None:
+                v[:, -1] = end
+                got[-1] = True
         new = np.flatnonzero(~got)
         done = new[0] if len(new) else n
         self.served += int(done)
@@ -421,15 +404,14 @@ class _Search:
         points = []
         for seed in seeds:
             s = self._converge(box, seed)
-            if s is None:
+            # a point within two certificate half-sides of an earlier one
+            # could share its certificate's a-point; a cluster (a multiple
+            # root) fails here, before any later seed runs or any
+            # certificate is walked
+            if s is None or any(abs(s.z - t.z) <= 2.0 * _CERT_SIDE
+                                for t in points):
                 return None
             points.append(s)
-        # points within two certificate half-sides could share one
-        # certificate's a-point; a cluster (a multiple root) fails here,
-        # before any certificate is walked
-        for i, s in enumerate(points):
-            if any(abs(s.z - t.z) <= 2.0 * _CERT_SIDE for t in points[:i]):
-                return None
         records = []
         for s in points:
             rec = self._certify(s, box)
@@ -445,13 +427,13 @@ class _Search:
 
     def _converge(self, box: Box, seed: complex) -> PathSample | None:
         """Newton from seed, carried from the corner of box nearest the
-        seed; the sample at the root when it lies strictly inside box,
-        else None."""
+        seed and given up when an iterate leaves box; the sample at the
+        root when it lies strictly inside box, else None."""
         held = min(filter(None, map(self.path.sample, box.corners())),
                    key=lambda h: abs(h.z - seed), default=None)
         try:
             s = _newton(self.model, self.a, seed, self.tol, maxit=24,
-                        held=held)
+                        held=held, box=box)
         except (NoConvergence, DerivativeVanishes, BoundaryTooClose,
                 ToleranceNotMet):
             return None
@@ -590,7 +572,8 @@ def _ball(model, s: PathSample) -> tuple[float, float] | None:
 
 
 def _newton(model, a: complex, z0: complex, tol: float, maxit: int = 50,
-            held: PathSample | None = None) -> PathSample:
+            held: PathSample | None = None, box: Box | None = None
+            ) -> PathSample:
     """Newton iteration for f(z) = a from z0. Returns the sample of f - a
     at the root by model.diff_sample: its |w| is the residual, and its
     err_log the log of that value's error bound.
@@ -604,7 +587,9 @@ def _newton(model, a: complex, z0: complex, tol: float, maxit: int = 50,
     takes diff_sample's value, and ends the iteration when that is at
     most the goal. The polishing step carries its value from the
     converged sample, and the returned sample is taken by diff_sample
-    unless it already is.
+    unless it already is. With box, an iterate outside it raises
+    NoConvergence: the caller wants a root in box, and an iterate that
+    left it is bound elsewhere (or lost).
     """
     z = complex(z0)
     goal = tol * (1.0 + abs(a))
@@ -614,6 +599,8 @@ def _newton(model, a: complex, z0: complex, tol: float, maxit: int = 50,
     for _ in range(maxit):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > leash:
             raise NoConvergence(f"iteration escaped to {z} from seed {z0}")
+        if box is not None and not box.contains(z):
+            raise NoConvergence(f"iteration left {box} at {z}")
         s = None if held is None else model.diff_near(held, z)
         if s is not None and _logaddexp(s.w.logmag, s.err_log) <= log_goal:
             return _polished(model, a, s, False)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .asymptotics import in_decay_interior, tail_remainder
-from .contour import Box, PathSample, dyadic_steps, edge_reversed
+from .contour import Box, PathSample, edge_reversed
 from .errors import (BoundaryTooClose, NonPositiveLogM, OverflowRegion,
                      TailTooLarge, ToleranceNotMet)
 from .funcmodel import (_RESCUE_REL_LOG, PolyExpRootModel, _clears_headroom,
@@ -775,8 +775,8 @@ class CanonicalProductModel:
                 f"{math.exp(s.err_log):.3e}")
 
     def min_samples(self, z0: complex, z1: complex) -> int:
-        """Steps of an edge's plan (contour.dyadic_steps) from the phase
-        its nearby zeros can turn; the same in both directions."""
+        """Sample count for an edge from the phase its nearby zeros can
+        turn; the same in both directions."""
         z0 = complex(z0)
         z1 = complex(z1)
         if edge_reversed(z0, z1):
@@ -784,7 +784,7 @@ class CanonicalProductModel:
         d = z1 - z0
         L = abs(d)
         if L == 0.0 or len(self._near) == 0:
-            return dyadic_steps(12)
+            return 12
         # the point of the edge nearest each zero, at the fraction t along
         # it; the edge is axis-aligned, so on a vertical edge t is one
         # number (L * L underflows to 0 on edges shorter than about 1e-154)
@@ -797,7 +797,7 @@ class CanonicalProductModel:
             dist = np.hypot(self._near - (z0.real + t * d.real), z0.imag)
         np.maximum(dist, 1e-6, out=dist)
         phase = float(np.minimum(math.pi, L / dist).sum())
-        return dyadic_steps(min(12 + int(phase / 1.2) + int(0.5 * L), 20000))
+        return min(12 + int(phase / 1.2) + int(0.5 * L), 20000)
 
 
 def _product_log_max(P: CanonicalProduct, radii, samples: int) -> list:

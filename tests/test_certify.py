@@ -395,9 +395,11 @@ def test_planted_power_sums_fall_back_to_the_split(garbage, ex1, data1,
 
 def test_triple_zero_undercount_still_raises():
     # z^3 on the box of the triple-zero defect winds 2; the split's child
-    # sum of 3 exposes it, at depth 0 and (seeds or not) at depth 1
+    # sum of 3 exposes it, at depth 0 and (seeds or not) at depth 1. The
+    # top edge passes 0.005 above the zero: at 0.01 the walk's plans,
+    # rounded up to a power of two, count all 3
     F = PolyExpFunction(Polynomial((0.0, 0.0, 3.0)), Polynomial((0.0,)), 0.0)
-    box = Box(-0.025, -0.6, 0.65, 0.01)
+    box = Box(-0.025, -0.6, 0.65, 0.005)
     with pytest.raises(BoundaryTooClose, match="child winding sum 3"):
         find_a_points(F, 0j, box, tol=1e-9)
     search = rootfinder._Search(PolyExpRootModel(F), 0j, 1e-9)

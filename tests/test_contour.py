@@ -488,7 +488,7 @@ def test_edge_integrates_its_blocks_lazily(monkeypatch):
 
     monkeypatch.setattr(funcmodel, "integral_raw_batch", failing_fourth)
     path = _SharedWalk(PolyExpRootModel(exp_function()), 1.0 + 0j)
-    z0, z1 = -200.0 - 1.0j, 200.0 - 1.0j
+    z0, z1 = -150.0 - 1.0j, 150.0 - 1.0j
     prev = path.start(z0)
     pts = edge_points(z0, z1, path.min_samples(z0, z1))
     assert len(pts) > funcmodel._PLAN_BLOCK
