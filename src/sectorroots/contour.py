@@ -7,7 +7,8 @@ computed by tracking the continuous argument of f - a along the box
 boundary, never by numerical integration of f'/(f - a), so the count is an
 exact integer with a measurable phase defect. The same walk gives, at no
 extra evaluation, the first power sums of the enclosed zeros of f - a
-from trapezoid sums of its continuous logarithm.
+from its continuous logarithm, integrated edge by edge: Simpson's rule on
+an edge that took its dyadic plan, the trapezoid rule on one that bisected.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ class Box:
 class WindingResult:
     """Integer count, the raw (unrounded) winding value, the defect, the
     walk's estimate of the sum of the enclosed zeros of f - a, and their
-    centred power sums s_1 .. s_min(count, 4) (see winding_count)."""
+    centred power sums s_1 .. s_min(count, 6) (see winding_count)."""
 
     count: int
     raw: complex
@@ -290,7 +291,7 @@ class WindingResult:
 _PHASE_STEP = 0.5 * math.pi
 _MAX_BISECT = 42
 # power sums a walk returns, at most: s_1 .. s_min(count, _POWER_SUMS)
-_POWER_SUMS = 4
+_POWER_SUMS = 6
 
 
 @dataclass
@@ -360,25 +361,51 @@ def _run_steps(pathval, prev, z, v, zs: list, steps: list) -> PathSample:
     return PathSample.of_run(z, v, len(z) - 1)
 
 
+def _trapezoid(half: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's weights on the ends of steps whose halves are
+    half: weight * g summed is the rule's integral of g."""
+    weight = np.zeros(len(half) + 1, dtype=half.dtype)
+    weight[:-1] = half
+    weight[1:] += half
+    return weight
+
+
 def _power_sums(box: Box, first, z: np.ndarray, walk: np.ndarray,
-                count: int) -> tuple:
+                count: int, edges) -> tuple:
     """s_k = count u_s^k - (k / 2 pi i) oint u^(k-1) L du, k = 1 ..
-    min(count, _POWER_SUMS), as trapezoid sums over the walk's samples z,
-    its start first included, with walk the steps after it (_refine): u =
-    (z - c) / rho with c the box centre and rho its half-diagonal, u_s the
-    walk's start, and L = log|w| + i arg w continuous, taken relative to
-    its value at the start."""
+    min(count, _POWER_SUMS), over the walk's samples z, its start first
+    included, with walk the steps after it (_refine): u = (z - c) / rho
+    with c the box centre and rho its half-diagonal, u_s the walk's start,
+    and L = log|w| + i arg w continuous, taken relative to its value at
+    the start.
+
+    edges holds (start, steps) for each edge in walk order: the index in z
+    of its first sample and the steps of its plan. Each edge is integrated
+    on its own: by Simpson's rule, the trapezoid sums at h and 2h combined
+    by Richardson, when it took exactly the steps of its plan, and by the
+    trapezoid rule when a bisection midpoint made its steps unequal."""
     c, rho = box.center, 0.5 * box.diameter
     u = (z - c) / rho
     L = np.empty_like(u)
     L[0] = 0.0
     L[1:] = walk.real - first.w.logmag
     L[1:] += 1j * np.cumsum(walk.imag)
-    du = np.diff(u)
-    term = L
+    # oint g du = sum(weight * g): the trapezoid rule T_h on every step,
+    # then (T_h - T_2h) / 3 on every edge that kept its plan, T_2h the
+    # trapezoid rule on every other sample of the edge
+    half = 0.5 * np.diff(u)
+    weight = _trapezoid(half)
+    ends = [s for s, _ in edges[1:]] + [len(u) - 1]
+    for (s, steps), e in zip(edges, ends):
+        if e - s == steps:
+            h = half[s:e]
+            fix = _trapezoid(h)
+            fix[::2] -= _trapezoid(h[0::2] + h[1::2])
+            weight[s:e + 1] += fix / 3.0
+    term = L * weight
     sums = []
     for k in range(1, min(count, _POWER_SUMS) + 1):
-        oint = 0.5 * complex(np.dot(term[:-1] + term[1:], du))
+        oint = complex(term.sum())
         sums.append(complex(count * u[0] ** k - k * oint / (2j * math.pi)))
         term = term * u
     return tuple(sums)
@@ -450,21 +477,28 @@ def winding_count(pathval, box: Box) -> WindingResult:
     half-diagonal, integrating s_k = (1/2 pi i) oint u^k w'/w dz by parts
     gives s_k = count * u_s^k - (k/2 pi i) oint u^(k-1) L du, where
     L = log|w| + i arg w is continuous along the walk and u_s is the corner
-    the walk starts from. The walk takes each integral as the trapezoid sum
-    over the samples it visits, bisection midpoints included, so the sums
-    need no evaluation beyond the count. power_sums holds s_1 ..
-    s_min(count, 4), and root_sum = count * c + rho * s_1 estimates the sum
-    of the enclosed zeros (0 when there are none).
+    the walk starts from. The walk notes where each edge's samples start,
+    and takes each integral edge by edge over the samples it visits
+    (_power_sums): by Simpson's rule, the trapezoid sums of the edge's
+    dyadic plan at h and 2h combined by Richardson, on an edge that took
+    exactly its plan, and by the trapezoid rule, bisection midpoints
+    included, on an edge that bisected. The sums need no evaluation beyond
+    the count. power_sums holds s_1 .. s_min(count, 6), and root_sum =
+    count * c + rho * s_1 estimates the sum of the enclosed zeros (0 when
+    there are none).
     """
     corners = box.corners()
     first = pathval.start(corners[0])
     zs: list = [first.z]
     steps: list = []
+    # (index in the walk of its first sample, steps of its plan) per edge
+    edges = []
     prev = first
     for i in range(4):
         z_from = corners[i]
         z_to = corners[(i + 1) % 4]
         pts = edge_points(z_from, z_to, pathval.min_samples(z_from, z_to))
+        edges.append((sum(map(np.size, zs)) - 1, len(pts)))
         # the last edge closes the loop on the exact starting sample
         for z, v in pathval.extend(prev, pts[:-1] if i == 3 else pts):
             prev = _run_steps(pathval, prev, z, v, zs, steps)
@@ -476,7 +510,8 @@ def winding_count(pathval, box: Box) -> WindingResult:
     if roundoff > 0.25 or count < 0:
         raise ToleranceNotMet(
             f"winding phase defect {roundoff:.3f} too large (raw {raw:.6f})")
-    sums = _power_sums(box, first, np.hstack(zs), walk, count) if count else ()
+    sums = (_power_sums(box, first, np.hstack(zs), walk, count, edges)
+            if count else ())
     root_sum = (count * box.center + 0.5 * box.diameter * sums[0]
                 if sums else 0j)
     return WindingResult(count=count, raw=complex(raw), roundoff=roundoff,

@@ -7,15 +7,17 @@ method with the exact derivative p e^q. Winding counts certify completeness:
 the multiplicities returned sum to the winding number of the whole region.
 
 Newton starts from seeds the walk that counted the box already gives: for
-a box that winds m <= 4 times, contour.winding_count returns the power sums
-s_1 .. s_m of the enclosed a-points about the box centre, and the seeds
-are the roots of the monic polynomial with those power sums (Newton's
-identities). A box that winds once keeps its seed until it is isolated,
-and starts from its centre when the seed lies outside it. A box that winds
-2 to 4 times, and whose count its parent's split confirmed, is solved
-from its m seeds without a split when Newton converges from each to m
-points inside it, more than two certificate half-sides apart, with
-certificate boxes inside it that do not overlap; otherwise it is split.
+a box that winds m <= 6 times, contour.winding_count returns the power sums
+s_1 .. s_m of the enclosed a-points about the box centre, by Simpson's
+rule on each edge that kept its dyadic plan and the trapezoid rule on one
+that bisected, and the seeds are the roots of the monic polynomial with
+those power sums (Newton's identities). A box that winds once keeps its
+seed until it is isolated, and starts from its centre when the seed lies
+outside it. A box that winds 2 to 6 times, and whose count its parent's
+split confirmed, is solved from its m seeds without a split when Newton
+converges from each to m points inside it, more than two certificate
+half-sides apart, with certificate boxes inside it that do not overlap;
+otherwise it is split.
 Newton's first value is carried from the walk's sample at the box corner
 nearest the seed (_newton), and a run gives up at the first iterate
 outside the box.
@@ -319,8 +321,9 @@ class _Search:
         self.a = a
         self.tol = tol
         self.path = _SharedWalk(model, a)
-        # Newton seeds of every box that wound 1 .. 4 times and is not yet
-        # descended: the points whose power sums are the walk's
+        # Newton seeds of every box that wound 1 .. 6 times and is not yet
+        # descended: the points whose power sums are the walk's per-edge
+        # Simpson (or, on an edge that bisected, trapezoid) sums
         self.seeds: dict[Box, list[complex]] = {}
 
     def wind(self, box: Box) -> int:

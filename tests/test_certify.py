@@ -1,5 +1,5 @@
 """Roots certified without walking again: Kantorovich balls (polyexp and
-canonical products), the power sums of the walk, and boxes of 2 to 4
+canonical products), the power sums of the walk, and boxes of 2 to 6
 a-points solved from them."""
 
 import math
@@ -296,13 +296,15 @@ def test_power_sums_match_exact(case, ex1, data1, ex1_zeros):
         model = build_model(ex1, data1)
     w = winding_count(_SharedWalk(model, 0j), box)
     assert w.count == len(zs) == len(w.power_sums)
-    # |u| <= 1 in the box, so |s_k| <= count; the trapezoid sums over the
-    # walk's samples hold s_k to 1e-2 of that bound
+    # |u| <= 1 in the box, so |s_k| <= count; Simpson's rule on each edge
+    # holds s_k to 1e-4 of that bound (at most 6.4e-6 here; one trapezoid
+    # sum over the walk's samples, to 1e-2, with errors up to 5.3e-3)
     for k, s in enumerate(w.power_sums, 1):
-        assert abs(s - _power(zs, box, k)) <= 1e-2 * w.count, k
-    assert abs(w.root_sum - sum(zs)) <= 1e-2 * box.diameter
-    # the seeds are the zeros to a few percent of the box, and the roots
-    # that np.roots gives for the same power sums
+        assert abs(s - _power(zs, box, k)) <= 1e-4 * w.count, k
+    assert abs(w.root_sum - sum(zs)) <= 1e-4 * box.diameter
+    # the seeds are the zeros to 1e-4 of the box (a few percent with one
+    # trapezoid sum over the walk), and the roots that np.roots gives for
+    # the same power sums
     seeds = rootfinder._seeds(box, w)
     if w.count > 1:
         e = [1.0]
@@ -312,7 +314,129 @@ def test_power_sums_match_exact(case, ex1, data1, ex1_zeros):
         c, rho = box.center, 0.5 * box.diameter
         ref = c + rho * np.roots([(-1) ** k * ek for k, ek in enumerate(e)])
         assert max(min(abs(s - r) for s in seeds) for r in ref) <= 1e-9
-    assert max(min(abs(s - z) for s in seeds) for z in zs) <= 0.05 * box.width
+    assert max(min(abs(s - z) for s in seeds) for z in zs) <= 1e-4 * box.width
+
+
+class _Plan:
+    """A path evaluator with every edge planned at n steps, whatever the
+    model's swing bound asks."""
+
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.n = n
+
+    def start(self, z):
+        return self.inner.start(z)
+
+    def extend(self, prev, pts):
+        return self.inner.extend(prev, pts)
+
+    def min_samples(self, z0, z1):
+        self.inner.min_samples(z0, z1)
+        return self.n
+
+
+def _planted(zs):
+    """The monic polynomial with the zeros zs, as c + integral of p."""
+    coeffs = np.poly(zs)[::-1]
+    p = np.polynomial.polynomial.polyder(coeffs)
+    return PolyExpFunction(Polynomial(tuple(complex(x) for x in p)),
+                           Polynomial((0.0,)), complex(coeffs[0]))
+
+
+def _edge_rule(box, first, z, walk, count, edges, simpson=True):
+    """s_1 .. s_count by each edge's rule written out: Simpson's weights
+    h/3 (1, 4, 2, ..., 2, 4, 1) on an edge that took the equal steps of
+    its plan (when simpson), the trapezoid rule on every other edge."""
+    c, rho = box.center, 0.5 * box.diameter
+    u = (z - c) / rho
+    L = np.concatenate(([0j], walk.real - first.w.logmag
+                        + 1j * np.cumsum(walk.imag)))
+    ends = [s for s, _ in edges[1:]] + [len(z) - 1]
+    sums = []
+    for k in range(1, count + 1):
+        g = u ** (k - 1) * L
+        oint = 0j
+        for (s, steps), e in zip(edges, ends):
+            if simpson and e - s == steps:
+                w = np.ones(steps + 1)
+                w[1:-1:2] = 4.0
+                w[2:-1:2] = 2.0
+                oint += (u[e] - u[s]) / (3 * steps) * np.dot(w, g[s:e + 1])
+            else:
+                oint += 0.5 * np.dot(g[s:e] + g[s + 1:e + 1],
+                                     np.diff(u[s:e + 1]))
+        sums.append(count * u[0] ** k - k * oint / (2j * math.pi))
+    return np.array(sums)
+
+
+def _walked(monkeypatch):
+    """The arguments of every _power_sums call from now on."""
+    seen = []
+    power_sums = contour._power_sums
+
+    def noted(*args):
+        seen.append(args)
+        return power_sums(*args)
+
+    monkeypatch.setattr(contour, "_power_sums", noted)
+    return seen
+
+
+# a box and six zeros of planted polynomials inside it, none within 0.15
+# of an edge or 0.3 of another
+_PLANTED_BOX = Box(-1.0, -0.8, 1.2, 1.1)
+_PLANTED = (0.1 + 0.2j, -0.45 + 0.5j, 0.62 - 0.3j, 0.3 + 0.7j,
+            -0.5 - 0.35j, 0.85 + 0.45j)
+
+
+@pytest.mark.parametrize("case", [f"{m} planted" for m in range(1, 7)]
+                         + ["four ex1 zeros"])
+def test_power_sums_converge_at_fourth_order(case, ex1, data1, ex1_zeros,
+                                             monkeypatch):
+    # doubling every edge's plan cuts the error of each s_k against the
+    # closed-form zeros by about 16 (h^4) with Simpson's rule on each edge,
+    # and by about 4 (h^2) with the trapezoid rule on the same samples, the
+    # one sum over the walk used before: the integrand turns at each corner
+    if case.startswith("four"):
+        box, plans, F, data = EX1_FOUR, (64, 128), ex1, data1
+        zs = [r.location for r in ex1_zeros[0] if box.contains(r.location)]
+    else:
+        box, plans, data = _PLANTED_BOX, (32, 64), None
+        zs = _PLANTED[:int(case[0])]
+        F = _planted(zs)
+    seen = _walked(monkeypatch)
+    errors = []
+    for n in plans:
+        path = _SharedWalk(build_model(F, data), 0j)
+        w = winding_count(_Plan(path, n), box)
+        assert w.count == len(zs) == len(w.power_sums)
+        assert path.unplanned == 0
+        exact = np.array([_power(zs, box, k) for k in range(1, w.count + 1)])
+        # the walk's weights are the written-out Simpson weights
+        assert np.abs(w.power_sums - _edge_rule(*seen[-1])).max() <= 1e-12
+        errors.append((np.abs(w.power_sums - exact),
+                       np.abs(_edge_rule(*seen[-1], simpson=False) - exact)))
+    (simpson, trapezoid), (simpson2, trapezoid2) = errors
+    assert np.all(simpson >= 10.0 * simpson2)
+    assert np.all((3.0 * trapezoid2 < trapezoid)
+                  & (trapezoid < 5.0 * trapezoid2))
+
+
+def test_bisected_edge_keeps_the_trapezoid_rule(monkeypatch):
+    # a zero 0.004 under the top edge: that edge bisects at a plan of 16
+    # steps, and takes the trapezoid rule over its unequal steps, while
+    # the other three take Simpson's rule
+    zs = (0.1 + 0.2j, 0.3 + 1.096j)
+    seen = _walked(monkeypatch)
+    path = _SharedWalk(PolyExpRootModel(_planted(zs)), 0j)
+    w = winding_count(_Plan(path, 16), _PLANTED_BOX)
+    assert w.count == 2 and path.unplanned > 0
+    box, first, z, walk, count, edges = seen[-1]
+    ends = [s for s, _ in edges[1:]] + [len(z) - 1]
+    assert [e - s > steps for (s, steps), e in zip(edges, ends)] == [
+        False, False, True, False]
+    assert np.abs(w.power_sums - _edge_rule(*seen[-1])).max() <= 1e-12
 
 
 def test_three_point_box_resolved_without_walking(ex1, data1, ex1_zeros,
@@ -335,6 +459,65 @@ def test_three_point_box_resolved_without_walking(ex1, data1, ex1_zeros,
         assert cert.contains(rec.location)
         assert all(rootfinder._inside(EX1_THREE, c) for c in cert.corners())
     assert len({r.location for r in records}) == 3
+
+
+def test_four_point_boxes_of_ex2_solved_at_the_first_try(ex2, data2,
+                                                          monkeypatch):
+    # the two boxes of four zeros in ex2's [-4, 4]^2 search: with one
+    # trapezoid sum over the walk, a seed fell outside the first and two
+    # seeds of the second converged to one zero, so _solve turned both
+    # down and they were split
+    outcomes = {}
+    splits = []
+    solve, split = rootfinder._Search._solve, rootfinder._Search._split
+
+    def recorded(self, box, seeds):
+        outcomes[box] = solve(self, box, seeds)
+        return outcomes[box]
+
+    def counted(self, box, count):
+        splits.append(box)
+        return split(self, box, count)
+
+    monkeypatch.setattr(rootfinder._Search, "_solve", recorded)
+    monkeypatch.setattr(rootfinder._Search, "_split", counted)
+    result = find_a_points(ex2, 0j, Box(-4, -4, 4, 4), tol=1e-9, data=data2)
+    assert result.winding_total == len(result) == 32
+    for box in (Box(3, -2, 4, -1), Box(3, 1, 4, 2)):
+        records = outcomes[box]
+        assert records is not None and len(records) == 4
+        assert box not in splits
+        want = {r.location for r in result if box.contains(r.location)}
+        assert {r.location for r in records} == want
+
+
+@pytest.mark.parametrize("box, m", [(Box(0, -4, 4, 0), 5),
+                                    (Box(4, -6, 6, -4), 6)])
+def test_five_and_six_point_boxes_solved_without_a_split(box, m, ex1, data1,
+                                                         monkeypatch):
+    # boxes of ex1's [-8, 8]^2 zero search at depth 2 and 3, solved from
+    # their seeds; every record is the zero that mpmath finds from it at
+    # 40 digits, inside its certificate box and that of no other record
+    search = rootfinder._Search(build_model(ex1, data1), 0j, 1e-9)
+    assert search.wind(box) == m and len(search.seeds[box]) == m
+
+    def no_split(self, box, count):
+        raise AssertionError(f"split {box}")
+
+    monkeypatch.setattr(rootfinder._Search, "_split", no_split)
+    records = search.descend(box, m, 1)
+    assert len(records) == m and search.seeds == {}
+    with mp.workdps(40):
+        zeros = [complex(mp.findroot(_ex1_mp, mp.mpc(rec.location)))
+                 for rec in records]
+    for rec, zero in zip(records, zeros):
+        assert abs(rec.location - zero) <= 1e-12 * abs(zero)
+        assert rec.multiplicity == 1 and not rec.cluster
+        assert rec.residual < 1e-9
+        assert [r.box_certificate.contains(zero) for r in records].count(
+            True) == 1
+        assert all(rootfinder._inside(box, c)
+                   for c in rec.box_certificate.corners())
 
 
 def test_search_region_box_is_split(ex1, data1, monkeypatch):
@@ -360,10 +543,11 @@ def test_planted_power_sums_fall_back_to_the_split(garbage, ex1, data1,
     region = Box(-8, -8, 8, 8)
     base = find_a_points(ex1, 0j, region, tol=1e-9, data=data1)
 
-    def planted(box, first, zs, steps, count):
+    def planted(box, first, zs, steps, count, edges):
         # every seed at u = 5, outside the box, or all at its centre
         u = 5.0 if garbage == "outside" else 0.0
-        return tuple(count * u ** k + 0j for k in range(1, min(count, 4) + 1))
+        return tuple(count * u ** k + 0j for k in
+                     range(1, min(count, contour._POWER_SUMS) + 1))
 
     monkeypatch.setattr(contour, "_power_sums", planted)
     solves = []

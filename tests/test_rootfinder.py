@@ -334,10 +334,13 @@ def test_search_keeps_no_estimate_after_descent():
 # with evenly spaced plans. Dyadic plans rounded up to a power of two are
 # never sparser, and Newton from a box's seeds stops at the first point
 # that repeats an earlier one or at the first iterate outside the box
-# (up to 24 iterations each before)
+# (up to 24 iterations each before): 199 and 177. Power sums by Simpson's
+# rule on each edge that kept its plan put the seeds within about 1e-6
+# of a box's width from its roots, and boxes of up to six a-points are
+# solved from them
 @pytest.mark.parametrize("name, half, iterations", [
-    ("ex1", 8, 199),
-    ("ex2", 4, 177),
+    ("ex1", 8, 156),
+    ("ex2", 4, 124),
 ], ids=["ex1", "ex2"])
 def test_search_newton_iterations_pinned(name, half, iterations, request,
                                          monkeypatch):

@@ -145,9 +145,13 @@ def test_pinned_windings(case, request, monkeypatch):
 # samples it took when only a whole edge walked twice was served ((9103,
 # 2605, 14) and (16543, 5049, 0)), though each plan is rounded up to a
 # power of two, and the walks re-anchor less (49, 27 and 111, 59).
+# Power sums by Simpson's rule on each edge give seeds close enough that
+# boxes of up to six a-points are solved without a split, so the searches
+# walk fewer boxes ((6878, 10613, 8) and (11218, 20337, 0) with one
+# trapezoid sum over the walk and boxes of up to four; 30, 23 and 50, 41).
 @pytest.mark.parametrize("name, box, near, anchored, walked", [
-    ("ex1", (-8, -8, 8, 8), 30, 23, (6878, 10613, 8)),
-    ("ex2", (-4, -4, 4, 4), 50, 41, (11218, 20337, 0)),
+    ("ex1", (-8, -8, 8, 8), 30, 23, (5354, 8441, 8)),
+    ("ex2", (-4, -4, 4, 4), 40, 40, (7344, 11963, 0)),
 ], ids=["ex1", "ex2"])
 def test_search_anchor_calls_pinned(name, box, near, anchored, walked,
                                     request, monkeypatch):
@@ -176,7 +180,7 @@ def test_search_anchor_calls_pinned(name, box, near, anchored, walked,
 
 # (a-point search, winding count of its region): the 1-points on
 # [-6, 6]^2 keep the recheck over a few hundred walks now that boxes of 2
-# to 4 a-points are solved without a split and balls replace certificate
+# to 6 a-points are solved without a split and balls replace certificate
 # walks (78 walks on [-4, 4]^2, 225 before); ex1's zeros and a product
 # search add walks whose half-edges are served at their parent's density
 # and walks that refine it
@@ -214,7 +218,9 @@ def test_shared_walk_counts_match_fresh_walks(name, request, monkeypatch):
     (path,) = {p for p, _, _ in wound}
     assert path.served > path.walked / 2
     if name == "ex2-ones":
-        assert len(wound) > 200
+        # 237 walks when boxes of up to four a-points were solved from
+        # one trapezoid sum over the walk
+        assert len(wound) == 161
     for _, box, count in wound:
         fresh = rootfinder._SharedWalk(path.model, path.a)
         assert walk(fresh, box).count == count, box
@@ -286,12 +292,13 @@ def _single_winding(pathval, box):
     corners = box.corners()
     first = pathval.start(corners[0])
     total = 0.0
-    zs, steps = [], []
+    zs, steps, edges = [], [], []
     prev = first
     for i in range(4):
         z_from, z_to = corners[i], corners[(i + 1) % 4]
         targets = list(edge_points(z_from, z_to,
                                    pathval.min_samples(z_from, z_to)))
+        edges.append((len(zs), len(targets)))
         if i == 3:
             targets[-1] = None
         for z in targets:
@@ -303,7 +310,8 @@ def _single_winding(pathval, box):
     if abs(raw - count) > 0.25 or count < 0:
         raise ToleranceNotMet("winding phase defect too large")
     sums = (contour._power_sums(box, first, np.array([first.z] + zs),
-                                np.array(steps), count) if count else ())
+                                np.array(steps), count, edges)
+            if count else ())
     root_sum = (count * box.center + 0.5 * box.diameter * sums[0]
                 if sums else 0j)
     return count, raw, sums, root_sum
