@@ -2,13 +2,15 @@
 
 integrate_segments is an adaptive Gauss-Kronrod (7, 15) scheme that
 integrates many straight segments at once, one array pass per refinement
-round; integrate_segment_err is its one-segment form. Winding numbers are
-computed by tracking the continuous argument of f - a along the box
-boundary, never by numerical integration of f'/(f - a), so the count is an
-exact integer with a measurable phase defect. The same walk gives, at no
-extra evaluation, the first power sums of the enclosed zeros of f - a
-from its continuous logarithm, integrated edge by edge: Simpson's rule on
-an edge that took its dyadic plan, the trapezoid rule on one that bisected.
+round, and every segment integral of p exp(q) runs through it;
+integrate_segment_err, its one-segment form, serves the kernel check.
+Winding numbers are computed by tracking the continuous argument of f - a
+along the box boundary, never by numerical integration of f'/(f - a), so
+the count is an exact integer with a measurable phase defect. The same
+walk gives, at no extra evaluation, the first power sums of the enclosed
+zeros of f - a from its continuous logarithm, integrated edge by edge:
+Simpson's rule on an edge that took its dyadic plan, the trapezoid rule on
+one that bisected.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ _W2[_GAUSS_IDX, 1] = _WG
 # that every split updates (children added, parent subtracted)
 _ROUNDOFF = 5e-15
 _MAX_PANELS = 4096
+# splits a panel may come from before its segment fails
+_MAX_DEPTH = 50
 # panels evaluated per array pass; bounds the memory of long batches
 _PASS_ROWS = 512
 
@@ -92,7 +96,7 @@ _TS0 = 0.5 + 0.5 * _XK
 
 
 def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
-                       tol: float, noise: np.ndarray, max_depth: int = 50):
+                       tol: float, noise: np.ndarray):
     """Adaptive GK(7, 15) integrals along k straight segments at once.
 
     Segment i runs from z0[i] to z0[i] + delta[i]. g(z, seg) receives an
@@ -104,7 +108,10 @@ def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
     _PASS_ROWS, each round splitting the worst panel of every such segment
     and evaluating all the children in one pass (_refine_segments). Per
     segment this is the same worst-first refinement, with the same panel
-    budget and depth limit, as a segment integrated alone.
+    budget (_MAX_PANELS) and depth limit (_MAX_DEPTH), as a segment
+    integrated alone. noise[i] (at least _ROUNDOFF) is the relative noise
+    of segment i's samples; a segment stalls at that floor, which is
+    attained accuracy, not failure.
 
     Returns (values, bounds, failures): the integrals, their absolute error
     bounds, and a dict mapping the index of every segment that ran out of
@@ -126,15 +133,14 @@ def integrate_segments(g: Callable, z0: np.ndarray, delta: np.ndarray,
     # each segment's refinement is independent of the others, so taking
     # the failing segments in groups only bounds the panels held at once
     for lo in range(0, len(todo), _PASS_ROWS):
-        _refine_segments(g, z0, delta, tol, noise, max_depth,
-                         todo[lo:lo + _PASS_ROWS], total, total_err,
-                         total_l1, failures)
+        _refine_segments(g, z0, delta, tol, noise, todo[lo:lo + _PASS_ROWS],
+                         total, total_err, total_l1, failures)
     return (total * delta, (total_err + noise * total_l1) * np.abs(delta),
             failures)
 
 
-def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
-                     total, total_err, total_l1, failures):
+def _refine_segments(g, z0, delta, tol, noise, todo, total, total_err,
+                     total_l1, failures):
     """Worst-first refinement of the segments in todo, updating the total
     arrays in place and recording failures. Heap entries and the checks
     between rounds are those of a one-segment adaptive scheme."""
@@ -156,9 +162,9 @@ def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
                     f"error {err[i]:.3e}")
                 continue
             item = heapq.heappop(heaps[i])
-            if item[4] >= max_depth:
+            if item[4] >= _MAX_DEPTH:
                 failures[i] = ToleranceNotMet(
-                    f"segment quadrature: depth {max_depth} reached, error "
+                    f"segment quadrature: depth {_MAX_DEPTH} reached, error "
                     f"{err[i]:.3e} vs target {tol * (1 + abs(val[i])):.3e}")
                 continue
             a, b = item[2], item[3]
@@ -192,20 +198,13 @@ def _refine_segments(g, z0, delta, tol, noise, max_depth, todo,
 
 
 def integrate_segment_err(g: Callable, z0: complex, z1: complex,
-                          tol: float = 1e-12,
-                          noise: float = _ROUNDOFF) -> tuple[complex, float]:
+                          tol: float = 1e-12) -> tuple[complex, float]:
     """Adaptive integral of g along [z0, z1] plus its absolute error bound.
 
-    g must accept a numpy array of points. The worst panel is refined until
-    the summed error estimate falls below tol * (1 + |result|) or below
-    noise times the accumulated function magnitude, whichever is larger
-    (integrands with heavy cancellation, or carrying their own evaluation
-    noise, stall at that floor, which is genuine attained accuracy, not
-    failure). Callers whose g has relative noise above one ulp, e.g. from a
-    large complex exponential phase, must raise noise accordingly. Raises
-    ToleranceNotMet when a panel needs more than 50 splits (the depth
-    limit of integrate_segments) or the panel budget runs out. This is
-    integrate_segments with k = 1.
+    g must accept a one-dimensional numpy array of points. This is
+    integrate_segments with k = 1 and the noise floor _ROUNDOFF; it raises
+    the segment's ToleranceNotMet when the panel budget or the depth limit
+    runs out.
     """
     z0 = complex(z0)
     delta = complex(z1) - z0
@@ -216,7 +215,7 @@ def integrate_segment_err(g: Callable, z0: complex, z1: complex,
         return np.asarray(g(z.ravel()), dtype=complex).reshape(z.shape)
 
     vals, bounds, failures = integrate_segments(
-        rows, np.array([z0]), np.array([delta]), tol, np.array([noise]))
+        rows, np.array([z0]), np.array([delta]), tol, np.array([_ROUNDOFF]))
     if failures:
         raise failures[0]
     return complex(vals[0]), float(bounds[0])

@@ -265,8 +265,10 @@ class PolyExpRootModel:
         pts = [z0 + (z1 - z0) * t for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
         qmax = max(abs(qd(w)) for w in pts)
         swing = abs(z1 - z0) * 1.5 * qmax
-        n = 8 + int(swing / (0.5 * math.pi)) + 4 * (self.F.p.degree + 1)
-        return min(n, 20000)
+        # capped in floating point first: an infinite (or NaN) swing, from a
+        # huge edge, has no int
+        steps = int(min(20000.0, swing / (0.5 * math.pi)))
+        return min(8 + steps + 4 * (self.F.p.degree + 1), 20000)
 
 
 def _disc_sizes(coeffs: tuple, z: complex, r: float) -> tuple:

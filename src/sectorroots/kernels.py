@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import integrate_segment_err
+from . import contour
 from .errors import BoundViolated, ToleranceNotMet
 
 
@@ -101,8 +101,10 @@ def kernel_integral_quadrature(P: KernelParams, tol: float = 1e-9) -> float:
         return (1.0 + b * u) / (1.0 + 2.0 * b * u + u * u) / g
 
     each = 0.2 * tol
-    vh, eh = integrate_segment_err(head, 0.0, 1.0, tol=each)
-    vt, et = integrate_segment_err(tail, 0.0, 1.0, tol=each)
+    # looked up on its module at call time, so a wrapper installed there
+    # sees both calls
+    vh, eh = contour.integrate_segment_err(head, 0.0, 1.0, tol=each)
+    vt, et = contour.integrate_segment_err(tail, 0.0, 1.0, tol=each)
     bound = 0.5 * (eh + et)
     if bound > tol:
         raise ToleranceNotMet(

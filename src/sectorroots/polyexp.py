@@ -4,7 +4,9 @@ p and q are polynomials. The family is closed under the data (p, q, c), and
 every evaluation routine here works from that data alone. Values of f can
 span thousands of orders of magnitude, so alongside plain complex evaluation
 there is a scaled representation (log-magnitude, phase) and scaled variants
-of the integral that never overflow.
+of the integral that never overflow. Every segment integral of p exp(q),
+a single one included, is one batch of contour.integrate_segments
+(integral_raw_batch).
 """
 
 from __future__ import annotations
@@ -346,38 +348,19 @@ def _chunk_counts(swing: np.ndarray) -> np.ndarray:
     return np.clip(np.ceil(swing / _PANEL_SWING), 1, 256).astype(int)
 
 
-def _scaled_integrand(F: PolyExpFunction, z: np.ndarray, m) -> np.ndarray:
-    """p exp(q - m) at the points z; m broadcasts against z."""
-    return _horner(F.p.coeffs, z) * np.exp(_horner(F.q.coeffs, z) - m)
-
-
-def _phase_noise(mag):
-    """Relative noise of exp(q) samples where |q| reaches mag: exp(q)
-    carries phase noise of |q| ulps, below which the samples are
-    indistinguishable from the truth and refinement cannot help."""
-    return 1e-15 * (1.0 + mag)
-
-
 def _quadrature(F: PolyExpFunction, z0: np.ndarray, delta: np.ndarray,
                 m: np.ndarray, mag: np.ndarray, tol: float):
     """The quadrature core: integrals of p exp(q - m[i]) over the segments
     [z0[i], z0[i] + delta[i]] in one GK batch, as integrate_segments
-    returns them (values, absolute bounds, failures), in units of exp(m)."""
+    returns them (values, absolute bounds, failures), in units of exp(m).
+    Where |q| reaches mag[i], exp(q) carries phase noise of |q| ulps, below
+    which refinement cannot help: that is segment i's noise floor."""
     from .contour import integrate_segments
 
+    p, q = F.p.coeffs, F.q.coeffs
     return integrate_segments(
-        lambda z, seg: _scaled_integrand(F, z, m[seg, None]), z0, delta, tol,
-        _phase_noise(mag))
-
-
-def _scaled_part(val: complex, m: float,
-                 err_log: float) -> tuple[ScaledComplex, float]:
-    """(value, err_log) of the integral val * exp(m) whose absolute error
-    bound is exp(err_log)."""
-    if err_log == -math.inf:
-        # zero length (or a zero integrand): nothing to add, no error
-        return ScaledComplex.zero(), err_log
-    return ScaledComplex.from_complex(val).shift(m), err_log
+        lambda z, seg: _horner(p, z) * np.exp(_horner(q, z) - m[seg, None]),
+        z0, delta, tol, 1e-15 * (1.0 + mag))
 
 
 def _chunks(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
@@ -410,26 +393,21 @@ def integral_raw_batch(F: PolyExpFunction, z0, z1, tol: float = 1e-12):
     segment go to the quadrature together, and the chunks of a segment are
     summed at the largest of their scales. A segment's result does not
     depend on the rest of the batch beyond rounding: BLAS may sum one row
-    of a larger matrix product in a different order.
+    of a larger matrix product in a different order. A single segment is a
+    batch of one (_one_segment_parts), so it runs this same code.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
-    return _raw_batch(F, z0, z1, _segment_data(F.q, z0, z1 - z0), tol)
-
-
-def _raw_batch(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
-               data: tuple, tol: float):
-    """integral_raw_batch on complex arrays, with the segments'
-    _segment_data already computed."""
-    m, mag, swing = data
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if not (swing > _PANEL_SWING).any():
-            vals, bounds, failures = _quadrature(F, z0, z1 - z0, m, mag, tol)
+    m, mag, swing = _segment_data(F.q, z0, z1 - z0)
+    if not (swing > _PANEL_SWING).any():
+        vals, bounds, failures = _quadrature(F, z0, z1 - z0, m, mag, tol)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return vals, m, m + np.log(bounds), failures
-        n, seg, c0, cd, cm, cmag = _chunks(F, z0, z1, swing)
-        cv, cb, cf = _quadrature(F, c0, cd, cm, cmag, tol)
-        first = np.cumsum(n) - n
-        m = np.maximum.reduceat(cm, first)
+    n, seg, c0, cd, cm, cmag = _chunks(F, z0, z1, swing)
+    cv, cb, cf = _quadrature(F, c0, cd, cm, cmag, tol)
+    first = np.cumsum(n) - n
+    m = np.maximum.reduceat(cm, first)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.add.reduceat(cv * np.exp(cm - m[seg]), first)
         err_log = np.logaddexp.reduceat(cm + np.log(cb), first)
     failures = {}
@@ -440,24 +418,14 @@ def _raw_batch(F: PolyExpFunction, z0: np.ndarray, z1: np.ndarray,
 
 def _one_segment_parts(F: PolyExpFunction, z0: complex, z1: complex,
                        tol: float) -> tuple[ScaledComplex, float]:
-    """integral_scaled_parts for one segment of nonzero length: a k = 1
-    quadrature (contour.integrate_segment_err), or one batch of its chunks
-    when its phase swing calls for them."""
-    from .contour import integrate_segment_err
-
-    za = np.array([z0, z1])
-    data = _segment_data(F.q, za[:1], za[1:] - za[:1])
-    m, mag, swing = data
-    if swing[0] > _PANEL_SWING:
-        val, m, err_log, failures = _raw_batch(F, za[:1], za[1:], data, tol)
-        if failures:
-            raise failures[0]
-        return _scaled_part(complex(val[0]), float(m[0]), float(err_log[0]))
-    mq = float(m[0])
-    val, err = integrate_segment_err(
-        lambda z: _scaled_integrand(F, z, mq), z0, z1, tol,
-        noise=_phase_noise(float(mag[0])))
-    return _scaled_part(val, mq, mq + math.log(err) if err else -math.inf)
+    """integral_scaled_parts for one segment of nonzero length: a batch of
+    one (integral_raw_batch), cut into chunks like any other segment when
+    its phase swing calls for them."""
+    val, m, err_log, failures = integral_raw_batch(F, [z0], [z1], tol)
+    if failures:
+        raise failures[0]
+    value = ScaledComplex.from_complex(complex(val[0])).shift(float(m[0]))
+    return value, float(err_log[0])
 
 
 def integral_scaled_parts(F: PolyExpFunction, z0: complex, z1: complex,

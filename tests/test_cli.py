@@ -176,6 +176,18 @@ def test_enumerate_json_round_trip(capsys, tmp_path):
         assert fh.read() == text
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--example", "1", "--target", "0", "--region", "0,0,1e300,1"],
+    ["roots", "--example", "2", "--target", "0", "--region", "0,0,1e120,1"],
+], ids=["ex1 1e300", "ex2 1e120"])
+def test_huge_region_exits_two(argv, capsys):
+    # the phase swing bound of so long an edge is infinite: its plan is
+    # capped before it becomes an int, and the walk ends in a typed error
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_kernel_check(capsys):
     assert main(["kernel-check"]) == 0
     assert "max |residue - quadrature|" in capsys.readouterr().out

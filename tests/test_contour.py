@@ -81,10 +81,12 @@ def test_quadrature_noise_floor_stops():
 
     with pytest.raises(ToleranceNotMet):
         integrate_segment_err(noisy, 0j, 1.0 + 0j, tol=1e-13)
-    val, err = integrate_segment_err(noisy, 0j, 1.0 + 0j, tol=1e-13,
-                                     noise=1e-8)
+    vals, errs, failures = integrate_segments(
+        lambda z, seg: noisy(z.ravel()).reshape(z.shape), np.array([0j]),
+        np.array([1.0 + 0j]), 1e-13, np.array([1e-8]))
+    assert not failures
     want = (cmath.exp(5j) - 1.0) / 5j
-    assert abs(val - want) <= max(err, 1e-7)
+    assert abs(vals[0] - want) <= max(errs[0], 1e-7)
 
 
 def test_zero_length_segment():
@@ -209,7 +211,8 @@ def test_refinement_depth_budget_and_ties(monkeypatch, case):
         segs = [seg for seg, _ in _PINNED_PANELS] * 4
         f, tol = _cubic_exp, 1e-13
         want = [panels for _, panels in _PINNED_PANELS] * 4
-    max_depth = 4 if case == "depth" else 50
+    if case == "depth":
+        monkeypatch.setattr(contour, "_MAX_DEPTH", 4)
     if case == "panels":
         monkeypatch.setattr(contour, "_MAX_PANELS", 16)
     z0 = np.array([a for a, _ in segs], dtype=complex)
@@ -221,7 +224,7 @@ def test_refinement_depth_budget_and_ties(monkeypatch, case):
         return f(z)
 
     _, _, failures = integrate_segments(
-        g, z0, delta, tol, np.full(len(z0), 5e-15), max_depth)
+        g, z0, delta, tol, np.full(len(z0), 5e-15))
     rows = rows.tolist()
     failures = {i: str(exc) for i, exc in failures.items()}
     if case == "depth":

@@ -120,6 +120,26 @@ def test_kernel_report_keys():
     assert rep["abs_diff"] < 1e-9
 
 
+def test_quadrature_reaches_the_engine_through_its_module(monkeypatch):
+    # the kernel check looks integrate_segment_err up on contour at call
+    # time, so a wrapper installed there (a tracer's) sees the head and the
+    # tail integral
+    from sectorroots import contour
+
+    real = contour.integrate_segment_err
+    calls = []
+
+    def counted(g, z0, z1, *args, **kwargs):
+        calls.append((z0, z1))
+        return real(g, z0, z1, *args, **kwargs)
+
+    monkeypatch.setattr(contour, "integrate_segment_err", counted)
+    P = KernelParams(0.5, 0.3)
+    assert kernel_integral_quadrature(P) == pytest.approx(
+        kernel_integral_residue(P), abs=1e-9)
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]
+
+
 def test_quadrature_validates_tol():
     with pytest.raises(ValueError):
         kernel_integral_quadrature(KernelParams(0.5, 0.5), tol=0.0)
